@@ -40,6 +40,7 @@ _CANCELLATION_BUDGET = 1e13
 _X_CAP = 1e3
 _IM_CAP = 130.0
 _ATOL = 1e-10  # default absolute accuracy of a point value
+_SERIES_TOL = 1e-13  # stop summing once a term is this small relative to the sum
 
 
 def _series_extended(mu: complex, x: float, dps: int = 50):
@@ -71,8 +72,7 @@ def _series_extended(mu: complex, x: float, dps: int = 50):
         return complex(total), err
 
 
-def bessel_j_err(mu: complex, x: float, tol: float = 1e-13, *,
-                 atol: float = _ATOL):
+def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
     """J_mu(x) by the ascending series, with a declared error bound.
 
     Returns (value, error).  Falls back to the extended-precision series
@@ -90,7 +90,7 @@ def bessel_j_err(mu: complex, x: float, tol: float = 1e-13, *,
         # J_{-n} = (-1)^n J_n; avoids the leading run of zero terms from
         # reciprocal-gamma zeros swallowing the series
         n = int(-mu.real)
-        v, e = bessel_j_err(complex(n), x, tol, atol=atol)
+        v, e = bessel_j_err(complex(n), x, atol=atol)
         return (-1) ** n * v, e
     if x <= 0:
         if x == 0:
@@ -116,7 +116,7 @@ def bessel_j_err(mu: complex, x: float, tol: float = 1e-13, *,
         max_mag = max(max_mag, abs(term))
         abs_sum += abs(term)
         ratio = half * half / ((k + 1) * abs(mu + k + 1)) if mu + k + 1 != 0 else math.inf
-        if abs(term) < tol * max(abs(total), 1e-300) and ratio < 0.5:
+        if abs(term) < _SERIES_TOL * max(abs(total), 1e-300) and ratio < 0.5:
             tail = abs(term) * ratio / (1 - ratio)
             break
         if k > 500:
@@ -173,21 +173,14 @@ def _discrete_sum(phi: LocalTestFunction, parity: int, t_abs: float,
     return total
 
 
-def _axis_height(phi: LocalTestFunction):
-    """Truncation height for the axis integral plus the declared tail bound.
-
-    The integrand is bounded by 2|phi(iy)| y (the Bessel growth e^{pi y} is
-    cancelled by the cosh/sinh denominator), so the tail beyond H is at most
-    2K (1+H)^{2-a}/(a-2) with K the decay constant.  H is capped so the
-    Bessel order stays in the supported window.
-    """
+def _height(phi: LocalTestFunction) -> float:
+    """Truncation height of both transform integrals: past a gaussian's bump
+    at q, otherwise the cap that keeps the Bessel order 2 nu in the
+    supported window."""
     if phi.provenance == "gaussian":
-        H = phi.params["q"] + 40 / math.sqrt(phi.params["U"])
-        return min(H, _IM_CAP / 2), 1e-14
-    K = max(abs(phi(1j * y)) * (1 + y) ** phi.a for y in np.geomspace(1, 60, 40))
-    H = _IM_CAP / 2
-    tail = 2 * K * (1 + H) ** (2 - phi.a) / (phi.a - 2)
-    return H, tail
+        return min(phi.params["q"] + 40 / math.sqrt(phi.params["U"]),
+                   _IM_CAP / 2)
+    return _IM_CAP / 2
 
 
 def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
@@ -211,7 +204,15 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
     if phi.a <= 2:
         raise ValueError("decay certificate requires a > 2")
     t_abs = abs(t)
-    H, tail = _axis_height(phi)
+    H = _height(phi)
+    tail = 1e-14
+    if phi.provenance != "gaussian":
+        # the integrand is bounded by 2|phi(iy)| y (the Bessel growth e^{pi y}
+        # is cancelled by the cosh/sinh denominator), so the tail beyond H is
+        # at most 2K (1+H)^{2-a}/(a-2) with K the decay constant
+        K = max(abs(phi(1j * y)) * (1 + y) ** phi.a
+                for y in np.geomspace(1, 60, 40))
+        tail = 2 * K * (1 + H) ** (2 - phi.a) / (phi.a - 2)
     if parity == 0:
         def g(y):
             if y == 0:
@@ -241,7 +242,7 @@ _HOLOMORPHIC_TAGS = {"gaussian", "phi_p", "lambda-smoothed"}
 
 
 def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
-                      t: float, H: float = None) -> BesselTransformResult:
+                      t: float) -> BesselTransformResult:
     """Transform via the shifted contour Re nu = tau:
 
         (-i eta sign t)^parity [ 2 int_0^H Re[ phi(nu) nu J_{2nu}(|t|)
@@ -266,12 +267,7 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
                          "holomorphic test function")
     tau = phi.tau
     t_abs = abs(t)
-    if H is None:
-        if phi.provenance == "gaussian":
-            H = min(phi.params["q"] + 40 / math.sqrt(phi.params["U"]),
-                    _IM_CAP / 2)
-        else:
-            H = _IM_CAP / 2
+    H = _height(phi)
 
     def g(x):
         nu = tau + 1j * x
@@ -280,13 +276,14 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
         return (phi(nu) * nu * j / denom).real
 
     v, e = quad(g, 0.0, H, limit=400)
-    # tail bound: decay of phi against the polynomially-bounded remainder of
-    # J/cos after the exponential factors cancel
-    K = max(abs(phi(tau + 1j * x)) * (1 + x) ** phi.a
-            for x in np.geomspace(1, H, 40))
-    net = phi.a - 1.5 + 2 * tau  # integrand ~ x^{1 - a - 2 tau - 1/2}
-    tail = 0.0 if phi.provenance == "gaussian" else \
-        2 * t_abs ** (2 * tau) * K * H ** (1 - net) / max(net - 1, 0.1)
+    tail = 0.0
+    if phi.provenance != "gaussian":
+        # tail bound: decay of phi against the polynomially-bounded remainder
+        # of J/cos after the exponential factors cancel
+        K = max(abs(phi(tau + 1j * x)) * (1 + x) ** phi.a
+                for x in np.geomspace(1, H, 40))
+        net = phi.a - 1.5 + 2 * tau  # integrand ~ x^{1 - a - 2 tau - 1/2}
+        tail = 2 * t_abs ** (2 * tau) * K * H ** (1 - net) / max(net - 1, 0.1)
     pref = (-1j * eta * math.copysign(1.0, t)) ** parity
     value = pref * (2 * v + _discrete_sum(phi, parity, t_abs))
     return BesselTransformResult(value, t, 2 * (e + tail), "contour")

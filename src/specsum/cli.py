@@ -10,21 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .asymptotics import (
-    AnalysisParams,
     choose_U,
     choose_eps,
     count,
     family_asymptotic_table,
     hypercube_budget_sweep,
-    m_rho,
     main_term,
     synth_spectrum,
 )
@@ -37,33 +33,8 @@ from .besseltransform import (
 from .kloosterman import kloosterman_sum, ksum, trivial_bound, trivial_character
 from .measures import V_b_lambda_factor, npl, nu_theta, nv_b, pl_lambda
 from .numberfield import IdealLattice, QuadField, make_field
-from .regions import PlaceFactor, ProductRegion, family, imaginary_box
+from .regions import PlaceFactor, ProductRegion, family
 from .testfunctions import gaussian_phi, phi_p
-
-
-# --------------------------------------------------------------------------
-# configuration
-# --------------------------------------------------------------------------
-
-@dataclass
-class RunConfig:
-    """Round-trippable run configuration: parse(print(cfg)) == cfg."""
-
-    field_spec: str = "Q"
-    level: str = "1"
-    character: str = "trivial"
-    params: dict = field(default_factory=lambda: {"tau": 0.3, "a": 3.0,
-                                                  "delta": 0.01})
-    output_format: str = "json"
-    seed: int = 0
-    threads: int = 1
-
-    def print_config(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def parse(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
 
 
 # --------------------------------------------------------------------------
@@ -397,8 +368,6 @@ def cmd_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="specsum")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("SPECSUM_THREADS", "1")))
     sub = p.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kloosterman")

@@ -43,32 +43,8 @@ class CharacterModI:
         return all(abs(v - 1) < 1e-12 for v in self.table.values())
 
 
-def _level_generator(I: IdealLattice) -> FieldElement:
-    """A nonzero element generating a sublattice of I whose residue ring we
-    can use for character bookkeeping.
-
-    For principal levels (the only ones the CLI builds) the HNF rows give an
-    actual generator; we verify the generated lattice equals I.
-    """
-    F = I.field
-    if F.d == 1:
-        g = F.element(I.rows[0][0])
-        return g
-    # try small combinations of the basis
-    b1, b2 = I.basis_elements()
-    for u in range(-6, 7):
-        for v in range(-6, 7):
-            if u == 0 and v == 0:
-                continue
-            g = u * b1 + v * b2
-            if IdealLattice.principal(g).rows == I.rows:
-                return g
-    raise ValueError("level ideal is not principal with small generator")
-
-
 def trivial_character(F: QuadField, I: IdealLattice) -> CharacterModI:
-    g = _level_generator(I)
-    R = residue_ring(F, g)
+    R = residue_ring(F, I)
     table = {R.key(u): 1.0 + 0.0j for u in R.units()}
     return CharacterModI(F, I, table, R)
 
@@ -81,8 +57,7 @@ def character_from_generators(F: QuadField, I: IdealLattice,
     generators under multiplication must be the full unit group and the
     assigned values must be consistent (i.e. respect all relations).
     """
-    g = _level_generator(I)
-    R = residue_ring(F, g)
+    R = residue_ring(F, I)
     units = {R.key(u) for u in R.units()}
     one = R.key(F.one())
     table = {one: 1.0 + 0.0j}
@@ -189,21 +164,6 @@ def _factor_norm(n: int):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def _valuation_at_prime(F: QuadField, x: FieldElement, p: int) -> int:
-    """Sum over primes above p of e_p * v_p(x), read off from N((x) + (p^k)).
-
-    We only need the total p-part of N(c), which is v_p(N(c)); per-prime
-    splitting is not required because the bound multiplies over all primes
-    above p with Np^{v} and the product of those is the p-part of |N(c)|.
-    """
-    n = abs(int(x.norm()))
-    v = 0
-    while n % p == 0:
-        v += 1
-        n //= p
-    return v
 
 
 def weil_bound(F: QuadField, I: IdealLattice, r: FieldElement,

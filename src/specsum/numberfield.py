@@ -207,20 +207,14 @@ def is_totally_positive(F: QuadField, x: FieldElement) -> bool:
 # --------------------------------------------------------------------------
 
 def _hnf_2x2(rows):
-    """Row HNF of a 2x2 rational matrix of rank 2.
-
-    Returns rows [[a, b], [0, d]] with a, d > 0 and 0 <= b < d ... we use the
-    convention v1 = (a, b), v2 = (0, d) with a > 0, d > 0, 0 <= b < d.
-    """
+    """Row HNF of a 2x2 rational matrix of rank 2: rows [[a, b], [0, d]]
+    with a > 0, d > 0 and 0 <= b < d."""
     # clear denominators
-    from math import gcd, lcm
-
     den = 1
     for r in rows:
         for v in r:
-            den = lcm(den, Fraction(v).denominator)
+            den = math.lcm(den, Fraction(v).denominator)
     int_rows = [[int(Fraction(v) * den) for v in r] for r in rows]
-    # integer row HNF via euclidean elimination on the second column
     a1, b1 = int_rows[0]
     a2, b2 = int_rows[1]
     # make second row of form (0, d): euclid on the first column
@@ -258,29 +252,6 @@ class IdealLattice:
             self.rows = _hnf_2x2(basis_rows)
 
     @classmethod
-    def from_generators(cls, field: QuadField, gens, tag: str = "lattice"):
-        """Lattice spanned over Z by g and g*w for each generator g."""
-        elems = []
-        for g in gens:
-            if not isinstance(g, FieldElement):
-                g = field.element(g)
-            elems.append(g)
-            if field.d == 2:
-                elems.append(g * field.omega())
-        if field.d == 1:
-            g = Fraction(0)
-            for e in elems:
-                g = _frac_gcd(g, abs(e.x))
-            return cls(field, [[g]], tag)
-        rows = [[e.x, e.y] for e in elems]
-        # HNF of a stack of >2 rows: fold pairwise
-        cur = rows[:2]
-        cur = _hnf_2x2(cur)
-        for r in rows[2:]:
-            cur = _hnf_stack3(cur, r)
-        return cls(field, cur, tag)
-
-    @classmethod
     def ring_of_integers(cls, field: QuadField):
         if field.d == 1:
             return cls(field, [[Fraction(1)]], "ring-of-integers")
@@ -295,7 +266,11 @@ class IdealLattice:
         if F.d == 1:
             return cls(F, [[abs(c.x)]], "principal")
         cw = c * F.omega()
-        return cls(F, [[c.x, c.y], [cw.x, cw.y]], "principal")
+        L = cls(F, [[c.x, c.y], [cw.x, cw.y]], "principal")
+        if L.norm_index() != abs(c.norm()):
+            raise RuntimeError(f"HNF of ({c!r}) has index {L.norm_index()}, "
+                               f"not |N(c)| = {abs(c.norm())}")
+        return L
 
     def basis_elements(self):
         F = self.field
@@ -384,66 +359,6 @@ class IdealLattice:
         return out
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd, lcm
-
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    den = lcm(a.denominator, b.denominator)
-    return Fraction(gcd(int(a * den), int(b * den)), den)
-
-
-def _hnf_stack3(two_rows, extra):
-    """HNF of the lattice spanned by two HNF rows plus one extra row."""
-    rows = [two_rows[0], two_rows[1], list(extra)]
-    # fold: HNF(r1, r3) then combine with r2 via generators trick
-    from math import lcm
-
-    den = 1
-    for r in rows:
-        for v in r:
-            den = lcm(den, Fraction(v).denominator)
-    ints = [[int(Fraction(v) * den) for v in r] for r in rows]
-    # integer HNF of 3x2 by column elimination
-    import numpy as np  # noqa: F401  (kept minimal; manual elimination below)
-
-    def hnf3(mat):
-        mat = [list(r) for r in mat]
-        # eliminate first column to a single pivot
-        while True:
-            nz = [i for i, r in enumerate(mat) if r[0] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(mat[i][0]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = mat[i][0] // mat[i0][0]
-                mat[i][0] -= q * mat[i0][0]
-                mat[i][1] -= q * mat[i0][1]
-        pivot_rows = [r for r in mat if r[0] != 0]
-        rest = [r for r in mat if r[0] == 0]
-        a, b = pivot_rows[0] if pivot_rows else (0, 0)
-        from math import gcd
-
-        d = 0
-        for r in rest:
-            d = gcd(d, r[1])
-        if a < 0:
-            a, b = -a, -b
-        if d < 0:
-            d = -d
-        if a == 0 or d == 0:
-            raise ValueError("rank deficient")
-        b %= d
-        return [[a, b], [0, d]]
-
-    res = hnf3(ints)
-    return [[Fraction(res[0][0], den), Fraction(res[0][1], den)],
-            [Fraction(0), Fraction(res[1][1], den)]]
-
-
 @lru_cache(maxsize=None)
 def inverse_different(F: QuadField) -> IdealLattice:
     """The trace dual of O: x in O' iff Tr(x*O) is contained in Z.
@@ -461,37 +376,28 @@ def inverse_different(F: QuadField) -> IdealLattice:
 
 
 # --------------------------------------------------------------------------
-# Residue rings O/(c)
+# Residue rings O/I
 # --------------------------------------------------------------------------
 
 class ResidueRing:
-    """The finite ring O/(c) with explicit representatives.
+    """The finite ring O/I of an integral ideal I, with explicit representatives.
 
-    Representatives are i + j*w with 0 <= i < a, 0 <= j < d where the
-    principal lattice (c) has HNF rows [[a, b], [0, d]]; there are
-    a*d = |N(c)| of them.
+    Representatives are i + j*w with 0 <= i < a, 0 <= j < d where I has HNF
+    rows [[a, b], [0, d]] ([[a]] over Q); there are a*d = N(I) of them.
     """
 
-    def __init__(self, F: QuadField, c: FieldElement):
-        if not isinstance(c, FieldElement):
-            c = F.element(c)
-        if c.is_zero():
-            raise ValueError("modulus must be nonzero")
-        if not c.is_integral():
+    def __init__(self, I: IdealLattice):
+        F = I.field
+        if any(v.denominator != 1 for row in I.rows for v in row):
             raise ValueError("modulus must be integral")
+        if not all(I.contains(g * F.omega()) for g in I.basis_elements()):
+            raise ValueError("modulus lattice is not an ideal of O")
         self.field = F
-        self.modulus = c
-        self.lattice = IdealLattice.principal(c)
-        if F.d == 1:
-            self._a = int(self.lattice.rows[0][0])
-            self._b = 0
-            self._d = 1
-        else:
-            self._a = int(self.lattice.rows[0][0])
-            self._b = int(self.lattice.rows[0][1])
-            self._d = int(self.lattice.rows[1][1])
+        self.lattice = I
+        self._a = int(I.rows[0][0])
+        self._b, self._d = (0, 1) if F.d == 1 else (int(I.rows[0][1]),
+                                                     int(I.rows[1][1]))
         self.size = self._a * self._d
-        assert self.size == abs(c.norm()), "residue count must equal |N(c)|"
         self._inv_table = None
 
     def representatives(self):
@@ -501,7 +407,7 @@ class ResidueRing:
         return [F.element(i, j) for j in range(self._d) for i in range(self._a)]
 
     def reduce(self, x: FieldElement) -> FieldElement:
-        """Canonical representative of x mod (c)."""
+        """Canonical representative of x mod I."""
         F = self.field
         if not x.is_integral():
             raise ValueError("can only reduce integral elements")
@@ -548,7 +454,7 @@ class ResidueRing:
             self._build_inverse_table()
         k = self.key(a)
         if k not in self._inv_table:
-            raise ValueError(f"{a!r} is not invertible mod {self.modulus!r}")
+            raise ValueError(f"{a!r} is not invertible mod {self.lattice!r}")
         return self._inv_table[k]
 
     def units(self):
@@ -559,11 +465,15 @@ class ResidueRing:
 
 
 @lru_cache(maxsize=4096)
-def _residue_ring_cached(F: QuadField, c: FieldElement) -> ResidueRing:
-    return ResidueRing(F, c)
+def _residue_ring_cached(I: IdealLattice) -> ResidueRing:
+    return ResidueRing(I)
 
 
 def residue_ring(F: QuadField, c) -> ResidueRing:
-    if not isinstance(c, FieldElement):
-        c = F.element(c)
-    return _residue_ring_cached(F, c)
+    """O/I for an integral ideal I, or for I = (c) when c is an element or an
+    int.  Rings are cached by the ideal, so associate moduli share one."""
+    if not isinstance(c, IdealLattice):
+        if not isinstance(c, FieldElement):
+            c = F.element(c)
+        c = IdealLattice.principal(c)
+    return _residue_ring_cached(c)

@@ -3,13 +3,14 @@ import json
 import pytest
 
 from specsum.cli import (
-    RunConfig,
     dispatch,
+    parse_element,
     parse_field,
     parse_grid,
     parse_phi,
     parse_region,
 )
+from specsum.kloosterman import kloosterman_sum
 
 
 def run(capsys, *argv):
@@ -54,13 +55,6 @@ class TestParsers:
         with pytest.raises(ValueError):
             parse_phi("mystery:x=1")
 
-    def test_runconfig_roundtrip(self):
-        cfg = RunConfig(field_spec="Q(sqrt5)", seed=42)
-        assert RunConfig.parse(cfg.print_config()) == cfg
-        # printing is canonical: parse-print is also the identity on text
-        text = cfg.print_config()
-        assert RunConfig.parse(text).print_config() == text
-
 
 class TestExamples:
     def test_simplex_volume(self, capsys):
@@ -75,6 +69,15 @@ class TestExamples:
         assert out["value"][0] == pytest.approx(-1.0, abs=1e-10)
         assert abs(out["value"][1]) < 1e-10
         assert out["trivial_bound"] == 3.0
+
+    @pytest.mark.parametrize("field,c", [("Q", "12"), ("Q(sqrt2)", "9,1"),
+                                         ("Q(sqrt5)", "10,1")])
+    def test_kloosterman_matches_library(self, capsys, field, c):
+        out = run_json(capsys, "kloosterman", "--field", field, f"--c={c}",
+                       "--r=1")
+        F = parse_field(field)
+        S = kloosterman_sum(F, None, F.one(), F.one(), parse_element(F, c))
+        assert out["value"] == [S.real, S.imag]
 
     def test_measure_nv(self, capsys):
         out = run_json(capsys, "measure", "--kind", "nv", "--b", "1",

@@ -13,7 +13,12 @@ from specsum.kloosterman import (
     trivial_character,
     weil_bound,
 )
-from specsum.numberfield import IdealLattice, inverse_different, make_field
+from specsum.numberfield import (
+    IdealLattice,
+    inverse_different,
+    make_field,
+    residue_ring,
+)
 
 Q = make_field(1)
 F2 = make_field(2)
@@ -63,6 +68,13 @@ class TestCharacters:
         I = IdealLattice.principal(Q.element(4))
         with pytest.raises(ValueError):
             character_from_generators(Q, I, [(Q.element(3), 1j)])
+
+    @pytest.mark.parametrize("F,c", [(Q, Q.element(12)), (F2, F2.element(9, 1)),
+                                     (F5, F5.element(10, 1))])
+    def test_character_ring_is_the_ring_of_its_level(self, F, c):
+        chi = trivial_character(F, IdealLattice.principal(c))
+        assert chi.ring is residue_ring(F, c)
+        assert len(chi.table) == len(chi.ring.units())
 
     def test_compatibility(self):
         I = IdealLattice.principal(Q.element(4))

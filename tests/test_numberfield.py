@@ -194,6 +194,20 @@ class TestResidueRing:
         for u in R.units():
             assert R.key(u * R.inverse_mod(u)) == one
 
+    def test_one_ring_per_ideal(self):
+        # 1 + w is a unit of Q(sqrt2), so c and (1 + w) c generate one ideal
+        c = F2.element(9, 1)
+        R = residue_ring(F2, c)
+        assert R is residue_ring(F2, F2.element(1, 1) * c)
+        assert R is residue_ring(F2, IdealLattice.principal(c))
+        assert R.size == 79
+
+    def test_rejects_lattices_that_are_not_integral_ideals(self):
+        # Z + 2wZ is not closed under multiplication by w
+        for L in (IdealLattice(F2, [[1, 0], [0, 2]]), inverse_different(F2)):
+            with pytest.raises(ValueError):
+                residue_ring(F2, L)
+
 
 class TestLatticePoints:
     def test_integers_in_interval(self):
