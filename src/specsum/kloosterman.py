@@ -3,8 +3,9 @@
 S_chi(r, r'; c) = sum over invertible a mod (c) of
     chi(a) * exp(2 pi i Tr((r a + r' a~)/c)),   a a~ = 1 mod (c),
 with r, r' in the trace dual O' and c in the level ideal I.  The phase trace
-is an exact rational, reduced mod 1 before the single complex exponential,
-so no floating phase error accumulates over the |N(c)| terms.
+is an exact integer numerator k over one common denominator, reduced mod it
+before the single complex exponential, so no floating phase error
+accumulates over the |N(c)| terms.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from scipy.integrate import quad
 
 from .numberfield import (
+    MAX_NORM,
     FieldElement,
     IdealLattice,
     QuadField,
@@ -45,8 +46,7 @@ class CharacterModI:
 
 def trivial_character(F: QuadField, I: IdealLattice) -> CharacterModI:
     R = residue_ring(F, I)
-    table = {R.key(u): 1.0 + 0.0j for u in R.units()}
-    return CharacterModI(F, I, table, R)
+    return CharacterModI(F, I, dict.fromkeys(R.unit_inverses(), 1.0 + 0.0j), R)
 
 
 def character_from_generators(F: QuadField, I: IdealLattice,
@@ -58,34 +58,31 @@ def character_from_generators(F: QuadField, I: IdealLattice,
     assigned values must be consistent (i.e. respect all relations).
     """
     R = residue_ring(F, I)
-    units = {R.key(u) for u in R.units()}
+    units = R.unit_inverses()
+    gens = [(R.key(g), complex(val)) for g, val in generator_values]
     one = R.key(F.one())
     table = {one: 1.0 + 0.0j}
-    frontier = [F.one()]
-    elems = {one: F.one()}
+    frontier = [one]
     while frontier:
-        x = frontier.pop()
-        kx = R.key(x)
-        for gen, val in generator_values:
-            y = R.reduce(x * gen)
-            ky = R.key(y)
-            want = table[kx] * complex(val)
+        kx = frontier.pop()
+        for kg, val in gens:
+            ky = R.mul(kx, kg)
+            want = table[kx] * val
             if ky in table:
                 if abs(table[ky] - want) > 1e-9:
                     raise ValueError("inconsistent generator values")
             else:
                 table[ky] = want
-                elems[ky] = y
-                frontier.append(y)
-    if set(table) != units:
+                frontier.append(ky)
+    if table.keys() != units.keys():
         raise ValueError("generators do not generate the unit group")
     for v in table.values():
         if abs(abs(v) - 1) > 1e-9:
             raise ValueError("generator values must lie on the unit circle")
     # full multiplicativity check
-    for ka, a in elems.items():
-        for kb, b in elems.items():
-            if abs(table[R.key(a * b)] - table[ka] * table[kb]) > 1e-8:
+    for ka in table:
+        for kb in table:
+            if abs(table[R.mul(ka, kb)] - table[ka] * table[kb]) > 1e-8:
                 raise ValueError("inconsistent generator values")
     return CharacterModI(F, I, table, R)
 
@@ -113,11 +110,6 @@ def compatibility_check(chi: CharacterModI, xi: CentralParity) -> bool:
 # the sums
 # --------------------------------------------------------------------------
 
-def _phase(t: Fraction) -> complex:
-    frac = t - math.floor(t)
-    return cmath.exp(2j * math.pi * float(frac))
-
-
 def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
                     c: FieldElement) -> complex:
     """S_chi(r, r'; c) with exact rational phases.
@@ -134,14 +126,19 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
         # unit modulus: empty twisted sum over the trivial ring; classical
         # convention S(m, n; 1) = 1
         return 1.0 + 0.0j
-    total = 0.0 + 0.0j
+    # Tr(r a / c) + Tr(r' a~ / c) is linear in the keys (i, j) of a and
+    # (i~, j~) of a~: k/den with k = i p1 + j p2 + i~ p3 + j~ p4 mod den
     cinv = c.inverse()
-    for a in R.units():
-        atil = R.inverse_mod(a)
-        tr = ((r * a + rp * atil) * cinv).trace()
-        term = _phase(tr)
+    coeffs = [(g * x).trace() for g in (r * cinv, rp * cinv)
+              for x in (F.one(), F.omega())]
+    den = math.lcm(*(q.denominator for q in coeffs))
+    p1, p2, p3, p4 = (q.numerator * (den // q.denominator) for q in coeffs)
+    total = 0.0 + 0.0j
+    for (i, j), (it, jt) in R.unit_inverses().items():
+        k = (i * p1 + j * p2 + it * p3 + jt * p4) % den
+        term = cmath.exp(2j * math.pi * (k / den))
         if chi is not None:
-            term *= chi(a)
+            term *= chi.table[chi.ring.reduce_pair(i, j)]
         total += term
     return total
 
@@ -182,7 +179,7 @@ def weil_bound(F: QuadField, I: IdealLattice, r: FieldElement,
     n_c = abs(int(c.norm()))
     if n_c == 0:
         raise ValueError("c must be nonzero")
-    if n_c > 10 ** 6:
+    if n_c > MAX_NORM:
         raise ValueError("bound unavailable: modulus norm too large to factor")
     n_I = abs(int(I.norm_index()))
     bound = math.sqrt(float(nr))

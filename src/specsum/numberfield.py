@@ -379,11 +379,16 @@ def inverse_different(F: QuadField) -> IdealLattice:
 # Residue rings O/I
 # --------------------------------------------------------------------------
 
+MAX_NORM = 10 ** 6  # residue rings are tabulated, so larger norms are refused
+
+
 class ResidueRing:
     """The finite ring O/I of an integral ideal I, with explicit representatives.
 
     Representatives are i + j*w with 0 <= i < a, 0 <= j < d where I has HNF
-    rows [[a, b], [0, d]] ([[a]] over Q); there are a*d = N(I) of them.
+    rows [[a, b], [0, d]] ([[a]] over Q); there are a*d = N(I) of them.  The
+    integer pair (i, j) is the key of a residue.  The unit keys and their
+    inverses are tabulated on the first query, in O(N(I)) integer steps.
     """
 
     def __init__(self, I: IdealLattice):
@@ -398,7 +403,7 @@ class ResidueRing:
         self._b, self._d = (0, 1) if F.d == 1 else (int(I.rows[0][1]),
                                                      int(I.rows[1][1]))
         self.size = self._a * self._d
-        self._inv_table = None
+        self._inv = None
 
     def representatives(self):
         F = self.field
@@ -406,62 +411,80 @@ class ResidueRing:
             return [F.element(i) for i in range(self._a)]
         return [F.element(i, j) for j in range(self._d) for i in range(self._a)]
 
-    def reduce(self, x: FieldElement) -> FieldElement:
-        """Canonical representative of x mod I."""
-        F = self.field
-        if not x.is_integral():
-            raise ValueError("can only reduce integral elements")
-        if F.d == 1:
-            return F.element(int(x.x) % self._a)
-        i, j = int(x.x), int(x.y)
-        # reduce the 1-coordinate with v1 = (a, b), then the w-coordinate
-        # with v2 = (0, d)
+    def reduce_pair(self, i: int, j: int):
+        """Key of i + j*w mod I: reduce i with (a, b), then j with (0, d)."""
         q = i // self._a
-        i -= q * self._a
-        j -= q * self._b
-        j %= self._d
-        return F.element(i, j)
+        return i - q * self._a, (j - q * self._b) % self._d
+
+    def mul(self, x, y):
+        """Key of the product of the residues with keys x and y."""
+        (i1, j1), (i2, j2), F = x, y, self.field
+        # (i1 + j1 w)(i2 + j2 w) with w^2 = s w + t
+        return self.reduce_pair(i1 * i2 + F.t * j1 * j2,
+                                i1 * j2 + j1 * i2 + F.s * j1 * j2)
 
     def key(self, x: FieldElement):
-        r = self.reduce(x)
-        return (int(r.x), int(r.y))
+        if not x.is_integral():
+            raise ValueError("can only reduce integral elements")
+        return self.reduce_pair(int(x.x), int(x.y))
 
-    def _build_inverse_table(self):
-        table = {}
-        if self.field.d == 1:
-            n = self._a
-            for a in range(n):
-                if math.gcd(a, n) == 1:
-                    table[(a, 0)] = self.field.element(pow(a, -1, n))
-            self._inv_table = table
-            return
-        reps = self.representatives()
-        one = self.field.one()
-        onek = self.key(one)
-        for a in reps:
-            for b in reps:
-                if self.key(a * b) == onek:
-                    table[self.key(a)] = b
-        self._inv_table = table
+    def reduce(self, x: FieldElement) -> FieldElement:
+        """Canonical representative of x mod I."""
+        return self.field.element(*self.key(x))
+
+    def _build(self):
+        """{unit key: inverse key} in sorted key order.  i + j*w is a unit iff
+        the 2x2 minors of the rows (i, j), (i, j)*w, (a, b), (0, d) are
+        coprime.  Its inverse is conj(x) N(x)^-1 mod e, e the least positive
+        integer in I, for a shift x by u*(a, b) + v*(0, d), 0 <= u, v < e,
+        with N(x) prime to e: one exists by CRT, as I + P = O for each prime
+        P above e that does not divide I."""
+        a, b, d = self._a, self._b, self._d
+        s, t = self.field.s, self.field.t
+        e = a * d // math.gcd(b, d)
+        inv = {}
+        for i in range(a):
+            for j in range(d):
+                n = i * i + s * i * j - t * j * j
+                if math.gcd(n, i * b - j * a, i * d, j * t * b - (i + j * s) * a,
+                            j * t * d, a * d) != 1:
+                    continue
+                for k in range(e * e):
+                    u, v = divmod(k, e)
+                    x, y = i + u * a, j + u * b + v * d
+                    n = x * x + s * x * y - t * y * y
+                    if math.gcd(n, e) == 1:
+                        break
+                else:
+                    raise RuntimeError(f"no representative of unit ({i}, {j}) "
+                                       f"has norm prime to {e}")
+                n_inv = pow(n, -1, e)
+                inv[(i, j)] = self.reduce_pair((x + s * y) * n_inv, -y * n_inv)
+        return inv
+
+    def unit_inverses(self) -> dict:
+        """{key of a unit: key of its inverse}, in sorted key order."""
+        if self._inv is None:
+            # builds start in a query that perfbench/tracer.py times: units,
+            # inverse_mod or is_invertible
+            self.is_invertible(self.field.one())
+        return self._inv
 
     def is_invertible(self, a: FieldElement) -> bool:
-        if self._inv_table is None:
-            self._build_inverse_table()
-        return self.key(a) in self._inv_table
+        if self._inv is None:
+            self._inv = self._build()
+        return self.key(a) in self._inv
 
     def inverse_mod(self, a: FieldElement) -> FieldElement:
-        if self._inv_table is None:
-            self._build_inverse_table()
         k = self.key(a)
-        if k not in self._inv_table:
+        inv = self.unit_inverses()
+        if k not in inv:
             raise ValueError(f"{a!r} is not invertible mod {self.lattice!r}")
-        return self._inv_table[k]
+        return self.field.element(*inv[k])
 
     def units(self):
-        if self._inv_table is None:
-            self._build_inverse_table()
         F = self.field
-        return [F.element(k[0], k[1]) for k in sorted(self._inv_table)]
+        return [F.element(i, j) for i, j in self.unit_inverses()]
 
 
 @lru_cache(maxsize=4096)
@@ -476,4 +499,7 @@ def residue_ring(F: QuadField, c) -> ResidueRing:
         if not isinstance(c, FieldElement):
             c = F.element(c)
         c = IdealLattice.principal(c)
+    if c.norm_index() > MAX_NORM:
+        raise ValueError(f"modulus norm {c.norm_index()} is above {MAX_NORM}, "
+                         "too large to tabulate")
     return _residue_ring_cached(c)

@@ -10,7 +10,8 @@ from specsum.cli import (
     parse_phi,
     parse_region,
 )
-from specsum.kloosterman import kloosterman_sum
+from specsum.kloosterman import kloosterman_sum, trivial_character
+from specsum.numberfield import IdealLattice, _residue_ring_cached
 
 
 def run(capsys, *argv):
@@ -77,6 +78,19 @@ class TestExamples:
                        "--r=1")
         F = parse_field(field)
         S = kloosterman_sum(F, None, F.one(), F.one(), parse_element(F, c))
+        assert out["value"] == [S.real, S.imag]
+
+    # levels strictly larger than (c): over Q(sqrt2), c = 3 + 6w = 3(1 + 2w)
+    # has norm -63 and lies in the level (3)
+    @pytest.mark.parametrize("field,c,level", [("Q", "12", "4"),
+                                               ("Q(sqrt2)", "3,6", "3")])
+    def test_kloosterman_level_larger_than_c(self, capsys, field, c, level):
+        out = run_json(capsys, "kloosterman", "--field", field, f"--c={c}",
+                       "--r=1", f"--level={level}")
+        F = parse_field(field)
+        chi = trivial_character(F, IdealLattice.principal(parse_element(F, level)))
+        assert chi.ring.size < abs(parse_element(F, c).norm())
+        S = kloosterman_sum(F, chi, F.one(), F.one(), parse_element(F, c))
         assert out["value"] == [S.real, S.imag]
 
     def test_measure_nv(self, capsys):
@@ -179,6 +193,15 @@ class TestExitCodes:
         rc, _, err = run(capsys, "bessel", "--order", "0", "--x", "200")
         assert rc == 1
         assert "precision" in err
+
+    def test_modulus_norm_above_limit(self, capsys):
+        # rejected before any residue ring is built (or a unit tabulated)
+        before = _residue_ring_cached.cache_info().misses
+        rc, out, err = run(capsys, "kloosterman", "--field", "Q",
+                           "--c", "100000000", "--r", "1")
+        assert (rc, out) == (2, "")
+        assert "too large" in err
+        assert _residue_ring_cached.cache_info().misses == before
 
     def test_unknown_family_row(self, capsys):
         rc, _, _ = run(capsys, "families", "--rows", "torus")

@@ -2,6 +2,8 @@ import cmath
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specsum.kloosterman import (
     CentralParity,
@@ -14,6 +16,7 @@ from specsum.kloosterman import (
     weil_bound,
 )
 from specsum.numberfield import (
+    MAX_NORM,
     IdealLattice,
     inverse_different,
     make_field,
@@ -22,6 +25,7 @@ from specsum.numberfield import (
 
 Q = make_field(1)
 F2 = make_field(2)
+F3 = make_field(3)
 F5 = make_field(5)
 
 
@@ -34,6 +38,71 @@ def brute_S(r, rp, c):
         at = pow(a, -1, c)
         s += cmath.exp(2j * math.pi * (r * a + rp * at) / c)
     return s
+
+
+def brute_unit_inverses(F, I):
+    """{unit key: inverse key} of O/I by trying every pair of representatives
+    i + j w (0 <= i < a, 0 <= j < d for the HNF rows (a, b), (0, d))."""
+    a = int(I.rows[0][0])
+    b, d = (0, 1) if F.d == 1 else (int(I.rows[0][1]), int(I.rows[1][1]))
+
+    def in_I(x, y):
+        return x % a == 0 and (y - (x // a) * b) % d == 0
+
+    reps = [(i, j) for i in range(a) for j in range(d)]
+    inv = {}
+    for i1, j1 in reps:
+        for i2, j2 in reps:
+            # (i1 + j1 w)(i2 + j2 w) - 1 with w^2 = s w + t
+            if in_I(i1 * i2 + F.t * j1 * j2 - 1, i1 * j2 + j1 * i2 + F.s * j1 * j2):
+                inv[(i1, j1)] = (i2, j2)
+                break
+    return inv
+
+
+def brute_kloosterman(F, r, rp, c, inv):
+    """S(r, r'; c) with an exact Fraction trace per term."""
+    cinv = c.inverse()
+    total = 0j
+    for (i, j), (it, jt) in inv.items():
+        tr = ((r * F.element(i, j) + rp * F.element(it, jt)) * cinv).trace()
+        total += cmath.exp(2j * math.pi * float(tr - math.floor(tr)))
+    return total
+
+
+@st.composite
+def modulus_cases(draw):
+    """(F, g, h, r, r') with 0 < |N(g h)| <= 400 and r, r' in O'."""
+    F = draw(st.sampled_from([Q, F2, F3, F5]))
+    if F.d == 1:
+        g, h = (F.element(draw(st.integers(-20, 20))) for _ in range(2))
+    else:
+        g, h = (F.element(draw(st.integers(-6, 6)), draw(st.integers(-4, 4)))
+                for _ in range(2))
+    assume(0 < abs((g * h).norm()) <= 400)
+    basis = inverse_different(F).basis_elements()
+    r, rp = (sum((draw(st.integers(-3, 3)) * e for e in basis), F.zero())
+             for _ in range(2))
+    return F, g, h, r, rp
+
+
+class TestBruteForceOracle:
+    @settings(max_examples=100)
+    @given(modulus_cases())
+    def test_units_inverses_and_sums(self, case):
+        F, g, h, r, rp = case
+        c = g * h
+        R = residue_ring(F, c)
+        inv = brute_unit_inverses(F, R.lattice)
+        assert R.unit_inverses() == inv
+        assert [R.key(u) for u in R.units()] == sorted(inv)
+        assert all(R.key(R.inverse_mod(F.element(*k))) == v for k, v in inv.items())
+        S = brute_kloosterman(F, r, rp, c, inv) if R.size > 1 else 1
+        assert abs(kloosterman_sum(F, None, r, rp, c) - S) <= 1e-9
+        if abs(h.norm()) > 1:
+            # the level (g) is strictly larger than (c)
+            chi = trivial_character(F, IdealLattice.principal(g))
+            assert abs(kloosterman_sum(F, chi, r, rp, c) - S) <= 1e-9
 
 
 class TestCharacters:
@@ -105,6 +174,14 @@ class TestKloostermanSums:
     def test_rejects_zero_modulus(self):
         with pytest.raises(ValueError):
             kloosterman_sum(Q, None, Q.element(1), Q.element(1), Q.element(0))
+
+    def test_rejects_modulus_norm_above_limit(self):
+        with pytest.raises(ValueError, match="too large"):
+            kloosterman_sum(Q, None, Q.element(1), Q.element(1),
+                            Q.element(MAX_NORM + 1))
+        with pytest.raises(ValueError, match="too large"):
+            weil_bound(Q, IdealLattice.ring_of_integers(Q), Q.element(1),
+                       Q.element(1), Q.element(MAX_NORM + 1))
 
     def test_rejects_c_outside_level(self):
         I = IdealLattice.principal(Q.element(4))
