@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import (
-    LAMBDA_STAR_DEFAULT,
+    discrete_series,
     npl,
     nv_1,
     nv_b,
@@ -56,7 +56,6 @@ class AnalysisParams:
     t0: float = None
     rho: float = None
     A: float = None
-    lambda_star: float = LAMBDA_STAR_DEFAULT
 
     def __post_init__(self):
         if self.t0 is None:
@@ -214,60 +213,37 @@ def error_budget(c_plus, c_minus, params: AnalysisParams, U: float,
                        plancherel_smoothing, U, eps)
 
 
-def hypercube_budget_sweep(F: QuadField, t_grid, params: AnalysisParams = None,
-                           sigma: float = 40.0, U_schedule=None,
-                           eps_schedule=None):
+def hypercube_budget_sweep(F: QuadField, t_grid, sigma: float = 40.0):
     """Error budgets along a grid for the hypercube family a_j(t) = t.
 
     The canonical choices choose_U/choose_eps make every piece o(main), but
     only at scales t far beyond double precision (the decay is a power of
     log t).  The proposition holds for ANY admissible (U, eps), so the
-    default schedules here pick admissible values for which all four pieces
-    are small and decreasing at representable t: a small smoothing scale t0
-    keeps the Kloosterman piece subdominant, U grows slowly (shrinking the
-    U^{-1/2} piece while U eps^2 still grows), and eps shrinks slowly
-    (shrinking the boundary shell).
+    schedules here pick admissible values for which all four pieces are
+    small and decreasing at representable t: a small smoothing scale
+    t0 = 0.005 keeps the Kloosterman piece subdominant, U = 600 + 15k grows
+    slowly (shrinking the U^{-1/2} piece while U eps^2 still grows), and
+    eps = 0.082 - 0.0008k shrinks slowly (shrinking the boundary shell),
+    at the k-th grid point.
     """
-    if params is None:
-        params = AnalysisParams(t0=0.005)
-    t_grid = list(t_grid)
-    if U_schedule is None:
-        U_schedule = [600.0 + 15.0 * k for k in range(len(t_grid))]
-    if eps_schedule is None:
-        eps_schedule = [0.082 - 0.0008 * k for k in range(len(t_grid))]
+    params = AnalysisParams(t0=0.005)
     fam = HypercubeFamily([lambda t: t] * F.d, sigma)
-    out = []
-    for t, U, eps in zip(t_grid, U_schedule, eps_schedule):
-        region = fam.instance(t).product
-        out.append(error_budget(region, None, params, U, eps, F))
-    return out
+    return [error_budget(fam.instance(t).product, None, params,
+                         600.0 + 15.0 * k, 0.082 - 0.0008 * k, F)
+            for k, t in enumerate(t_grid)]
 
 
 # --------------------------------------------------------------------------
 # theorem-condition checks
 # --------------------------------------------------------------------------
 
-def discrete_lambda_points(parity: int, lam_min: float):
-    """The lambda values (b/2)(1-b/2), b >= 2, b = parity mod 2, down to
-    lam_min."""
-    out = []
-    b = 2 if parity == 0 else 3
-    while True:
-        lam = (b / 2.0) * (1 - b / 2.0)
-        if lam < lam_min:
-            return out
-        out.append(lam)
-        b += 2
-
-
-def endpoint_admissible(lam: float, parity: int = None,
-                        tol: float = 1e-9) -> bool:
+def endpoint_admissible(lam: float, parity: int = None) -> bool:
     """A fixed box endpoint in lambda must avoid the discrete spectrum
-    values (b/2)(1-b/2)."""
+    values (b/2)(1-b/2) by more than 1e-9."""
     parities = (0, 1) if parity is None else (parity,)
     for par in parities:
-        for pt in discrete_lambda_points(par, lam - 1.0):
-            if abs(lam - pt) <= tol:
+        for _, pt in discrete_series(par, lam - 1.0):
+            if abs(lam - pt) <= 1e-9:
                 return False
     return True
 
@@ -451,11 +427,11 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
     }
 
 
-def eisenstein_bound(t: float, mu, q_exponent: int = 7) -> float:
-    """(log(2 + sum_j |t + mu_j|))^q, the continuous-spectrum coefficient
+def eisenstein_bound(t: float, mu) -> float:
+    """(log(2 + sum_j |t + mu_j|))^7, the continuous-spectrum coefficient
     bound."""
     mu = np.atleast_1d(mu)
-    return math.log(2 + float(np.sum(np.abs(t + mu)))) ** q_exponent
+    return math.log(2 + float(np.sum(np.abs(t + mu)))) ** 7
 
 
 # --------------------------------------------------------------------------
@@ -472,7 +448,6 @@ class SyntheticSpectrum:
     weights: tuple
     parities: tuple
     seed: int
-    intensity: str = "main-term"
 
     def __len__(self):
         return len(self.points)

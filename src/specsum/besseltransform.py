@@ -29,6 +29,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import rgamma
 
+from .measures import check_parity
 from .testfunctions import LocalTestFunction
 
 
@@ -43,9 +44,10 @@ _ATOL = 1e-10  # default absolute accuracy of a point value
 _SERIES_TOL = 1e-13  # stop summing once a term is this small relative to the sum
 
 
-def _series_extended(mu: complex, x: float, dps: int = 50):
-    """The same ascending series in extended precision (for the
+def _series_extended(mu: complex, x: float):
+    """The same ascending series in 50-digit precision (for the
     cancellation regime x beyond roughly 15)."""
+    dps = 50
     with mpmath.workdps(dps):
         half = mpmath.mpf(x) / 2
         m = mpmath.mpc(mu)
@@ -159,17 +161,21 @@ class BesselTransformResult:
     formula: str  # axis | contour
 
 
-def _discrete_sum(phi: LocalTestFunction, parity: int, t_abs: float,
-                  b_max: int = 60) -> complex:
-    """sum over b = parity mod 2 of (-1)^{floor(b/2)} (b-1) phi((b-1)/2) J_{b-1}."""
+def _check_parity_eta(parity: int, eta: int) -> None:
+    """Reject a parity outside {0, 1} or a sign eta outside {1, -1}."""
+    check_parity(parity)
+    if eta not in (1, -1):
+        raise ValueError("eta must be 1 or -1")
+
+
+def _discrete_sum(phi: LocalTestFunction, parity: int, t_abs: float) -> complex:
+    """sum over the discrete series b = 2 + parity, 4 + parity, ..., 60 of
+    (-1)^{floor(b/2)} (b-1) phi((b-1)/2) J_{b-1}."""
     total = 0.0j
-    b = 2 if parity == 0 else 3
-    while b <= b_max:
+    for b in range(2 + parity, 61, 2):
         val = phi((b - 1) / 2.0 + 0j)
         if val != 0:
-            sign = (-1) ** (b // 2) if parity == 0 else (-1) ** ((b - 1) // 2)
-            total += sign * (b - 1) * val * bessel_j(b - 1, t_abs)
-        b += 2
+            total += (-1) ** (b // 2) * (b - 1) * val * bessel_j(b - 1, t_abs)
     return total
 
 
@@ -199,6 +205,7 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
     error in the integrand is then 1e-10 times 2 y |phi(iy)|.  The
     discrete sum uses the default atol.
     """
+    _check_parity_eta(parity, eta)
     if t == 0:
         raise ValueError("t must be nonzero")
     if phi.a <= 2:
@@ -224,18 +231,17 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
         v, e = quad(g, 0.0, H, limit=400)
         value = v + _discrete_sum(phi, 0, t_abs)
         return BesselTransformResult(value, t, e + tail, "axis")
-    if parity == 1:
-        def g(y):
-            if y < 1e-8:
-                return 2 * (phi(0j)).real * bessel_j(0, t_abs).real / math.pi
-            s = math.sinh(math.pi * y)
-            return 2 * y * (phi(1j * y)).real \
-                * bessel_j(2j * y, t_abs, atol=_ATOL * s).real / s
 
-        v, e = quad(g, 0.0, H, limit=400)
-        value = -1j * eta * math.copysign(1.0, t) * (v + _discrete_sum(phi, 1, t_abs))
-        return BesselTransformResult(value, t, e + tail, "axis")
-    raise ValueError("parity must be 0 or 1")
+    def g(y):
+        if y < 1e-8:
+            return 2 * (phi(0j)).real * bessel_j(0, t_abs).real / math.pi
+        s = math.sinh(math.pi * y)
+        return 2 * y * (phi(1j * y)).real \
+            * bessel_j(2j * y, t_abs, atol=_ATOL * s).real / s
+
+    v, e = quad(g, 0.0, H, limit=400)
+    value = -1j * eta * math.copysign(1.0, t) * (v + _discrete_sum(phi, 1, t_abs))
+    return BesselTransformResult(value, t, e + tail, "axis")
 
 
 _HOLOMORPHIC_TAGS = {"gaussian", "phi_p", "lambda-smoothed"}
@@ -260,6 +266,7 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
     in the integrand is then 1e-10 times |phi(nu) nu|.  The discrete sum
     uses the default atol.
     """
+    _check_parity_eta(parity, eta)
     if t == 0:
         raise ValueError("t must be nonzero")
     if phi.provenance not in _HOLOMORPHIC_TAGS:

@@ -31,7 +31,8 @@ from .besseltransform import (
     transform_contour,
 )
 from .kloosterman import kloosterman_sum, ksum, trivial_bound, trivial_character
-from .measures import V_b_lambda_factor, npl, nu_theta, nv_b, pl_lambda
+from .measures import (LAMBDA_STAR_DEFAULT, V_b_lambda_factor, npl, nu_theta,
+                       nv_b, pl_lambda)
 from .numberfield import IdealLattice, QuadField, make_field
 from .regions import PlaceFactor, ProductRegion, family
 from .testfunctions import gaussian_phi, phi_p
@@ -95,19 +96,25 @@ def parse_grid(spec: str):
     return [float(v) for v in np.geomspace(float(lo), float(hi), n)]
 
 
+_PHI_KEYS = {"gaussian": {"q", "U", "tau", "a"}, "phi_p": {"p", "a", "tau"}}
+
+
 def parse_phi(spec: str):
     name, _, body = spec.partition(":")
     kw = {}
     for item in filter(None, body.split(",")):
         k, _, v = item.partition("=")
         kw[k] = float(v.rstrip("i").rstrip("j")) if v else 0.0
+    if name not in _PHI_KEYS:
+        raise ValueError(f"unknown test function {name!r}")
+    unknown = sorted(set(kw) - _PHI_KEYS[name])
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} for {name}; "
+                         f"expected {', '.join(sorted(_PHI_KEYS[name]))}")
     if name == "gaussian":
         return gaussian_phi(kw.get("q", 10.0), kw.get("U", 25.0),
                             tau=kw.get("tau", 0.3), a=kw.get("a", 3.0))
-    if name == "phi_p":
-        return phi_p(kw.get("p", 1.0), a=kw.get("a", 3.0),
-                     tau=kw.get("tau", 0.3))
-    raise ValueError(f"unknown test function {name!r}")
+    return phi_p(kw.get("p", 1.0), a=kw.get("a", 3.0), tau=kw.get("tau", 0.3))
 
 
 def _json_default(obj):
@@ -167,10 +174,19 @@ def cmd_ksum(args) -> int:
     return 0
 
 
+def _require(args, *flags):
+    """Reject a command that lacks one of its required flags, naming it."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"{args.command} needs --{flag}")
+
+
 def cmd_measure(args) -> int:
     if args.kind == "pl":
+        _require(args, "lo", "hi")
         res = pl_lambda(args.parity, args.lo, args.hi)
     else:
+        _require(args, "region")
         region = parse_region(args.region)
         if args.kind == "npl":
             res = npl(region)
@@ -221,9 +237,11 @@ def cmd_region_volume(args) -> int:
 
 def cmd_bessel(args) -> int:
     if args.order is not None:
+        _require(args, "x")
         v, e = bessel_j_err(complex(args.order), args.x)
         emit({"value": v, "error": e, "method": "ascending series"})
         return 0
+    _require(args, "phi", "t")
     phi = parse_phi(args.phi)
     out = {}
     if args.formula in ("axis", "both"):
@@ -337,7 +355,7 @@ def _suite_identities() -> dict:
     eps = choose_eps(m, U)
     checks["U eps^2 identity"] = abs(
         U * eps * eps - 0.5 * math.log(100)) < 1e-12
-    v = V_b_lambda_factor(1.0, [(77.0 / 324.0, 1.25)]).value
+    v = V_b_lambda_factor(1.0, [(LAMBDA_STAR_DEFAULT, 1.25)]).value
     checks["middle-band mass"] = abs(v - (1 + nu_theta())) < 1e-10
     checks["simplex W_2(4.5)"] = abs(
         family("simplex", n=2).closed_form_nv1(4.5).value - 0.5) < 1e-12

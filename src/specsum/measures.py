@@ -3,9 +3,10 @@
 All measures act on per-place factors of product regions in the spectral
 set (0, infinity) union i[0, infinity).  Imaginary intervals i[a,b] are
 stored as real pairs (a, b); real intervals live in (0, nu_theta] where
-nu_theta = sqrt(1/4 - lambda_star) bounds the exceptional spectral
-parameters; discrete points are positive half-integers or integers
-matching the place parity.
+nu_theta = sqrt(1/4 - lambda_star) = 1/9 bounds the exceptional spectral
+parameters (lambda_star = 77/324 is fixed); discrete points are positive
+half-integers or integers matching the place parity 0 or 1: the discrete
+series b = 2 + parity, 4 + parity, ... at nu = (b-1)/2.
 
 The lambda-coordinate is lambda = 1/4 - nu^2.
 """
@@ -18,12 +19,29 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+# the fixed exceptional-eigenvalue bound lambda_star = 77/324, which gives
+# nu_theta = sqrt(1/4 - lambda_star) = 1/9
 LAMBDA_STAR_DEFAULT = 77.0 / 324.0
 
 
-def nu_theta(lambda_star: float = LAMBDA_STAR_DEFAULT) -> float:
-    """Upper bound of the complementary-series branch."""
-    return math.sqrt(0.25 - lambda_star)
+def nu_theta() -> float:
+    """Upper bound 1/9 of the complementary-series branch."""
+    return math.sqrt(0.25 - LAMBDA_STAR_DEFAULT)
+
+
+def check_parity(parity: int) -> None:
+    """Reject a place parity outside {0, 1}."""
+    if parity not in (0, 1):
+        raise ValueError("parity must be 0 or 1")
+
+
+def discrete_series(parity: int, lam_min: float):
+    """Yield (b, lambda_b) with lambda_b = (b/2)(1 - b/2) for the discrete
+    series b = 2 + parity, 4 + parity, ..., while lambda_b >= lam_min."""
+    b = 2 + parity
+    while (lam := (b / 2.0) * (1 - b / 2.0)) >= lam_min:
+        yield b, lam
+        b += 2
 
 
 @dataclass
@@ -31,7 +49,7 @@ class MeasureResult:
     value: float
     error: float
     method: str  # closed-form | quadrature | monte-carlo
-    detail: int = 0  # node or sample count
+    detail: int = 0  # Monte Carlo sample count, else 0
 
     def __float__(self):
         return float(self.value)
@@ -51,7 +69,7 @@ def _combine(results, method=None):
         err += r.error * rest
     meth = method or ("closed-form" if all(r.method == "closed-form" for r in results)
                       else "quadrature")
-    return MeasureResult(value, err, meth, sum(r.detail for r in results))
+    return MeasureResult(value, err, meth)
 
 
 # --------------------------------------------------------------------------
@@ -68,13 +86,14 @@ def plancherel_density(parity: int, t: float) -> float:
     return t / math.tanh(math.pi * t)
 
 
-def discrete_admissible(parity: int, beta: float, tol: float = 1e-9) -> bool:
-    """True iff beta lies in (parity+1)/2 + N0 (the discrete-series points)."""
+def discrete_admissible(parity: int, beta: float) -> bool:
+    """True iff beta lies in (parity+1)/2 + N0 (the discrete-series points),
+    to within 1e-9."""
     base = (parity + 1) / 2.0
-    if beta < base - tol:
+    if beta < base - 1e-9:
         return False
     k = round(beta - base)
-    return abs(beta - base - k) <= tol
+    return abs(beta - base - k) <= 1e-9
 
 
 def discrete_plancherel_weight(parity: int, beta: float) -> float:
@@ -87,16 +106,14 @@ def npl_factor(factor) -> MeasureResult:
     parity = factor.parity
     total = 0.0
     err = 0.0
-    nodes = 0
     for a, b in factor.im:
         v, e = quad(lambda t: plancherel_density(parity, t), a, b, limit=200)
         total += 2 * v
         err += 2 * e
-        nodes += 50
     # real (complementary) intervals carry zero Plancherel mass
     for beta in factor.disc:
         total += 2 * discrete_plancherel_weight(parity, beta)
-    return MeasureResult(total, err, "quadrature", nodes)
+    return MeasureResult(total, err, "quadrature")
 
 
 def npl(region) -> MeasureResult:
@@ -121,7 +138,7 @@ def _power_integral(lo: float, hi: float, b: float) -> float:
     return (hi ** (b + 1) - lo ** (b + 1)) / (b + 1)
 
 
-def nv_b_factor(b: float, factor, lambda_star: float = LAMBDA_STAR_DEFAULT) -> MeasureResult:
+def nv_b_factor(b: float, factor) -> MeasureResult:
     """One-place reference measure with weight p(q)^b.
 
     p(q) = 1 on (0, nu_theta] and i[0,1), |q| elsewhere; the base measure is
@@ -139,7 +156,7 @@ def nv_b_factor(b: float, factor, lambda_star: float = LAMBDA_STAR_DEFAULT) -> M
         lo = max(a, 1.0)
         if hi > lo:
             total += _power_integral(lo, hi, b)
-    nth = nu_theta(lambda_star)
+    nth = nu_theta()
     for lo, hi in factor.re:
         lo = max(lo, 0.0)
         hi = min(hi, nth)
@@ -147,32 +164,31 @@ def nv_b_factor(b: float, factor, lambda_star: float = LAMBDA_STAR_DEFAULT) -> M
             total += hi - lo
     for beta in factor.disc:
         total += abs(beta) ** b
-    return MeasureResult(total, 1e-14 * abs(total), "closed-form", 0)
+    return MeasureResult(total, 1e-14 * abs(total), "closed-form")
 
 
-def nv_b(b: float, region, lambda_star: float = LAMBDA_STAR_DEFAULT) -> MeasureResult:
-    return _combine([nv_b_factor(b, f, lambda_star) for f in region.factors])
+def nv_b(b: float, region) -> MeasureResult:
+    return _combine([nv_b_factor(b, f) for f in region.factors])
 
 
-def nv_1(region, lambda_star: float = LAMBDA_STAR_DEFAULT) -> MeasureResult:
-    return nv_b(1.0, region, lambda_star)
+def nv_1(region) -> MeasureResult:
+    return nv_b(1.0, region)
 
 
 # --------------------------------------------------------------------------
 # measures in the lambda coordinate
 # --------------------------------------------------------------------------
 
-def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None,
-              discrete_lambdas=()) -> MeasureResult:
+def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None) -> MeasureResult:
     """Plancherel measure pl_parity of f over [lam_lo, lam_hi].
 
     Continuous part: tanh (parity 0) or coth (parity 1) of pi*sqrt(lambda-1/4)
     over the interval's intersection with (1/4, infinity), evaluated with the
     substitution lambda = 1/4 + u^2 which removes the coth endpoint
     singularity.  Discrete part: weights (b-1) at lambda = (b/2)(1-b/2) for
-    b >= 2, b = parity mod 2, restricted to the interval; explicit singleton
-    lambdas may be passed in discrete_lambdas.
+    the discrete series of the parity, restricted to the interval.
     """
+    check_parity(parity)
     if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)):
         raise ValueError("interval must be bounded")
     if f is None:
@@ -184,7 +200,7 @@ def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None,
         u0 = math.sqrt(lo - 0.25)
         u1 = math.sqrt(lam_hi - 0.25)
 
-        def g(u):
+        def g(u):  # 2u times plancherel_density, inline: quad's hot loop
             lam = 0.25 + u * u
             if parity == 0:
                 w = math.tanh(math.pi * u) * 2 * u
@@ -196,23 +212,13 @@ def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None,
         v, e = quad(g, u0, u1, limit=200)
         total += v
         err += e
-    b = 2 if parity == 0 else 3
-    while True:
-        lam_b = (b / 2.0) * (1 - b / 2.0)
-        if lam_b < lam_lo - 1e-12:
-            break
+    for b, lam_b in discrete_series(parity, lam_lo - 1e-12):
         if lam_b <= lam_hi + 1e-12:
             total += (b - 1) * f(lam_b)
-        b += 2
-    for lam in discrete_lambdas:
-        bb = 1 + 2 * math.sqrt(0.25 - lam)  # lambda = 1/4 - ((b-1)/2)^2
-        if bb >= 2 - 1e-9 and abs(round(bb) - bb) < 1e-9 and round(bb) % 2 == parity % 2:
-            total += (round(bb) - 1) * f(lam)
-    return MeasureResult(total, err, "quadrature", 100)
+    return MeasureResult(total, err, "quadrature")
 
 
-def V_b_lambda_factor(b: float, intervals, discrete_betas=(),
-                      lambda_star: float = LAMBDA_STAR_DEFAULT) -> MeasureResult:
+def V_b_lambda_factor(b: float, intervals, discrete_betas=()) -> MeasureResult:
     """One-place reference measure in the lambda coordinate.
 
     intervals: list of (lo, hi) in lambda-space, clipped to [lambda_star, inf).
@@ -222,7 +228,7 @@ def V_b_lambda_factor(b: float, intervals, discrete_betas=(),
     total = 0.0
     err = 0.0
     for lo, hi in intervals:
-        lo = max(lo, lambda_star)
+        lo = max(lo, LAMBDA_STAR_DEFAULT)
         if hi <= lo:
             continue
         # middle band [lambda_star, 5/4]
@@ -242,17 +248,15 @@ def V_b_lambda_factor(b: float, intervals, discrete_betas=(),
                 total += 0.5 * ((u_hi - 0.25) ** (p + 1) - (u_lo - 0.25) ** (p + 1)) / (p + 1)
     for beta in discrete_betas:
         total += abs(beta) ** b
-    return MeasureResult(total, err + 1e-14 * abs(total), "closed-form", 0)
+    return MeasureResult(total, err + 1e-14 * abs(total), "closed-form")
 
 
-def V_b_lambda(b: float, lambda_region,
-               lambda_star: float = LAMBDA_STAR_DEFAULT) -> MeasureResult:
+def V_b_lambda(b: float, lambda_region) -> MeasureResult:
     """Product over places of V_b_lambda_factor.
 
     lambda_region: list of (intervals, discrete_betas) pairs per place.
     """
-    return _combine([V_b_lambda_factor(b, iv, pts, lambda_star)
-                     for iv, pts in lambda_region])
+    return _combine([V_b_lambda_factor(b, iv, pts) for iv, pts in lambda_region])
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .measures import (
-    LAMBDA_STAR_DEFAULT,
     MeasureResult,
+    check_parity,
+    discrete_admissible,
     monte_carlo_measure,
     nu_theta,
     nv_b,
@@ -42,6 +43,9 @@ class PlaceFactor:
     re: tuple = ()
     disc: tuple = ()
 
+    def __post_init__(self):
+        check_parity(self.parity)
+
 
 @dataclass(frozen=True)
 class ProductRegion:
@@ -64,8 +68,7 @@ def discrete_singleton(points, parities=None) -> ProductRegion:
         parities = [1 if round(2 * p) % 2 == 0 else 0 for p in points]
     factors = []
     for p, par in zip(points, parities):
-        base = (par + 1) / 2.0
-        if p < base - 1e-9 or abs((p - base) - round(p - base)) > 1e-9:
+        if not discrete_admissible(par, p):
             raise ValueError(f"point {p} not admissible for parity {par}")
         factors.append(PlaceFactor(parity=par, disc=(float(p),)))
     return ProductRegion(tuple(factors))
@@ -102,11 +105,10 @@ def neighborhood_contains(nu_vec, eps: float, q_vec) -> bool:
     return all(dist(n, q) <= eps / 2 + 1e-12 for n, q in zip(nu_vec, q_vec))
 
 
-def bluntness_deficit(region, eps: float, n_grid: int = 9,
-                      lambda_star: float = LAMBDA_STAR_DEFAULT):
+def bluntness_deficit(region, eps: float):
     """Estimated bluntness constant w of a product region.
 
-    For each sampled nu in the region and beta in (0, eps], compares the
+    For 9 evenly spaced nu per place and each beta in (0, eps], compares the
     measure of A(nu, beta) intersected with the region against the
     guaranteed half-window volume (beta/2)^d, capping each per-coordinate
     ratio at 1.  A region reported with deficit about 1 retains full
@@ -129,8 +131,8 @@ def bluntness_deficit(region, eps: float, n_grid: int = 9,
         ratio_per_place = []
         for a, b in intervals:
             place_worst = math.inf
-            for i in range(n_grid):
-                nu = a + (b - a) * i / (n_grid - 1)
+            for i in range(9):
+                nu = a + (b - a) * i / 8
                 length = min(nu + half, b) - max(nu - half, a)
                 place_worst = min(place_worst, min(1.0, length / half))
             ratio_per_place.append(place_worst)
@@ -153,16 +155,14 @@ def shell_growth_constant(n: int):
     return R, math.log(R)
 
 
-def _fatten_factor(f: PlaceFactor, delta: float,
-                   lambda_star: float = LAMBDA_STAR_DEFAULT) -> PlaceFactor:
+def _fatten_factor(f: PlaceFactor, delta: float) -> PlaceFactor:
     """Fatten a single-interval imaginary factor by delta on the chart."""
     (a, b), = f.im
     lo, hi = a - delta, b + delta
-    nth = nu_theta(lambda_star)
     im = ((max(lo, 0.0), hi),)
     re = ()
     if lo < 0:
-        re = ((0.0, min(-lo, nth)),)
+        re = ((0.0, min(-lo, nu_theta())),)
     return PlaceFactor(parity=f.parity, im=im, re=re)
 
 
@@ -186,7 +186,7 @@ class ShellSet:
         return self.nv1_outer - self.nv1_inner
 
 
-def shells(region, c: float, lambda_star: float = LAMBDA_STAR_DEFAULT) -> ShellSet:
+def shells(region, c: float) -> ShellSet:
     """C+(c), C+(-c) and the reference measure of the ring C+[c].
 
     For products of imaginary intervals the fattening/shrinking is exact
@@ -197,12 +197,9 @@ def shells(region, c: float, lambda_star: float = LAMBDA_STAR_DEFAULT) -> ShellS
         raise ValueError("c must be nonnegative")
     if not isinstance(region, ProductRegion):
         raise ValueError("shells() expects a ProductRegion")
-    outer = ProductRegion(tuple(_fatten_factor(f, c, lambda_star)
-                                for f in region.factors))
+    outer = ProductRegion(tuple(_fatten_factor(f, c) for f in region.factors))
     inner = ProductRegion(tuple(_shrink_factor(f, c) for f in region.factors))
-    return ShellSet(outer, inner,
-                    nv_b(1.0, outer, lambda_star).value,
-                    nv_b(1.0, inner, lambda_star).value)
+    return ShellSet(outer, inner, nv_b(1.0, outer).value, nv_b(1.0, inner).value)
 
 
 # --------------------------------------------------------------------------
@@ -401,7 +398,7 @@ class SphereFamily(RegionFamily):
             return t1 * (hi * hi - lo * lo) / 2.0
 
         v, e = quad(integrand, m1 - r, m1 + r, limit=400)
-        return MeasureResult(2 * v, 2 * e, "quadrature", 200)
+        return MeasureResult(2 * v, 2 * e, "quadrature")
 
     def shells(self, c: float, t=None) -> ShellSet:
         """Radial shells: C+(c) = ball(r+c), C+(-c) = ball(r-c)."""
@@ -478,7 +475,7 @@ class SectorFamily(RegionFamily):
             return 0.5 * (l1 - 0.25) ** ((c - 1) / 2.0) * v
 
         v, e = quad(inner, t, t + t ** self.alpha, limit=200)
-        return MeasureResult(v, e, "quadrature", 200)
+        return MeasureResult(v, e, "quadrature")
 
 
 class SlantedStripFamily(RegionFamily):
@@ -515,7 +512,7 @@ class SlantedStripFamily(RegionFamily):
             return x * (hi * hi - lo * lo) / 2.0
 
         v, e = quad(integrand, t, 2 * t, limit=200)
-        return MeasureResult(v, e, "quadrature", 100)
+        return MeasureResult(v, e, "quadrature")
 
 
 class SimplexFamily(RegionFamily):
@@ -550,7 +547,7 @@ class SimplexFamily(RegionFamily):
         sub = SimplexFamily(self.n - 1)
         v, e = quad(lambda lam: sub.closed_form_nv1(Y - lam).value, 1.25, max(Y, 1.25),
                     limit=200)
-        return MeasureResult(0.5 * v, 0.5 * e, "quadrature", 100)
+        return MeasureResult(0.5 * v, 0.5 * e, "quadrature")
 
 
 _FAMILIES = {

@@ -20,6 +20,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .measures import (
     MeasureResult,
+    check_parity,
     discrete_admissible,
     nu_theta,
     plancherel_density,
@@ -45,8 +46,7 @@ class LocalTestFunction:
             raise ValueError("tau must lie in (1/4, 1/2)")
         if self.a <= 2:
             raise ValueError("decay exponent a must exceed 2")
-        if self.parity not in (0, 1):
-            raise ValueError("parity must be 0 or 1")
+        check_parity(self.parity)
 
 
 @dataclass
@@ -164,34 +164,33 @@ def lambda_smoothed(f, support, T: float, tau: float = 0.3, a: float = 3.0,
 # norm and validation
 # --------------------------------------------------------------------------
 
-def _strip_grid(tau: float, height: float = 1e3):
+def _strip_grid(tau: float):
     res = [0.0, tau / 2, tau]
-    hs = [0.0] + list(np.geomspace(1e-3, height, 60))
+    hs = [0.0] + list(np.geomspace(1e-3, 1e3, 60))
     return [complex(r, h) for r in res for h in hs]
 
 
-def norm_N(phi: LocalTestFunction, height: float = 1e3, b_max: int = 200) -> float:
+def norm_N(phi: LocalTestFunction) -> float:
     """sup over the right half-strip of |phi(nu)|(1+|nu|)^a plus the
-    discrete sum of b^a |phi((b-1)/2)| over b = parity mod 2, b >= 2."""
+    discrete sum of b^a |phi((b-1)/2)| over the discrete series, b <= 200."""
     a = phi.a
     sup = 0.0
-    for z in _strip_grid(phi.tau, height):
+    for z in _strip_grid(phi.tau):
         sup = max(sup, abs(phi(z)) * (1 + abs(z)) ** a)
     disc = 0.0
-    b = 2 if phi.parity == 0 else 3
-    while b <= b_max:
+    for b in range(2 + phi.parity, 201, 2):
         disc += b ** a * abs(phi((b - 1) / 2.0))
-        b += 2
     return sup + disc
 
 
-def validate_test_function(phi: LocalTestFunction, h: float = 1e-6) -> dict:
+def validate_test_function(phi: LocalTestFunction) -> dict:
     """Sampled checks of the defining conditions.
 
     evenness: |phi(-z) - phi(z)| on strip samples; holomorphy: agreement of
     horizontal and vertical difference quotients (Cauchy-Riemann);
     decay constant: fitted K with |phi| <= K(1+|z|)^{-a} on the samples.
     """
+    h = 1e-6
     pts = [complex(r, s) for r in (0.0, phi.tau / 2) for s in (0.5, 2.0, 7.0)]
     even_err = max(abs(phi(-z) - phi(z)) for z in pts)
     cr_err = 0.0
@@ -283,29 +282,28 @@ def local_comparison(U: float, nu, alpha: float):
 # Plancherel pairing and the smoothing comparison
 # --------------------------------------------------------------------------
 
-def plancherel_pairing(phi: LocalTestFunction, height: float = None) -> MeasureResult:
+def plancherel_pairing(phi: LocalTestFunction) -> MeasureResult:
     """2 * integral of phi(it) against the spectral density plus twice the
     discrete sum over admissible points."""
     par = phi.parity
     breakpoints = None
-    if height is None:
-        if phi.provenance == "gaussian":
-            q, U = phi.params["q"], phi.params["U"]
-            w = 40 / math.sqrt(U)
-            height = q + w
-            breakpoints = [max(q - w, 0.0), q]  # resolve the sharp bump
-        else:
-            height = 200.0
+    if phi.provenance == "gaussian":
+        q, U = phi.params["q"], phi.params["U"]
+        w = 40 / math.sqrt(U)
+        height = q + w
+        breakpoints = [max(q - w, 0.0), q]  # resolve the sharp bump
+    else:
+        height = 200.0
     v, e = quad(lambda t: (phi(1j * t) * plancherel_density(par, t)).real,
                 0.0, height, limit=400, points=breakpoints)
     total = 2 * v
     err = 2 * e
-    b = 2 if par == 0 else 3
+    b = 2 + par
     while (b - 1) / 2.0 <= height:
         beta = (b - 1) / 2.0
         total += 2 * beta * abs(phi(beta))
         b += 2
-    return MeasureResult(total, err, "quadrature", 200)
+    return MeasureResult(total, err, "quadrature")
 
 
 def _density_slope_bound(parity: int) -> float:

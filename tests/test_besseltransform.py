@@ -197,3 +197,17 @@ class TestSmallT:
                                  np.geomspace(1e-3, 1e-1, 6))
         assert cert["K"] == pytest.approx(1.0)
         assert cert["exponent"] == pytest.approx(0.6, abs=1e-9)
+
+
+class TestParityAndSign:
+    @pytest.mark.parametrize("transform", [transform_axis, transform_contour])
+    @pytest.mark.parametrize("parity, eta", [(2, 1), (-1, 1), (1, 5),
+                                             (0, 0), (1, -2)])
+    def test_rejected(self, transform, parity, eta):
+        with pytest.raises(ValueError):
+            transform(gaussian_phi(10, 25), parity, eta, 0.5)
+
+    def test_eta_is_a_sign(self):
+        phi = gaussian_phi(10, 25)
+        plus = transform_axis(phi, 1, 1, 0.5).value
+        assert transform_axis(phi, 1, -1, 0.5).value == -plus

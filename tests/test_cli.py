@@ -206,3 +206,45 @@ class TestExitCodes:
     def test_unknown_family_row(self, capsys):
         rc, _, _ = run(capsys, "families", "--rows", "torus")
         assert rc == 2
+
+
+class TestBadInput:
+    def test_phi_rejects_unknown_keys(self):
+        for spec in ("gaussian:q=5i,UU=3", "phi_p:P=2", "gaussian:p=2",
+                     "phi_p:q=3i"):
+            with pytest.raises(ValueError, match="unknown key"):
+                parse_phi(spec)
+        assert parse_phi("gaussian:q=5i,U=9,tau=0.35,a=4").params == \
+            {"q": 5.0, "U": 9.0}
+        assert parse_phi("phi_p:p=2,a=4,tau=0.35").params == {"p": 2.0}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bessel", "--phi", "gaussian:q=10i,U=25", "--parity", "2",
+          "--eta", "1", "--t", "0.5", "--formula", "contour"], "parity"),
+        (["bessel", "--phi", "gaussian:q=10i,U=25", "--parity", "1",
+          "--eta", "5", "--t", "0.5", "--formula", "both"], "eta"),
+        (["measure", "--kind", "pl", "--parity", "2", "--lo", "0.2",
+          "--hi", "30"], "parity"),
+        (["measure", "--kind", "npl", "--region", "i[1,2]:2"], "parity"),
+        (["measure", "--kind", "npl", "--region", "i[1,2]:-1"], "parity"),
+        (["bessel", "--phi", "gaussian:q=5i,UU=3", "--t", "0.5"], "UU"),
+        (["bessel", "--phi", "phi_p:P=2", "--t", "0.5"], "P"),
+    ])
+    def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["measure", "--kind", "nv"], "--region"),
+        (["measure", "--kind", "npl"], "--region"),
+        (["measure", "--kind", "pl"], "--lo"),
+        (["measure", "--kind", "pl", "--lo", "1"], "--hi"),
+        (["bessel", "--t", "0.5"], "--phi"),
+        (["bessel", "--phi", "gaussian:q=10i,U=25"], "--t"),
+        (["bessel", "--order", "1"], "--x"),
+    ])
+    def test_missing_flag_is_named(self, capsys, argv, flag):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"input rejected: {argv[0]} needs {flag}\n"

@@ -11,6 +11,7 @@ from specsum.measures import (
     V_b_lambda_factor,
     discrete_admissible,
     discrete_plancherel_weight,
+    discrete_series,
     monte_carlo_measure,
     npl,
     nu_theta,
@@ -206,3 +207,18 @@ class TestMonteCarlo:
         assert res.method == "monte-carlo"
         assert res.detail == 1000
         assert res.error >= 0
+
+
+class TestDiscreteSeries:
+    def test_walk_starts_at_two_plus_parity(self):
+        assert list(discrete_series(0, -6.0)) == [(2, 0.0), (4, -2.0),
+                                                  (6, -6.0)]
+        assert list(discrete_series(1, -6.0)) == [(3, -0.75), (5, -3.75)]
+        assert list(discrete_series(0, 0.1)) == []
+
+    @pytest.mark.parametrize("parity", [2, -1, 3])
+    def test_parity_outside_zero_one_rejected(self, parity):
+        with pytest.raises(ValueError, match="parity"):
+            pl_lambda(parity, 0.2, 30.0)
+        with pytest.raises(ValueError, match="parity"):
+            PlaceFactor(parity=parity, im=((1.0, 2.0),))
