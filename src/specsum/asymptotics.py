@@ -28,6 +28,7 @@ from .numberfield import QuadField
 from .regions import (
     HypercubeFamily,
     ProductRegion,
+    SectorFamily,
     discrete_singleton,
     imaginary_box,
     shell_growth_constant,
@@ -51,7 +52,6 @@ class AnalysisParams:
     All fields are overridable; only the stated ranges are enforced."""
 
     tau: float = 0.3
-    a: float = 3.0
     delta: float = 0.01
     t0: float = None
     rho: float = None
@@ -68,8 +68,6 @@ class AnalysisParams:
             object.__setattr__(self, "A", 3 - 2 * self.delta)
         if not 0.25 < self.tau < 0.5:
             raise ValueError("tau must lie in (1/4, 1/2)")
-        if self.a <= 2:
-            raise ValueError("a must exceed 2")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.t0 <= 0:
@@ -309,8 +307,8 @@ def _loglog_fit(ts, vals, exponent=None):
 
 def _weyl1_value(F, t):
     # lambda box [-t, t]^d at a single fixed parity per place
-    return field_prefactor(F) * math.prod(
-        pl_lambda(0, -t, t).value for _ in range(F.d))
+    v = pl_lambda(0, -t, t).value
+    return field_prefactor(F) * math.prod([v] * F.d)
 
 
 def _weyl2_value(F, t):
@@ -324,19 +322,19 @@ def _weyl2_value(F, t):
     return field_prefactor(F) * level(t, 0)
 
 
-def _slant_value(F, t, a, b, c):
-    # strip between the lines y = a x + b and y = a x + c over x in [t, 2t]
+def _slant_value(F, t):
+    # strip between the lines y = x and y = x + 1 over x in [t, 2t]
     def inner(x):
-        v, _ = quad(lambda y: plancherel_density(0, y), a * x + b, a * x + c)
+        v, _ = quad(lambda y: plancherel_density(0, y), x, x + 1.0)
         return plancherel_density(0, x) * v
 
     v, _ = quad(inner, t, 2 * t, limit=200)
     return field_prefactor(F) * 4 * v
 
 
-def _sphere_value(F, t, r):
-    # ball of radius r around (t, 2t), counted with multiplicity 2 per
-    # place and the sign choices 2^d
+def _sphere_value(F, t):
+    # unit ball around (t, 2t), counted with multiplicity 2 per place and
+    # the sign choices 2^d
     m1, m2 = t, 2 * t
 
     def integrand(s, theta):
@@ -345,25 +343,19 @@ def _sphere_value(F, t, r):
         return plancherel_density(0, x) * plancherel_density(0, y) * s
 
     v, _ = quad(lambda s: quad(lambda th: integrand(s, th),
-                               0, 2 * math.pi, limit=100)[0], 0, r, limit=100)
+                               0, 2 * math.pi, limit=100)[0], 0, 1.0, limit=100)
     return field_prefactor(F) * 2 ** F.d * 2 * v
 
 
-def _rectquad_value(F, t, alpha, beta):
-    # lambda rectangle [alpha, beta] x [0, sqrt(t)], continuous mass only
-    v1, _ = quad(lambda lam: math.tanh(math.pi * math.sqrt(lam - 0.25)),
-                 alpha, beta, limit=200)
-    return field_prefactor(F) * v1 * pl_lambda(0, 0.0, math.sqrt(t)).value
-
-
 def family_asymptotic_table(name: str, F: QuadField, t_grid,
-                            **kw) -> dict:
+                            points=None) -> dict:
     """Fitted (constant, exponent) of the main term along the grid, against
     the closed-form leading asymptotics.
 
     Rows: weyl1, weyl2, slant, sphere, sector, rectquad, holo.  The sector
     row compares the reference measure V_1 (no field factor); holo is an
-    exact algebraic identity evaluated at the grid points.
+    exact algebraic identity at the discrete point `points` (default 2 at
+    every place), evaluated at the grid points.
     """
     t_grid = list(t_grid)
     if len(t_grid) < 3:
@@ -377,31 +369,28 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
         target_c = 2 * sqD / (math.factorial(d) * (2 * math.pi) ** d)
         target_e = float(d)
     elif name == "slant":
-        a, b, c = kw.get("a", 1.0), kw.get("b", 0.0), kw.get("c", 1.0)
-        vals = [_slant_value(F, t, a, b, c) for t in t_grid]
-        target_c, target_e = 14 / (3 * math.pi ** 2) * sqD * a * (c - b), 3.0
+        vals = [_slant_value(F, t) for t in t_grid]
+        target_c, target_e = 14 / (3 * math.pi ** 2) * sqD, 3.0
     elif name == "sphere":
-        r = kw.get("r", 1.0)
-        vals = [_sphere_value(F, t, r) for t in t_grid]
+        vals = [_sphere_value(F, t) for t in t_grid]
         # m = (t, 2t): prod m_j = 2 t^2
-        target_c = 4 * sqD * unit_ball_volume(d) * (r / math.pi) ** d * 2
+        target_c = 4 * sqD * unit_ball_volume(d) * (1 / math.pi) ** d * 2
         target_e = float(d)
     elif name == "sector":
-        from .regions import family as region_family
-        p, q, al = kw.get("p", 1.0), kw.get("q", 2.0), kw.get("alpha", 0.75)
-        sec = region_family("sector", p=p, q=q, alpha=al)
+        sec = SectorFamily(p=1.0, q=2.0, alpha=0.75)
         vals = [sec.quadrature_vc(1.0, t).value for t in t_grid]
-        target_c, target_e = (q - p) / 4.0, 1 + al
+        target_c, target_e = 0.25, 1.75
     elif name == "rectquad":
-        al, be = kw.get("alpha", 1.25), kw.get("beta", 9.25)
-        vals = [_rectquad_value(F, t, al, be) for t in t_grid]
+        # continuous mass of [5/4, 37/4] at the first place
         v1, _ = quad(lambda lam: math.tanh(math.pi * math.sqrt(lam - 0.25)),
-                     al, be, limit=200)
+                     1.25, 9.25, limit=200)
+        vals = [field_prefactor(F) * v1 * pl_lambda(0, 0.0, math.sqrt(t)).value
+                for t in t_grid]
         target_c, target_e = sqD / (2 * math.pi ** 2) * v1, 0.5
     elif name == "holo":
         # singleton discrete spectrum: main term is exactly
         # 2 sqrt|D_F| / pi^d * prod p_j
-        ps = kw.get("points", [2.0] * d)
+        ps = [2.0] * d if points is None else points
         # point (b-1)/2 is an integer for odd b (parity 1), half-integer
         # for even b (parity 0)
         region = discrete_singleton(ps, parities=[1 if p == int(p) else 0

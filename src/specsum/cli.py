@@ -2,7 +2,8 @@
 dispatch into the library modules.
 
 Every numeric output carries {value, error, method}.  Exit codes: 0 on
-success, 1 on numeric-precision failure, 2 on input rejection.
+success, 1 on numeric-precision failure, 2 on input rejection (a
+ValueError); any other exception is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -53,8 +54,15 @@ def parse_field(spec: str) -> QuadField:
     return make_field(int(s))
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_element(F: QuadField, spec: str):
-    parts = [Fraction(p) for p in str(spec).split(",")]
+    parts = [_fraction(p) for p in str(spec).split(",")]
     if len(parts) == 1:
         return F.element(parts[0])
     if len(parts) == 2 and F.d == 2:
@@ -75,7 +83,7 @@ def parse_region(spec: str) -> ProductRegion:
         if len(tok) < 4 or tok[1] != "[" or not tok.endswith("]"):
             raise ValueError(f"bad region factor {tok!r}")
         kind, body = tok[0], tok[2:-1]
-        vals = [float(Fraction(v)) for v in body.split(",")]
+        vals = [float(_fraction(v)) for v in body.split(",")]
         if kind == "i" and len(vals) == 2:
             factors.append(PlaceFactor(parity=parity, im=((vals[0], vals[1]),)))
         elif kind == "r" and len(vals) == 2:
@@ -167,7 +175,8 @@ def cmd_ksum(args) -> int:
     def f(t):
         return math.prod(min(abs(tj) ** (2 * tau), 1.0) for tj in t)
 
-    res = ksum(F, level, chi, r, f, box=args.box, K_f=args.K, tau=tau)
+    # |f(t)| <= prod_j min(|t_j|^{2 tau}, 1) holds with K_f = 1 exactly
+    res = ksum(F, level, chi, r, f, box=args.box, K_f=1.0, tau=tau)
     emit({"value": complex(res.partial_sum), "error": res.tail_estimate,
           "method": "partial sum + square-root-cancellation tail",
           "terms": res.terms_used, "truncation": res.truncation})
@@ -178,7 +187,8 @@ def _require(args, *flags):
     """Reject a command that lacks one of its required flags, naming it."""
     for flag in flags:
         if getattr(args, flag) is None:
-            raise ValueError(f"{args.command} needs --{flag}")
+            raise ValueError(f"{args.command} needs "
+                             f"--{flag.replace('_', '-')}")
 
 
 def cmd_measure(args) -> int:
@@ -198,39 +208,42 @@ def cmd_measure(args) -> int:
     return 0
 
 
+# region-volume family -> its required flags: the constructor's, then the
+# one that fixes the family's parameter (--Y for simplex, --t otherwise)
+_FAMILY_FLAGS = {
+    "simplex": ("n", "Y"),
+    "sphere": ("m", "r"),
+    "sector": ("p", "q", "alpha", "t"),
+    "slanted-strip": ("a", "b", "c", "t"),
+    "box": ("a_list", "b_list"),
+    "hypercube": ("a_list", "sigma"),
+    "singleton": ("points", "parities"),
+}
+# comma-separated flags -> the type of their entries
+_LIST_FLAGS = {"m": float, "a_list": float, "b_list": float,
+               "points": float, "parities": int}
+
+
 def cmd_region_volume(args) -> int:
+    flags = _FAMILY_FLAGS.get(args.family, ())
+    _require(args, *flags)
     kw = {}
-    if args.family == "simplex":
-        kw["n"] = args.n
-        t = args.Y
-    else:
-        t = args.t
-    if args.family == "sphere":
-        kw["m"] = [float(v) for v in args.m.split(",")]
-        kw["r"] = args.r
-    if args.family == "sector":
-        kw.update(p=args.p, q=args.q, alpha=args.alpha)
-    if args.family == "slanted-strip":
-        kw.update(a=args.a, b=args.b, c=args.c)
-    if args.family in ("box", "hypercube"):
-        kw["a"] = [float(v) for v in args.a_list.split(",")]
-        if args.family == "box":
-            kw["b"] = [float(v) for v in args.b_list.split(",")]
-        else:
-            kw["sigma"] = args.sigma
-    if args.family == "singleton":
-        kw["points"] = [float(v) for v in args.points.split(",")]
-        kw["parities"] = [int(v) for v in args.parities.split(",")]
+    for flag in flags:
+        value = getattr(args, flag)
+        if flag in _LIST_FLAGS:
+            value = [_LIST_FLAGS[flag](v) for v in value.split(",")]
+        if flag not in ("t", "Y"):
+            kw[flag.removesuffix("_list")] = value
     fam = family(args.family, **kw)
+    t = args.Y if args.family == "simplex" else args.t
     if args.method == "closed":
-        res = fam.closed_form_nv1(t) if t is not None else fam.closed_form_nv1()
+        res = fam.closed_form_nv1(t)
     elif args.method == "quadrature":
-        res = fam.quadrature_nv1(t) if t is not None else fam.quadrature_nv1()
-    elif args.method == "mc":
-        inst = fam.instance(t) if t is not None else fam.instance()
-        res = inst.mc_nv1(args.samples, seed=args.seed)
-    else:
-        raise ValueError(f"unknown method {args.method!r}")
+        if not hasattr(fam, "quadrature_nv1"):
+            raise ValueError(f"family {args.family} has no --method quadrature")
+        res = fam.quadrature_nv1(t)
+    else:  # mc; argparse admits no other method
+        res = fam.instance(t).mc_nv1(args.samples, seed=args.seed)
     emit(measure_dict(res))
     return 0
 
@@ -273,18 +286,18 @@ def cmd_budget(args) -> int:
     return 0
 
 
+# t grid of each families row
 _FAMILY_ROWS = {
-    "weyl1": (lambda: np.geomspace(100, 1000, 5), {}),
-    "weyl2": (lambda: np.geomspace(100, 1000, 5), {}),
-    "slant": (lambda: np.geomspace(1000, 10000, 5),
-              {"a": 1.0, "b": 0.0, "c": 1.0}),
-    "sphere": (lambda: np.geomspace(100, 1000, 5), {"r": 1.0}),
-    "sector": (lambda: np.geomspace(1e6, 1e7, 5),
-               {"p": 1.0, "q": 2.0, "alpha": 0.75}),
-    "rectquad": (lambda: np.geomspace(1e4, 1e5, 5),
-                 {"alpha": 1.25, "beta": 9.25}),
-    "holo": (lambda: [1.0, 2.0, 3.0], {"points": [2.0, 3.5]}),
+    "weyl1": np.geomspace(100, 1000, 5),
+    "weyl2": np.geomspace(100, 1000, 5),
+    "slant": np.geomspace(1000, 10000, 5),
+    "sphere": np.geomspace(100, 1000, 5),
+    "sector": np.geomspace(1e6, 1e7, 5),
+    "rectquad": np.geomspace(1e4, 1e5, 5),
+    "holo": [1.0, 2.0, 3.0],
 }
+# the holo row's discrete point, one coordinate per place
+_HOLO_POINTS = [2.0, 3.5]
 
 
 def cmd_families(args) -> int:
@@ -294,8 +307,8 @@ def cmd_families(args) -> int:
     for name in names:
         if name not in _FAMILY_ROWS:
             raise ValueError(f"unknown family row {name!r}")
-        grid, kw = _FAMILY_ROWS[name]
-        rows.append(family_asymptotic_table(name, F, grid(), **kw))
+        rows.append(family_asymptotic_table(name, F, _FAMILY_ROWS[name],
+                                            points=_HOLO_POINTS))
     if args.report == "csv":
         print("family,constant,exponent,target,target_exponent,rel_deviation")
         for r in rows:
@@ -348,7 +361,7 @@ def _suite_kloosterman_small() -> dict:
 def _suite_identities() -> dict:
     checks = {}
     F5 = make_field(5)
-    row = family_asymptotic_table("holo", F5, [1, 2, 3], points=[2.0, 3.5])
+    row = family_asymptotic_table("holo", F5, [1, 2, 3], points=_HOLO_POINTS)
     checks["holomorphic main-term identity"] = row["rel_deviation"] < 1e-12
     m = math.exp(-100)
     U = choose_U(m, 0.5, 1)
@@ -402,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     ks.add_argument("--level", default="1")
     ks.add_argument("--r", default="1")
     ks.add_argument("--box", type=float, default=30.0)
-    ks.add_argument("--K", type=float, default=1.0)
     ks.add_argument("--tau", type=float, default=0.3)
     ks.set_defaults(func=cmd_ksum)
 
@@ -490,8 +502,7 @@ def dispatch(argv=None) -> int:
     except PrecisionError as exc:
         print(f"precision failure: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, KeyError, TypeError,
-            AttributeError, NotImplementedError) as exc:
+    except ValueError as exc:
         print(f"input rejected: {exc}", file=sys.stderr)
         return 2
 

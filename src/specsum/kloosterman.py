@@ -237,6 +237,8 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     integral of prod g_j over {max_j |x_j| > T} divided by the covolume:
         tail <= 8 * K_f / covol * sum_j [tailint_j(T) * prod_{k != j} fullint_k].
     """
+    if tau <= 0.25:  # the tail integrand decays like |x|^{-1/2 - 2 tau}
+        raise ValueError("tau must exceed 1/4 for the tail to converge")
     r_emb = [abs(v) for v in r.embeddings()]
     if any(v == 0 for v in r_emb):
         raise ValueError("r must be nonzero at every place")

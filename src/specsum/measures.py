@@ -81,6 +81,7 @@ def plancherel_density(parity: int, t: float) -> float:
     t = abs(t)
     if parity == 0:
         return t * math.tanh(math.pi * t)
+    check_parity(parity)
     if t == 0:
         return 1.0 / math.pi
     return t / math.tanh(math.pi * t)
@@ -271,6 +272,8 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
     on an (n, d) array; weight: vectorized function on the same array (1 if
     None).  Deterministic per seed; error is 3 times the standard error.
     """
+    if n_samples < 2:
+        raise ValueError("Monte Carlo needs at least 2 samples")
     bbox = [(float(lo), float(hi)) for lo, hi in bbox]
     vol = 1.0
     for lo, hi in bbox:
@@ -289,5 +292,5 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
         vals[inside] = np.asarray(weight(x[inside]), dtype=float)
     vals *= vol * multiplicity
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else float("inf")
+    stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
     return MeasureResult(mean, 3 * stderr, "monte-carlo", n_samples)

@@ -240,9 +240,8 @@ class IdealLattice:
     have rational entries.
     """
 
-    def __init__(self, field: QuadField, basis_rows, tag: str = "lattice"):
+    def __init__(self, field: QuadField, basis_rows):
         self.field = field
-        self.tag = tag
         if field.d == 1:
             g = abs(Fraction(basis_rows[0][0]))
             if g == 0:
@@ -254,9 +253,8 @@ class IdealLattice:
     @classmethod
     def ring_of_integers(cls, field: QuadField):
         if field.d == 1:
-            return cls(field, [[Fraction(1)]], "ring-of-integers")
-        return cls(field, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]],
-                   "ring-of-integers")
+            return cls(field, [[Fraction(1)]])
+        return cls(field, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
 
     @classmethod
     def principal(cls, c: FieldElement):
@@ -264,9 +262,9 @@ class IdealLattice:
         if c.is_zero():
             raise ValueError("zero generator")
         if F.d == 1:
-            return cls(F, [[abs(c.x)]], "principal")
+            return cls(F, [[abs(c.x)]])
         cw = c * F.omega()
-        L = cls(F, [[c.x, c.y], [cw.x, cw.y]], "principal")
+        L = cls(F, [[c.x, c.y], [cw.x, cw.y]])
         if L.norm_index() != abs(c.norm()):
             raise RuntimeError(f"HNF of ({c!r}) has index {L.norm_index()}, "
                                f"not |N(c)| = {abs(c.norm())}")
@@ -306,12 +304,12 @@ class IdealLattice:
             return self.rows[0][0]
         return self.rows[0][0] * self.rows[1][1]
 
-    def scaled(self, g: FieldElement, tag=None) -> "IdealLattice":
+    def scaled(self, g: FieldElement) -> "IdealLattice":
         rows = []
         for e in self.basis_elements():
             p = e * g
             rows.append([p.x, p.y] if self.field.d == 2 else [p.x])
-        return IdealLattice(self.field, rows, tag or self.tag)
+        return IdealLattice(self.field, rows)
 
     def __eq__(self, other):
         return (isinstance(other, IdealLattice) and self.field == other.field
@@ -321,7 +319,7 @@ class IdealLattice:
         return hash((self.field, tuple(tuple(r) for r in self.rows)))
 
     def __repr__(self):
-        return f"IdealLattice({self.field}, {self.rows}, {self.tag!r})"
+        return f"IdealLattice({self.field}, {self.rows})"
 
     def lattice_points_in_box(self, bounds):
         """All nonzero lattice points x with |sigma_j(x)| <= T_j for each j.
@@ -368,11 +366,9 @@ def inverse_different(F: QuadField) -> IdealLattice:
     """
     O = IdealLattice.ring_of_integers(F)
     if F.d == 1:
-        L = IdealLattice(F, [[Fraction(1)]], "inverse-different")
-        return L
+        return O
     g = F.element(-F.s, 2)  # 2w - s
-    L = O.scaled(g.inverse(), tag="inverse-different")
-    return L
+    return O.scaled(g.inverse())
 
 
 # --------------------------------------------------------------------------

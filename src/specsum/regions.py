@@ -269,13 +269,9 @@ class RegionInstance:
 
 
 class RegionFamily:
+    """Base of the families: each gives instance(t) and closed_form_nv1(t)."""
+
     name = None
-
-    def instance(self, t=None) -> RegionInstance:
-        raise NotImplementedError
-
-    def closed_form_nv1(self, t=None) -> MeasureResult:
-        raise NotImplementedError
 
 
 class BoxFamily(RegionFamily):

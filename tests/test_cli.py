@@ -1,8 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import specsum.cli
 from specsum.cli import (
+    build_parser,
     dispatch,
     parse_element,
     parse_field,
@@ -18,6 +23,13 @@ def run(capsys, *argv):
     rc = dispatch(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def assert_rejected(rc, out, err):
+    """Exit 2 with nothing on stdout, and no Python internals on stderr."""
+    assert (rc, out) == (2, "")
+    for leak in ("NoneType", "object has no attribute", "Fraction("):
+        assert leak not in err
 
 
 def run_json(capsys, *argv):
@@ -229,10 +241,39 @@ class TestBadInput:
         (["measure", "--kind", "npl", "--region", "i[1,2]:-1"], "parity"),
         (["bessel", "--phi", "gaussian:q=5i,UU=3", "--t", "0.5"], "UU"),
         (["bessel", "--phi", "phi_p:P=2", "--t", "0.5"], "P"),
+        (["region-volume", "--family", "box", "--a-list", "1,2",
+          "--b-list", "3,4", "--method", "quadrature"],
+         "family box has no --method quadrature"),
+        (["region-volume", "--family", "hypercube", "--a-list", "1,2",
+          "--sigma", "1", "--method", "quadrature"],
+         "family hypercube has no --method quadrature"),
+        (["region-volume", "--family", "singleton", "--points", "1.5",
+          "--parities", "0", "--method", "quadrature"],
+         "family singleton has no --method quadrature"),
+        (["region-volume", "--family", "sector", "--p", "1", "--q", "2",
+          "--alpha", "0.5", "--t", "100", "--method", "quadrature"],
+         "family sector has no --method quadrature"),
+        (["region-volume", "--family", "simplex", "--n", "2", "--Y", "4.5",
+          "--method", "quadrature"],
+         "family simplex has no --method quadrature"),
+        (["kloosterman", "--c", "1/0", "--r", "1"],
+         "zero denominator in '1/0'"),
+        (["kloosterman", "--c", "3", "--r", "1", "--rp", "2/0"],
+         "zero denominator in '2/0'"),
+        (["ksum", "--level", "1/0"], "zero denominator"),
+        (["measure", "--kind", "nv", "--region", "i[1,1/0]"],
+         "zero denominator"),
+        (["ksum", "--tau", "0.25"], "tau must exceed 1/4"),
+        (["ksum", "--tau", "0.2", "--box", "10"], "tau must exceed 1/4"),
+        (["ksum", "--K", "-1", "--box", "10"], "unrecognized arguments: --K"),
+        (["region-volume", "--family", "simplex", "--n", "2", "--Y", "4.5",
+          "--method", "mc", "--samples", "0"], "at least 2 samples"),
+        (["region-volume", "--family", "simplex", "--n", "2", "--Y", "4.5",
+          "--method", "mc", "--samples", "-5"], "at least 2 samples"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
-        assert (rc, out) == (2, "")
+        assert_rejected(rc, out, err)
         assert message in err
 
     @pytest.mark.parametrize("argv, flag", [
@@ -243,8 +284,63 @@ class TestBadInput:
         (["bessel", "--t", "0.5"], "--phi"),
         (["bessel", "--phi", "gaussian:q=10i,U=25"], "--t"),
         (["bessel", "--order", "1"], "--x"),
+        (["region-volume", "--family", "simplex", "--Y", "3"], "--n"),
+        (["region-volume", "--family", "simplex", "--n", "2"], "--Y"),
+        (["region-volume", "--family", "sphere", "--r", "1"], "--m"),
+        (["region-volume", "--family", "sphere", "--m", "5,6"], "--r"),
+        (["region-volume", "--family", "sector", "--q", "2", "--alpha",
+          "0.5", "--t", "100"], "--p"),
+        (["region-volume", "--family", "sector", "--p", "1", "--alpha",
+          "0.5", "--t", "100"], "--q"),
+        (["region-volume", "--family", "sector", "--p", "1", "--q", "2",
+          "--t", "100"], "--alpha"),
+        (["region-volume", "--family", "sector", "--p", "1", "--q", "2",
+          "--alpha", "0.5"], "--t"),
+        (["region-volume", "--family", "slanted-strip", "--b", "0", "--c",
+          "1", "--t", "5"], "--a"),
+        (["region-volume", "--family", "slanted-strip", "--a", "1", "--c",
+          "1", "--t", "5"], "--b"),
+        (["region-volume", "--family", "slanted-strip", "--a", "1", "--b",
+          "0", "--t", "5"], "--c"),
+        (["region-volume", "--family", "slanted-strip", "--a", "1", "--b",
+          "0", "--c", "1"], "--t"),
+        (["region-volume", "--family", "box", "--b-list", "3,4"], "--a-list"),
+        (["region-volume", "--family", "box", "--a-list", "1,2"], "--b-list"),
+        (["region-volume", "--family", "hypercube", "--sigma", "1"],
+         "--a-list"),
+        (["region-volume", "--family", "hypercube", "--a-list", "1,2"],
+         "--sigma"),
+        (["region-volume", "--family", "singleton", "--parities", "0"],
+         "--points"),
+        (["region-volume", "--family", "singleton", "--points", "1.5"],
+         "--parities"),
     ])
     def test_missing_flag_is_named(self, capsys, argv, flag):
         rc, out, err = run(capsys, *argv)
-        assert (rc, out) == (2, "")
+        assert_rejected(rc, out, err)
         assert err == f"input rejected: {argv[0]} needs {flag}\n"
+
+    def test_internal_error_is_not_input_rejection(self, monkeypatch):
+        # a bug inside a command must surface with its traceback, not exit 2
+        def broken(*args):
+            raise TypeError("internal bug")
+
+        monkeypatch.setattr(specsum.cli, "kloosterman_sum", broken)
+        with pytest.raises(TypeError, match="internal bug"):
+            dispatch(["kloosterman", "--c", "3", "--r", "1"])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_parse():
+    """Every specsum command in the README's sh blocks parses (not run), so
+    dropping a flag the README uses fails here."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("specsum ")]
+    assert len(lines) >= 8
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

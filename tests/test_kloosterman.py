@@ -286,3 +286,17 @@ class TestKSeries:
         tails = [ksum(Q, Zs, None, Q.element(1), f, T, 1.0, tau=0.3).tail_estimate
                  for T in (10, 20, 40)]
         assert tails[0] >= tails[1] >= tails[2]
+
+    @pytest.mark.parametrize("tau", [0.25, 0.2, 0.0])
+    def test_rejects_tau_at_most_quarter(self, tau):
+        # the tail exponent 1/2 + 2 tau must exceed 1
+        with pytest.raises(ValueError, match="tau"):
+            ksum(Q, IdealLattice.ring_of_integers(Q), None, Q.element(1),
+                 lambda t: 1.0, 10, 1.0, tau=tau)
+
+    @pytest.mark.parametrize("tau", [0.75, 1.0])
+    def test_tau_above_half(self, tau):
+        f = lambda t: min(abs(t[0]) ** (2 * tau), 1.0)
+        res = ksum(Q, IdealLattice.ring_of_integers(Q), None, Q.element(1),
+                   f, 10, 1.0, tau=tau)
+        assert 0 < res.tail_estimate < math.inf

@@ -40,6 +40,11 @@ class TestPlancherelDensity:
         for par in (0, 1):
             assert plancherel_density(par, 30.0) == pytest.approx(30.0, rel=1e-12)
 
+    def test_rejects_parity_outside_0_1(self):
+        for par in (2, 7, -1):
+            with pytest.raises(ValueError, match="parity"):
+                plancherel_density(par, 0.5)
+
     @given(st.floats(0.01, 50))
     def test_odd_dominates_even(self, t):
         assert plancherel_density(1, t) >= plancherel_density(0, t)
@@ -189,6 +194,11 @@ class TestMonteCarlo:
     def test_deterministic(self):
         args = ([(0, 1)], lambda x: x[:, 0] < 0.5, None, 1000, 7)
         assert monte_carlo_measure(*args).value == monte_carlo_measure(*args).value
+
+    @pytest.mark.parametrize("n", [1, 0, -5])
+    def test_needs_two_samples(self, n):
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            monte_carlo_measure([(0, 1)], lambda x: x[:, 0] < 0.5, None, n)
 
     def test_multiplicity(self):
         one = monte_carlo_measure([(0, 1)], lambda x: x[:, 0] < 0.5,

@@ -228,3 +228,5 @@ class TestSmoothingComparison:
             smoothing_discrepancy_bound(10.0, 2.0)
         with pytest.raises(ValueError):
             smoothing_discrepancy_bound(0.5, 100.0)
+        with pytest.raises(ValueError, match="parity"):
+            smoothing_discrepancy_bound(10.0, 25.0, parity=2)

@@ -47,7 +47,7 @@ def test_every_region_family_has_a_traced_volume_method(tracer):
     assert len(classes) > 2
     for cls in classes:
         # defined on cls or inherited from a concrete base (install() wraps
-        # it there); RegionFamily's NotImplementedError stubs do not count
+        # it there); RegionFamily itself defines none
         bases = [k for k in cls.__mro__
                  if k not in (regions.RegionFamily, object)]
         assert any(attr.endswith(tracer.REGION_METHOD_SUFFIXES)
