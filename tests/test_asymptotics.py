@@ -44,7 +44,7 @@ class TestAnalysisParams:
         assert 1 - p.tau < p.rho < 1
 
     @pytest.mark.parametrize("kw", [
-        {"tau": 0.2}, {"tau": 0.5}, {"delta": 0.0},
+        {"tau": 0.2}, {"tau": 0.5}, {"tau": 0.25}, {"delta": 0.0},
         {"t0": -1.0}, {"rho": 0.5}, {"rho": 1.0}, {"A": 2.0},
     ])
     def test_rejections(self, kw):
