@@ -347,19 +347,26 @@ def _sphere_value(F, t):
     return field_prefactor(F) * 2 ** F.d * 2 * v
 
 
+# rows whose regions have two places (the quadratic case): they need F.d == 2
+TWO_PLACE_ROWS = frozenset({"slant", "sphere", "sector", "rectquad"})
+
+
 def family_asymptotic_table(name: str, F: QuadField, t_grid,
                             points=None) -> dict:
     """Fitted (constant, exponent) of the main term along the grid, against
     the closed-form leading asymptotics.
 
-    Rows: weyl1, weyl2, slant, sphere, sector, rectquad, holo.  The sector
-    row compares the reference measure V_1 (no field factor); holo is an
-    exact algebraic identity at the discrete point `points` (default 2 at
-    every place), evaluated at the grid points.
+    Rows: weyl1, weyl2, slant, sphere, sector, rectquad, holo; those in
+    TWO_PLACE_ROWS need a quadratic field.  The sector row compares the
+    reference measure V_1 (no field factor); holo is an exact algebraic
+    identity at the discrete point `points` (default 2 at every place, one
+    coordinate per place), evaluated at the grid points.
     """
     t_grid = list(t_grid)
     if len(t_grid) < 3:
         raise ValueError("need at least 3 grid points")
+    if name in TWO_PLACE_ROWS and F.d != 2:
+        raise ValueError(f"family row {name!r} needs a quadratic field")
     d, sqD = F.d, math.sqrt(abs(F.discriminant))
     if name == "weyl1":
         vals = [_weyl1_value(F, t) for t in t_grid]
@@ -391,6 +398,8 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
         # singleton discrete spectrum: main term is exactly
         # 2 sqrt|D_F| / pi^d * prod p_j
         ps = [2.0] * d if points is None else points
+        if len(ps) != d:
+            raise ValueError(f"holo needs one point per place, got {len(ps)}")
         # point (b-1)/2 is an integer for odd b (parity 1), half-integer
         # for even b (parity 0)
         region = discrete_singleton(ps, parities=[1 if p == int(p) else 0

@@ -57,12 +57,7 @@ def _series_extended(mu: complex, x: float):
         for k in range(2000):
             total += term
             max_mag = max(max_mag, abs(term))
-            nxt = m + k + 1
-            if nxt == 0:
-                term = half ** (m + 2 * (k + 1)) * mpmath.rgamma(m + k + 2) \
-                    * (-1) ** (k + 1) / mpmath.factorial(k + 1)
-                continue
-            term = -term * half * half / ((k + 1) * nxt)
+            term = -term * half * half / ((k + 1) * (m + k + 1))
             if abs(term) < mpmath.mpf(10) ** (-dps) * max(abs(total), 1) \
                     and k > x:
                 break
@@ -117,18 +112,12 @@ def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
         total = t_new
         max_mag = max(max_mag, abs(term))
         abs_sum += abs(term)
-        ratio = half * half / ((k + 1) * abs(mu + k + 1)) if mu + k + 1 != 0 else math.inf
+        ratio = half * half / ((k + 1) * abs(mu + k + 1))
         if abs(term) < _SERIES_TOL * max(abs(total), 1e-300) and ratio < 0.5:
             tail = abs(term) * ratio / (1 - ratio)
             break
         if k > 500:
             raise PrecisionError("series did not converge within 500 terms")
-        if mu + k + 1 == 0:
-            # reciprocal-gamma zero: recompute next term from scratch
-            k += 1
-            term = cmath.exp((mu + 2 * k) * log_half) * \
-                complex(rgamma(mu + k + 1)) * (-1) ** k / math.factorial(k)
-            continue
         term = -term * half * half / ((k + 1) * (mu + k + 1))
         k += 1
     # relative rounding of the leading term: exp of mu log(x/2) loses about

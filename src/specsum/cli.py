@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .asymptotics import (
+    TWO_PLACE_ROWS,
     choose_U,
     choose_eps,
     count,
@@ -296,19 +297,20 @@ _FAMILY_ROWS = {
     "rectquad": np.geomspace(1e4, 1e5, 5),
     "holo": [1.0, 2.0, 3.0],
 }
-# the holo row's discrete point, one coordinate per place
+# the holo row's discrete point, one coordinate per place (the first d)
 _HOLO_POINTS = [2.0, 3.5]
 
 
 def cmd_families(args) -> int:
     F = parse_field(args.field)
-    names = args.rows.split(",") if args.rows else list(_FAMILY_ROWS)
+    names = args.rows.split(",") if args.rows else \
+        [n for n in _FAMILY_ROWS if F.d == 2 or n not in TWO_PLACE_ROWS]
     rows = []
     for name in names:
         if name not in _FAMILY_ROWS:
             raise ValueError(f"unknown family row {name!r}")
         rows.append(family_asymptotic_table(name, F, _FAMILY_ROWS[name],
-                                            points=_HOLO_POINTS))
+                                            points=_HOLO_POINTS[:F.d]))
     if args.report == "csv":
         print("family,constant,exponent,target,target_exponent,rel_deviation")
         for r in rows:

@@ -146,8 +146,12 @@ def nv_b_factor(b: float, factor) -> MeasureResult:
     dt on the imaginary axis, dx on the complementary interval, and counting
     measure on the discrete points.
     """
+    return _nv_b_place(b, factor.im, factor.re, factor.disc)
+
+
+def _nv_b_place(b: float, im, re, disc) -> MeasureResult:
     total = 0.0
-    for a, hi in factor.im:
+    for a, hi in im:
         a = max(a, 0.0)
         if hi <= a:
             continue
@@ -158,12 +162,12 @@ def nv_b_factor(b: float, factor) -> MeasureResult:
         if hi > lo:
             total += _power_integral(lo, hi, b)
     nth = nu_theta()
-    for lo, hi in factor.re:
+    for lo, hi in re:
         lo = max(lo, 0.0)
         hi = min(hi, nth)
         if hi > lo:
             total += hi - lo
-    for beta in factor.disc:
+    for beta in disc:
         total += abs(beta) ** b
     return MeasureResult(total, 1e-14 * abs(total), "closed-form")
 
@@ -224,32 +228,17 @@ def V_b_lambda_factor(b: float, intervals, discrete_betas=()) -> MeasureResult:
 
     intervals: list of (lo, hi) in lambda-space, clipped to [lambda_star, inf).
     Weight (1/2)(lambda-1/4)^{(b-1)/2} above 5/4, (1/2)|lambda-1/4|^{-1/2}
-    on [lambda_star, 5/4]; discrete points beta get |beta|^b.
+    on [lambda_star, 5/4]; discrete points beta get |beta|^b.  This is
+    nv_b_factor's measure under lambda = 1/4 + t^2 (1/4 - x^2 below 1/4), so
+    each interval is mapped to nu and measured there.
     """
-    total = 0.0
-    err = 0.0
+    im, re = [], []
     for lo, hi in intervals:
-        lo = max(lo, LAMBDA_STAR_DEFAULT)
-        if hi <= lo:
-            continue
-        # middle band [lambda_star, 5/4]
-        m_lo, m_hi = lo, min(hi, 1.25)
-        if m_hi > m_lo:
-            # antiderivative of (1/2)|x-1/4|^{-1/2}: sign(x-1/4)*sqrt(|x-1/4|)
-            def A(x):
-                return math.copysign(math.sqrt(abs(x - 0.25)), x - 0.25)
-
-            total += A(m_hi) - A(m_lo)
-        u_lo, u_hi = max(lo, 1.25), hi
-        if u_hi > u_lo:
-            p = (b - 1) / 2.0
-            if abs(p + 1) < 1e-14:
-                total += 0.5 * (math.log(u_hi - 0.25) - math.log(u_lo - 0.25))
-            else:
-                total += 0.5 * ((u_hi - 0.25) ** (p + 1) - (u_lo - 0.25) ** (p + 1)) / (p + 1)
-    for beta in discrete_betas:
-        total += abs(beta) ** b
-    return MeasureResult(total, err + 1e-14 * abs(total), "closed-form")
+        if hi > 0.25:
+            im.append((math.sqrt(max(lo, 0.25) - 0.25), math.sqrt(hi - 0.25)))
+        if lo < 0.25:
+            re.append((math.sqrt(0.25 - min(hi, 0.25)), math.sqrt(0.25 - lo)))
+    return _nv_b_place(b, im, re, discrete_betas)
 
 
 def V_b_lambda(b: float, lambda_region) -> MeasureResult:

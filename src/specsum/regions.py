@@ -106,14 +106,13 @@ def neighborhood_contains(nu_vec, eps: float, q_vec) -> bool:
 
 
 def bluntness_deficit(region, eps: float):
-    """Estimated bluntness constant w of a product region.
+    """Bluntness constant w of a box of imaginary intervals.
 
-    For 9 evenly spaced nu per place and each beta in (0, eps], compares the
-    measure of A(nu, beta) intersected with the region against the
-    guaranteed half-window volume (beta/2)^d, capping each per-coordinate
-    ratio at 1.  A region reported with deficit about 1 retains full
-    half-windows around every point; thin slabs score about
-    (slab width)/(beta/2).
+    The worst ratio, over nu in the box and beta in (0, eps], of the measure
+    of A(nu, beta) within the box to the half-window volume (beta/2)^d, each
+    per-place ratio capped at 1.  The worst window sits at an end of a side
+    and the worst beta is eps, so w = prod_j min(1, 2 s_j / eps) exactly,
+    with s_j the side at place j; a thin slab scores (width)/(eps/2).
     """
     if not isinstance(region, ProductRegion):
         raise ValueError("bluntness_deficit expects a ProductRegion")
@@ -124,23 +123,7 @@ def bluntness_deficit(region, eps: float):
         intervals.append(f.im[0])
     if any(b <= a for a, b in intervals):
         return None  # empty or degenerate: undefined
-    worst = math.inf
-    betas = [eps * k / 4.0 for k in range(1, 5)]
-    for beta in betas:
-        half = beta / 2.0
-        ratio_per_place = []
-        for a, b in intervals:
-            place_worst = math.inf
-            for i in range(9):
-                nu = a + (b - a) * i / 8
-                length = min(nu + half, b) - max(nu - half, a)
-                place_worst = min(place_worst, min(1.0, length / half))
-            ratio_per_place.append(place_worst)
-        prod = 1.0
-        for r in ratio_per_place:
-            prod *= r
-        worst = min(worst, prod)
-    return worst
+    return math.prod(min(1.0, 2 * (b - a) / eps) for a, b in intervals)
 
 
 # --------------------------------------------------------------------------
@@ -268,8 +251,17 @@ class RegionInstance:
                                    n_samples, seed, self.multiplicity)
 
 
+def _at(values, t):
+    """Entries that are callables of t evaluated at t; constants as given."""
+    return [f(t) if callable(f) else f for f in values]
+
+
 class RegionFamily:
-    """Base of the families: each gives instance(t) and closed_form_nv1(t)."""
+    """Base of the families: each gives instance(t) and closed_form_nv1(t).
+
+    Constant parameters are checked once, at construction.  Where the domain
+    depends on t, every volume method reads it through one _resolve(t).
+    """
 
     name = None
 
@@ -280,13 +272,13 @@ class BoxFamily(RegionFamily):
     name = "box"
 
     def __init__(self, a, b, parities=None):
-        self.a = a
-        self.b = b
-        self.parities = parities or [0] * len(a)
+        parities = parities or [0] * len(a)
+        if not len(a) == len(b) == len(parities):
+            raise ValueError("box needs one a_j, b_j and parity per place")
+        self.a, self.b, self.parities = a, b, parities
 
     def _resolve(self, t):
-        a = [f(t) if callable(f) else f for f in self.a]
-        b = [f(t) if callable(f) else f for f in self.b]
+        a, b = _at(self.a, t), _at(self.b, t)
         if any(x < 1 or y < x for x, y in zip(a, b)):
             raise ValueError("box needs 1 <= a_j <= b_j")
         return a, b
@@ -313,32 +305,28 @@ class HypercubeFamily(BoxFamily):
             else:
                 b.append(f + sigma)
         super().__init__(a, b, parities)
-        self.name = "hypercube"
 
 
 class SingletonFamily(RegionFamily):
-    """Discrete product point; p_j may be callables of t."""
+    """Discrete product point at constant points p_j of the given parities."""
 
     name = "singleton"
 
     def __init__(self, points, parities):
-        self.points = points
-        self.parities = parities
+        if len(points) != len(parities):
+            raise ValueError("singleton needs one parity per point")
+        self.product = discrete_singleton(points, parities)
 
     def instance(self, t=None) -> RegionInstance:
-        pts = [p(t) if callable(p) else p for p in self.points]
-        return RegionInstance("nu", product=discrete_singleton(pts, self.parities))
+        return RegionInstance("nu", product=self.product)
 
     def closed_form_nv1(self, t=None) -> MeasureResult:
-        pts = [p(t) if callable(p) else p for p in self.points]
-        v = 1.0
-        for p in pts:
-            v *= p
+        v = math.prod(f.disc[0] for f in self.product.factors)
         return MeasureResult(v, 0.0, "closed-form")
 
 
 class SphereFamily(RegionFamily):
-    """Ball of radius r around (|m_j|) in the principal coordinates.
+    """Ball of constant radius r around constant (|m_j|), principal coordinates.
 
     Counted with multiplicity 2 (the region together with its reflected
     copy under the global sign flip), which is the convention under which
@@ -349,20 +337,14 @@ class SphereFamily(RegionFamily):
     name = "sphere"
 
     def __init__(self, m, r):
-        self.m = m
-        self.r = r
-
-    def _resolve(self, t):
-        m = [f(t) if callable(f) else f for f in self.m]
-        r = self.r(t) if callable(self.r) else self.r
         if r <= 0:
             raise ValueError("radius must be positive")
         if any(mj < r + 1 for mj in m):
             raise ValueError("sphere requires m_j >= r + 1")
-        return m, r
+        self.m, self.r = m, r
 
     def instance(self, t=None) -> RegionInstance:
-        m, r = self._resolve(t)
+        m, r = self.m, self.r
         m_arr = np.array(m)
 
         def member(x):
@@ -372,15 +354,14 @@ class SphereFamily(RegionFamily):
         return RegionInstance("nu", bbox=bbox, membership=member, multiplicity=2.0)
 
     def closed_form_nv1(self, t=None) -> MeasureResult:
-        m, r = self._resolve(t)
-        n = len(m)
-        v = 2.0 * unit_ball_volume(n) * r ** n
-        for mj in m:
+        n = len(self.m)
+        v = 2.0 * unit_ball_volume(n) * self.r ** n
+        for mj in self.m:
             v *= mj
         return MeasureResult(v, 0.0, "closed-form")
 
     def quadrature_nv1(self, t=None) -> MeasureResult:
-        m, r = self._resolve(t)
+        m, r = self.m, self.r
         if len(m) == 1:
             v = ((m[0] + r) ** 2 - (m[0] - r) ** 2) / 2.0
             return MeasureResult(2 * v, 0.0, "quadrature")
@@ -396,20 +377,12 @@ class SphereFamily(RegionFamily):
         v, e = quad(integrand, m1 - r, m1 + r, limit=400)
         return MeasureResult(2 * v, 2 * e, "quadrature")
 
-    def shells(self, c: float, t=None) -> ShellSet:
+    def shells(self, c: float) -> ShellSet:
         """Radial shells: C+(c) = ball(r+c), C+(-c) = ball(r-c)."""
-        m, r = self._resolve(t)
-        n = len(m)
-        prod_m = math.prod(m)
-
-        def vol(radius):
-            if radius <= 0:
-                return 0.0
-            return 2.0 * unit_ball_volume(n) * radius ** n * prod_m
-
-        outer = SphereFamily(m, r + c)
-        inner = SphereFamily(m, r - c) if r - c > 0 else None
-        return ShellSet(outer, inner, vol(r + c), vol(r - c))
+        outer = SphereFamily(self.m, self.r + c)
+        inner = SphereFamily(self.m, self.r - c) if self.r - c > 0 else None
+        return ShellSet(outer, inner, outer.closed_form_nv1().value,
+                        inner.closed_form_nv1().value if inner else 0.0)
 
 
 class SectorFamily(RegionFamily):
@@ -428,27 +401,35 @@ class SectorFamily(RegionFamily):
             raise ValueError("need 0 < alpha <= 1")
         self.p, self.q, self.alpha = p, q, alpha
 
-    def instance(self, t) -> RegionInstance:
+    def _resolve(self, t):
+        """The l1 range [t, t + t^alpha], for t >= 1.25(1 + 1/p)."""
         if t < 1.25 * (1 + 1 / self.p):
             raise ValueError("t too small for the sector family")
-        p, q, al = self.p, self.q, self.alpha
+        return t, t + t ** self.alpha
+
+    def _angular(self, c):
+        # leading coefficient of l1^c in (l1 weight) x (integral over l2)
+        return (1.0 / (2 * (c + 1))) * (self.q ** ((c + 1) / 2) - self.p ** ((c + 1) / 2))
+
+    def instance(self, t) -> RegionInstance:
+        lo, hi = self._resolve(t)
+        p, q = self.p, self.q
 
         def member(x):
             l1, l2 = x[..., 0], x[..., 1]
-            return (l1 >= t) & (l1 <= t + t ** al) & (l2 >= p * l1) & (l2 <= q * l1)
+            return (l1 >= lo) & (l1 <= hi) & (l2 >= p * l1) & (l2 <= q * l1)
 
-        bbox = [(t, t + t ** al), (p * t, q * (t + t ** al))]
-        return RegionInstance("lambda", bbox=bbox, membership=member)
+        return RegionInstance("lambda", bbox=[(lo, hi), (p * lo, q * hi)],
+                              membership=member)
 
-    def closed_form_nv1(self, t=None) -> MeasureResult:
+    def closed_form_nv1(self, t) -> MeasureResult:
         # leading asymptotic of the c=1 reference volume
-        v = 0.25 * (self.q - self.p) * t ** (1 + self.alpha)
-        return MeasureResult(v, float("nan"), "closed-form")  # asymptotic
+        return self.closed_form_vc(1.0, t)
 
     def closed_form_vc(self, c: float, t: float) -> MeasureResult:
-        v = (1.0 / (2 * (c + 1))) * (self.q ** ((c + 1) / 2) - self.p ** ((c + 1) / 2)) \
-            * t ** (c + self.alpha)
-        return MeasureResult(v, float("nan"), "closed-form")
+        self._resolve(t)
+        v = self._angular(c) * t ** (c + self.alpha)
+        return MeasureResult(v, float("nan"), "closed-form")  # asymptotic
 
     def refined_vc(self, c: float, t: float) -> MeasureResult:
         """Same direct computation with the l1 integral kept exact.
@@ -457,10 +438,9 @@ class SectorFamily(RegionFamily):
         under-reports the exact volume by about (c/2) t^{alpha-1}, which at
         moderate t dwarfs every other correction.
         """
-        l1_int = ((t + t ** self.alpha) ** (c + 1) - t ** (c + 1)) / (c + 1)
-        v = (1.0 / (2 * (c + 1))) * (self.q ** ((c + 1) / 2) - self.p ** ((c + 1) / 2)) \
-            * l1_int
-        return MeasureResult(v, float("nan"), "closed-form")
+        lo, hi = self._resolve(t)
+        l1_int = (hi ** (c + 1) - lo ** (c + 1)) / (c + 1)
+        return MeasureResult(self._angular(c) * l1_int, float("nan"), "closed-form")
 
     def quadrature_vc(self, c: float, t: float) -> MeasureResult:
         p, q = self.p, self.q
@@ -470,7 +450,7 @@ class SectorFamily(RegionFamily):
                         p * l1, q * l1, limit=100)
             return 0.5 * (l1 - 0.25) ** ((c - 1) / 2.0) * v
 
-        v, e = quad(inner, t, t + t ** self.alpha, limit=200)
+        v, e = quad(inner, *self._resolve(t), limit=200)
         return MeasureResult(v, e, "quadrature")
 
 
@@ -484,19 +464,25 @@ class SlantedStripFamily(RegionFamily):
             raise ValueError("need a > 0 and c > b")
         self.a, self.b, self.c = a, b, c
 
-    def instance(self, t) -> RegionInstance:
-        a, b, c = self.a, self.b, self.c
-        if a * t + b < 1 or t < 1:
+    def _resolve(self, t):
+        """The x range [t, 2t], for a strip inside (i[1, inf))^2."""
+        if self.a * t + self.b < 1 or t < 1:
             raise ValueError("strip must lie in (i[1,inf))^2")
+        return t, 2 * t
+
+    def instance(self, t) -> RegionInstance:
+        lo, hi = self._resolve(t)
+        a, b, c = self.a, self.b, self.c
 
         def member(x):
             x1, x2 = x[..., 0], x[..., 1]
-            return (x1 >= t) & (x1 <= 2 * t) & (x2 >= a * x1 + b) & (x2 <= a * x1 + c)
+            return (x1 >= lo) & (x1 <= hi) & (x2 >= a * x1 + b) & (x2 <= a * x1 + c)
 
-        bbox = [(t, 2 * t), (a * t + b, 2 * a * t + c)]
+        bbox = [(lo, hi), (a * lo + b, a * hi + c)]
         return RegionInstance("nu", bbox=bbox, membership=member)
 
     def closed_form_nv1(self, t) -> MeasureResult:
+        self._resolve(t)
         v = (7.0 / 3.0) * self.a * (self.c - self.b) * t ** 3
         return MeasureResult(v, float("nan"), "closed-form")  # asymptotic
 
@@ -507,7 +493,7 @@ class SlantedStripFamily(RegionFamily):
             lo, hi = a * x + b, a * x + c
             return x * (hi * hi - lo * lo) / 2.0
 
-        v, e = quad(integrand, t, 2 * t, limit=200)
+        v, e = quad(integrand, *self._resolve(t), limit=200)
         return MeasureResult(v, e, "quadrature")
 
 

@@ -234,6 +234,17 @@ class TestMainTerm:
         with pytest.raises(ValueError):
             family_asymptotic_table("torus", F5, [1, 2, 3])
 
+    def test_one_place_field(self):
+        # over Q the holo point has one coordinate, and the two-place rows
+        # are rejected rather than fitted against a one-place target
+        row = family_asymptotic_table("holo", FQ, [1, 2, 3], points=[2.0])
+        assert row["rel_deviation"] < 1e-12
+        with pytest.raises(ValueError, match="one point per place"):
+            family_asymptotic_table("holo", FQ, [1, 2, 3], points=[2.0, 3.5])
+        for name in ("slant", "sphere", "sector", "rectquad"):
+            with pytest.raises(ValueError, match="needs a quadratic field"):
+                family_asymptotic_table(name, FQ, [1, 2, 3])
+
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             family_asymptotic_table("weyl1", F5, [10, 100])

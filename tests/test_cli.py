@@ -154,6 +154,23 @@ class TestExamples:
         assert row["family"] == "weyl1"
         assert row["rel_deviation"] < 0.03
 
+    def test_families_over_q_has_one_place_rows(self, capsys):
+        out = run_json(capsys, "families", "--field", "Q")
+        assert [r["family"] for r in out["rows"]] == ["weyl1", "weyl2", "holo"]
+        for row in out["rows"]:
+            assert row["rel_deviation"] < 0.05, row["family"]
+
+    @pytest.mark.parametrize("row", ["slant", "sphere", "sector", "rectquad"])
+    def test_families_two_place_row_over_q_rejected(self, capsys, row):
+        rc, out, err = run(capsys, "families", "--field", "Q", "--rows", row)
+        assert_rejected(rc, out, err)
+        assert "needs a quadratic field" in err
+
+    def test_families_quadratic_field_keeps_every_row(self, capsys):
+        out = run_json(capsys, "families", "--field", "Q(sqrt2)")
+        assert [r["family"] for r in out["rows"]] == \
+            list(specsum.cli._FAMILY_ROWS)
+
     def test_synth_count(self, capsys):
         out = run_json(capsys, "synth-count", "--a", "200", "--seed", "3")
         assert 0.9 <= out["ratio"] <= 1.1
@@ -270,6 +287,20 @@ class TestBadInput:
           "--method", "mc", "--samples", "0"], "at least 2 samples"),
         (["region-volume", "--family", "simplex", "--n", "2", "--Y", "4.5",
           "--method", "mc", "--samples", "-5"], "at least 2 samples"),
+        (["region-volume", "--family", "box", "--a-list", "1,2",
+          "--b-list", "3"], "one a_j, b_j and parity per place"),
+        (["region-volume", "--family", "singleton", "--points", "1.5,2",
+          "--parities", "0"], "one parity per point"),
+        (["region-volume", "--family", "singleton", "--points", "1.5",
+          "--parities", "2"], "parity must be 0 or 1"),
+        (["region-volume", "--family", "sector", "--p", "1", "--q", "2",
+          "--alpha", "0.5", "--t", "1"], "t too small for the sector family"),
+        (["region-volume", "--family", "slanted-strip", "--a", "1", "--b",
+          "0", "--c", "1", "--t", "0.1", "--method", "closed"],
+         "strip must lie in"),
+        (["region-volume", "--family", "slanted-strip", "--a", "1", "--b",
+          "0", "--c", "1", "--t", "0.1", "--method", "quadrature"],
+         "strip must lie in"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

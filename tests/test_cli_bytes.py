@@ -1,0 +1,89 @@
+"""Replay pinned CLI commands and compare stdout, stderr and exit code byte
+for byte with tests/data/cli_bytes.json.
+
+A change that alters one of these outputs on purpose regenerates the file:
+
+    PYTHONPATH=src python tests/test_cli_bytes.py
+"""
+
+import contextlib
+import io
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from specsum.cli import dispatch
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data" / "cli_bytes.json"
+
+
+def _readme_commands():
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.S)
+    return [shlex.split(line)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("specsum ")]
+
+
+_MC = ["--method", "mc", "--samples", "20000", "--seed", "3"]
+# one valid command per region-volume family and method
+_FAMILY = {
+    "simplex": ["--n", "2", "--Y", "4.5"],
+    "sphere": ["--m", "5,6", "--r", "1.5"],
+    "sector": ["--p", "1", "--q", "2", "--alpha", "0.75", "--t", "100"],
+    "slanted-strip": ["--a", "1", "--b", "0", "--c", "1", "--t", "5"],
+    "box": ["--a-list", "1,2.5", "--b-list", "3,4"],
+    "hypercube": ["--a-list", "2,5", "--sigma", "0.5"],
+    "singleton": ["--points", "1.5,2", "--parities", "0,1"],
+}
+_METHODS = {
+    "simplex": ("closed", "mc"),
+    "sphere": ("closed", "quadrature", "mc"),
+    "sector": ("closed", "mc"),
+    "slanted-strip": ("closed", "quadrature", "mc"),
+    "box": ("closed",),
+    "hypercube": ("closed",),
+    "singleton": ("closed",),
+}
+
+
+def commands():
+    out = _readme_commands()
+    for name, flags in _FAMILY.items():
+        for method in _METHODS[name]:
+            argv = ["region-volume", "--family", name, *flags,
+                    *(_MC if method == "mc" else ["--method", method])]
+            if argv not in out:
+                out.append(argv)
+    out.append(["families", "--field", "Q(sqrt3)"])
+    out.append(["check", "all"])
+    return out
+
+
+def run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = dispatch(list(argv))
+    return {"argv": list(argv), "exit": code, "stdout": stdout.getvalue(),
+            "stderr": stderr.getvalue()}
+
+
+# read at collection; the file is absent only while it is being generated
+PINNED = json.loads(DATA.read_text()) if DATA.exists() else []
+
+
+def test_pinned_commands_are_current():
+    assert [r["argv"] for r in json.loads(DATA.read_text())] == commands()
+
+
+@pytest.mark.parametrize("record", PINNED, ids=lambda r: " ".join(r["argv"]))
+def test_output_bytes(record):
+    assert run(record["argv"]) == record
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps([run(a) for a in commands()], indent=1) + "\n")

@@ -129,6 +129,33 @@ class TestReferenceMeasure:
         assert big > small
 
 
+def _piecewise_V_b(b, intervals, discrete_betas):
+    """The former V_b_lambda_factor: the antiderivative in lambda, piece by
+    piece on [lambda_star, 5/4] and above 5/4."""
+    total = 0.0
+    for lo, hi in intervals:
+        lo = max(lo, LAMBDA_STAR_DEFAULT)
+        if hi <= lo:
+            continue
+        m_lo, m_hi = lo, min(hi, 1.25)
+        if m_hi > m_lo:
+            def A(x):
+                return math.copysign(math.sqrt(abs(x - 0.25)), x - 0.25)
+
+            total += A(m_hi) - A(m_lo)
+        u_lo, u_hi = max(lo, 1.25), hi
+        if u_hi > u_lo:
+            p = (b - 1) / 2.0
+            if abs(p + 1) < 1e-14:
+                total += 0.5 * (math.log(u_hi - 0.25) - math.log(u_lo - 0.25))
+            else:
+                total += 0.5 * ((u_hi - 0.25) ** (p + 1)
+                                - (u_lo - 0.25) ** (p + 1)) / (p + 1)
+    for beta in discrete_betas:
+        total += abs(beta) ** b
+    return total
+
+
 class TestLambdaMeasures:
     def test_middle_band_identity(self):
         # flat-weight mass of [lambda_*, 5/4] equals 1 + nu_theta
@@ -154,6 +181,23 @@ class TestLambdaMeasures:
     def test_product(self):
         v = V_b_lambda(1.0, [([(1.25, 3.25)], ()), ([(1.25, 5.25)], ())])
         assert v.value == pytest.approx(1.0 * 2.0)
+
+    @pytest.mark.parametrize("b", [-3.0, -1.0, 0.5, 1.0, 2.0])
+    def test_matches_piecewise_antiderivative(self, b):
+        # intervals straddle lambda_star, 1/4 and 5/4; the thin ones are
+        # 1e-3 wide relative to lambda, since below about 1e-5 both forms
+        # lose digits to the rounding of their endpoints
+        lam_star = LAMBDA_STAR_DEFAULT
+        cases = [[(0.2, 0.3)], [(lam_star, 0.25)], [(0.24, 1.25)],
+                 [(0.25, 2.0)], [(1.0, 1.5)], [(1.25, 1.26)],
+                 [(1.3, 40.0)], [(0.1, 9.0), (2.0, 3.0)],
+                 [(1.249, 1.251)], [(0.2499, 0.2501)], [(2.0, 2.002)],
+                 [(3.0, 2.0)], [(0.0, 0.2)]]
+        for intervals in cases:
+            for betas in ((), (1.5,)):
+                got = V_b_lambda_factor(b, intervals, betas).value
+                want = _piecewise_V_b(b, intervals, betas)
+                assert got == pytest.approx(want, rel=1e-10, abs=0), intervals
 
     def test_pl_even_weyl(self):
         # pl_0[0, 100]: continuous part is the tanh integral after the

@@ -129,6 +129,42 @@ class TestBluntness:
         assert bluntness_deficit(C, 0.5) >= 0.99
 
 
+def _grid_bluntness(region, eps):
+    """The former estimate: 9 evenly spaced nu per place, beta = eps k/4."""
+    intervals = [f.im[0] for f in region.factors]
+    worst = math.inf
+    for beta in [eps * k / 4.0 for k in range(1, 5)]:
+        half = beta / 2.0
+        prod = 1.0
+        for a, b in intervals:
+            place_worst = math.inf
+            for i in range(9):
+                nu = a + (b - a) * i / 8
+                length = min(nu + half, b) - max(nu - half, a)
+                place_worst = min(place_worst, min(1.0, length / half))
+            prod *= place_worst
+        worst = min(worst, prod)
+    return worst
+
+
+class TestBluntnessClosedForm:
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 2.0])
+    def test_matches_grid(self, eps):
+        sides = [1e-4, 0.003, 0.05, 0.25, 0.5, 1.0, 3.0, 40.0]
+        starts = [1.0, 2.5, 17.0]
+        for a1 in starts:
+            for s1 in sides:
+                for s2 in sides:
+                    box = imaginary_box([(a1, a1 + s1), (3.0, 3.0 + s2)])
+                    assert bluntness_deficit(box, eps) == pytest.approx(
+                        _grid_bluntness(box, eps), rel=1e-9, abs=0)
+
+    def test_degenerate_and_non_box(self):
+        assert bluntness_deficit(imaginary_box([(2.0, 2.0)]), 0.5) is None
+        with pytest.raises(ValueError):
+            bluntness_deficit(ProductRegion((PlaceFactor(disc=(1.5,)),)), 0.5)
+
+
 class TestCoordinateMaps:
     def test_point_roundtrip_principal(self):
         lam = point_to_lambda(3.0, "principal")
@@ -177,6 +213,27 @@ class TestFamilies:
         reg = fam.instance().product
         assert reg.factors[0].disc == (2.0,)
 
+    def test_box_needs_one_entry_per_place(self):
+        for kw in ({"a": [1.0, 2.0], "b": [3.0]},
+                   {"a": [1.0], "b": [3.0], "parities": [0, 1]}):
+            with pytest.raises(ValueError, match="per place"):
+                family("box", **kw)
+
+    def test_singleton_checked_at_construction(self):
+        with pytest.raises(ValueError, match="one parity per point"):
+            family("singleton", points=[1.5, 2.0], parities=[0])
+        with pytest.raises(ValueError, match="parity must be 0 or 1"):
+            family("singleton", points=[1.5], parities=[2])
+        with pytest.raises(ValueError, match="not admissible"):
+            family("singleton", points=[2.0], parities=[0])
+
+    def test_sphere_shell_outside_domain_rejected(self):
+        # the outer ball of radius r + c must keep m_j >= r + c + 1
+        sph = family("sphere", m=[10.0, 10.0], r=2.0)
+        assert sph.shells(1.1).nv1_outer > sph.closed_form_nv1().value
+        with pytest.raises(ValueError, match="m_j >= r \\+ 1"):
+            sph.shells(7.5)
+
     def test_singleton_rejects_inadmissible(self):
         with pytest.raises(ValueError):
             discrete_singleton([1.25], parities=[0])
@@ -219,6 +276,16 @@ class TestFamilies:
             family("sector", p=2.0, q=1.0, alpha=0.75)
         with pytest.raises(ValueError):
             family("sector", p=1.0, q=2.0, alpha=1.5)
+        # t < 1.25 (1 + 1/p) = 2.5: every volume method rejects the t that
+        # instance rejects, and accepts the boundary
+        sec = family("sector", p=1.0, q=2.0, alpha=0.5)
+        for method in (sec.instance, sec.closed_form_nv1,
+                       lambda t: sec.closed_form_vc(1.0, t),
+                       lambda t: sec.refined_vc(1.0, t),
+                       lambda t: sec.quadrature_vc(1.0, t)):
+            with pytest.raises(ValueError, match="t too small"):
+                method(2.4)
+            method(2.5)
 
     def test_sector_mc(self):
         sec = family("sector", p=1.0, q=2.0, alpha=0.75)
@@ -249,6 +316,13 @@ class TestFamilies:
             family("slanted-strip", a=-1.0, b=0.0, c=1.0)
         with pytest.raises(ValueError):
             family("slanted-strip", a=1.0, b=1.0, c=0.0)
+        # the strip needs t >= 1 and a t + b >= 1
+        fam = family("slanted-strip", a=1.0, b=-1.0, c=1.0)
+        for method in (fam.instance, fam.closed_form_nv1, fam.quadrature_nv1):
+            for t in (0.1, 1.5):
+                with pytest.raises(ValueError, match="strip must lie"):
+                    method(t)
+            method(2.0)
 
     def test_simplex_closed_form_values(self):
         assert family("simplex", n=2).closed_form_nv1(4.5).value == pytest.approx(0.5)
