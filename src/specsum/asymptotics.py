@@ -10,6 +10,7 @@ Plancherel-smoothing piece of size U^{-1/2}.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -451,6 +452,16 @@ class SyntheticSpectrum:
         return len(self.points)
 
 
+MAX_SYNTH_POINTS = 10 ** 6  # regions expecting more points are refused
+_BLOCK = 1 << 16  # doubles drawn at a time by the sampler
+
+
+def _doubles(gen):
+    """The doubles of gen.random(), drawn _BLOCK at a time."""
+    while True:
+        yield from gen.random(_BLOCK).tolist()
+
+
 def synth_spectrum(F: QuadField, region, seed: int = 0,
                    weight_law: str = "unit") -> SyntheticSpectrum:
     """Poisson point process on a product of imaginary intervals with
@@ -470,21 +481,33 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
     expected = main_term(region, F)
     if not math.isfinite(expected) or expected <= 0:
         raise ValueError("region must carry positive finite Plancherel mass")
+    if expected > MAX_SYNTH_POINTS:
+        raise ValueError(f"region expects {expected:.4g} points, above "
+                         f"{MAX_SYNTH_POINTS}")
     rng = np.random.default_rng(seed)
     n = rng.poisson(expected)
-    pts = []
+    # Rejection sampling of each coordinate against the flat majorant of the
+    # (monotone) density on [a, b].  A trial takes two doubles u1, u2 and
+    # accepts y = a + (b - a) u1 when dmax u2 <= density(y): the arithmetic of
+    # rng.uniform(a, b) and rng.uniform(0, dmax).  The doubles come in blocks
+    # from a copy of the generator, which is then advanced past the ones
+    # used, so the weights below are drawn from the same stream.
+    places = [(a, b - a, max(plancherel_density(par, a),
+                             plancherel_density(par, b)), par)
+              for (a, b), par in zip(intervals, parities)]
+    u = _doubles(copy.deepcopy(rng)).__next__
+    pts, trials = [], 0
     for _ in range(n):
         coord = []
-        for (a, b), par in zip(intervals, parities):
-            # rejection sampling against the flat majorant of the
-            # (monotone) density on [a, b]
-            dmax = max(plancherel_density(par, a), plancherel_density(par, b))
+        for a, width, dmax, par in places:
             while True:
-                y = rng.uniform(a, b)
-                if rng.uniform(0, dmax) <= plancherel_density(par, y):
+                trials += 1
+                y = a + width * u()
+                if dmax * u() <= plancherel_density(par, y):
                     coord.append(y)
                     break
         pts.append(tuple(coord))
+    rng.bit_generator.advance(2 * trials)
     if weight_law == "unit":
         weights = tuple(1.0 for _ in range(n))
     elif weight_law == "lognormal":
@@ -495,13 +518,6 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
     return SyntheticSpectrum(tuple(pts), weights, tuple(parities), seed)
 
 
-def _in_region(point, region) -> bool:
-    for y, f in zip(point, region.factors):
-        if not any(lo - 1e-12 <= y <= hi + 1e-12 for lo, hi in f.im):
-            return False
-    return True
-
-
 def count(spectrum: SyntheticSpectrum, region=None, f=None) -> float:
     """Weighted count of spectrum points: over a region (indicator), or
     against a product test function f = (f_1, ..., f_d) evaluated at
@@ -510,9 +526,18 @@ def count(spectrum: SyntheticSpectrum, region=None, f=None) -> float:
         raise ValueError("pass exactly one of region, f")
     total = 0.0
     if region is not None:
-        for pt, w in zip(spectrum.points, spectrum.weights):
-            if _in_region(pt, region):
-                total += w
+        # a point is inside when each coordinate lies in some interval of
+        # its factor (to 1e-12); the weights are added in order
+        pts = np.array(spectrum.points, dtype=float).reshape(
+            len(spectrum), len(spectrum.parities))
+        inside = np.ones(len(spectrum), dtype=bool)
+        for y, factor in zip(pts.T, region.factors):
+            hit = np.zeros(len(spectrum), dtype=bool)
+            for lo, hi in factor.im:
+                hit |= (lo - 1e-12 <= y) & (y <= hi + 1e-12)
+            inside &= hit
+        for w in np.array(spectrum.weights, dtype=float)[inside].tolist():
+            total += w
         return total
     fs = f if isinstance(f, (tuple, list)) else (f,)
     for pt, w in zip(spectrum.points, spectrum.weights):

@@ -230,15 +230,24 @@ def V_b_lambda_factor(b: float, intervals, discrete_betas=()) -> MeasureResult:
     Weight (1/2)(lambda-1/4)^{(b-1)/2} above 5/4, (1/2)|lambda-1/4|^{-1/2}
     on [lambda_star, 5/4]; discrete points beta get |beta|^b.  This is
     nv_b_factor's measure under lambda = 1/4 + t^2 (1/4 - x^2 below 1/4), so
-    each interval is mapped to nu and measured there.
+    each interval is mapped to nu and measured there.  The mapped endpoints
+    are rounded square roots, each off by up to 2^-52 of itself, and moving
+    an endpoint t by dt moves the measure by about p(t)^b dt; the error
+    counts this twice over, so on an interval thin against lambda it is far
+    above 1e-14 relative.
     """
     im, re = [], []
     for lo, hi in intervals:
+        if hi <= lo:
+            continue
         if hi > 0.25:
             im.append((math.sqrt(max(lo, 0.25) - 0.25), math.sqrt(hi - 0.25)))
         if lo < 0.25:
             re.append((math.sqrt(0.25 - min(hi, 0.25)), math.sqrt(0.25 - lo)))
-    return _nv_b_place(b, im, re, discrete_betas)
+    res = _nv_b_place(b, im, re, discrete_betas)
+    rounding = 2.0 ** -51 * sum(t * max(t, 1.0) ** b
+                                for pair in im + re for t in pair)
+    return MeasureResult(res.value, res.error + rounding, res.method)
 
 
 def V_b_lambda(b: float, lambda_region) -> MeasureResult:

@@ -1,12 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specsum import asymptotics
 from specsum.asymptotics import (
     AnalysisParams,
     ErrorBudget,
+    MAX_SYNTH_POINTS,
     PreAsymptoticError,
+    SyntheticSpectrum,
     beta_eps,
     check_thm_conditions,
     choose_U,
@@ -22,8 +28,11 @@ from specsum.asymptotics import (
     main_term,
     synth_spectrum,
 )
+from specsum.measures import plancherel_density
 from specsum.numberfield import make_field
 from specsum.regions import (
+    PlaceFactor,
+    ProductRegion,
     discrete_singleton,
     family,
     imaginary_box,
@@ -32,6 +41,7 @@ from specsum.regions import (
 
 F5 = make_field(5)
 FQ = make_field(1)
+F2 = make_field(2)
 
 
 class TestAnalysisParams:
@@ -313,3 +323,91 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             synth_spectrum(F5, discrete_singleton([2.0, 3.0],
                                                   parities=[1, 1]), seed=0)
+
+
+def _scalar_synth_spectrum(F, region, seed, weight_law):
+    """The sampler as a scalar loop: two rng.uniform calls per trial."""
+    intervals = [f.im[0] for f in region.factors]
+    parities = [f.parity for f in region.factors]
+    rng = np.random.default_rng(seed)
+    n = rng.poisson(main_term(region, F))
+    pts = []
+    for _ in range(n):
+        coord = []
+        for (a, b), par in zip(intervals, parities):
+            dmax = max(plancherel_density(par, a), plancherel_density(par, b))
+            while True:
+                y = rng.uniform(a, b)
+                if rng.uniform(0, dmax) <= plancherel_density(par, y):
+                    coord.append(y)
+                    break
+        pts.append(tuple(coord))
+    if weight_law == "unit":
+        weights = tuple(1.0 for _ in range(n))
+    else:
+        weights = tuple(rng.lognormal(mean=-0.125, sigma=0.5, size=n))
+    return SyntheticSpectrum(tuple(pts), weights, tuple(parities), seed)
+
+
+def _scalar_count(spectrum, region):
+    """count(region=...) as a loop over points and intervals."""
+    total = 0.0
+    for pt, w in zip(spectrum.points, spectrum.weights):
+        if all(any(lo - 1e-12 <= y <= hi + 1e-12 for lo, hi in f.im)
+               for y, f in zip(pt, region.factors)):
+            total += w
+    return total
+
+
+class TestBlockSampler:
+    """The block-drawn sampler and the vectorized count reproduce the scalar
+    loops bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           F=st.sampled_from([FQ, F2, F5]),
+           a=st.floats(0.0, 60.0),
+           sigma=st.floats(0.01, 1.0),
+           parity=st.integers(0, 1),
+           weight_law=st.sampled_from(["unit", "lognormal"]),
+           block=st.sampled_from([1, 7, 1 << 16]))
+    def test_matches_scalar_loop(self, seed, F, a, sigma, parity, weight_law,
+                                 block):
+        reg = imaginary_box([(a, a + sigma)] * F.d, [parity] * F.d)
+        with mock.patch.object(asymptotics, "_BLOCK", block):
+            got = synth_spectrum(F, reg, seed=seed, weight_law=weight_law)
+        want = _scalar_synth_spectrum(F, reg, seed, weight_law)
+        assert got == want
+
+    def test_places_with_different_intervals(self):
+        reg = imaginary_box([(0.0, 3.0), (40.0, 40.5)], [1, 0])
+        for law in ("unit", "lognormal"):
+            assert synth_spectrum(F2, reg, seed=5, weight_law=law) == \
+                _scalar_synth_spectrum(F2, reg, 5, law)
+
+    def test_count_matches_scalar_loop(self):
+        reg = imaginary_box([(60.0, 61.0), (60.0, 61.0)])
+        spec = synth_spectrum(F5, reg, seed=2, weight_law="lognormal")
+        assert len(spec) > 100
+        gaps = PlaceFactor(im=((60.0, 60.2), (60.5, 60.6), (60.9, 61.0)))
+        sub = imaginary_box([(60.25, 60.75), (60.1, 60.9)])
+        regions = [
+            reg, sub,
+            ProductRegion((gaps, reg.factors[1])),
+            ProductRegion((gaps, gaps)),
+            ProductRegion((gaps,)),  # zip stops at the shorter side
+            imaginary_box([(10.0, 11.0), (60.0, 61.0)]),
+            # endpoints at a sampled coordinate, inside the 1e-12 slack
+            imaginary_box([(spec.points[0][0] + 5e-13, 61.0),
+                           (60.0, spec.points[0][1] - 5e-13)]),
+        ]
+        for r in regions:
+            assert count(spec, region=r) == _scalar_count(spec, r)
+
+    def test_oversized_region_rejected_before_sampling(self):
+        reg = imaginary_box([(1e5, 1e5 + 0.3)] * 2)
+        assert main_term(reg, F5) > MAX_SYNTH_POINTS
+        with mock.patch.object(asymptotics, "_doubles") as draw:
+            with pytest.raises(ValueError, match="above 1000000"):
+                synth_spectrum(F5, reg, seed=0)
+        draw.assert_not_called()

@@ -175,6 +175,10 @@ class TestExamples:
         out = run_json(capsys, "synth-count", "--a", "200", "--seed", "3")
         assert 0.9 <= out["ratio"] <= 1.1
 
+    def test_synth_count_empty_spectrum(self, capsys):
+        out = run_json(capsys, "synth-count", "--a", "2", "--seed", "1")
+        assert out["points"] == 0 and out["value"] == 0.0
+
     def test_check_suites_pass(self, capsys):
         for suite in ("kloosterman-small", "identities", "all"):
             out = run_json(capsys, "check", suite)
@@ -301,6 +305,7 @@ class TestBadInput:
         (["region-volume", "--family", "slanted-strip", "--a", "1", "--b",
           "0", "--c", "1", "--t", "0.1", "--method", "quadrature"],
          "strip must lie in"),
+        (["synth-count", "--a", "1e5"], "points, above 1000000"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

@@ -60,7 +60,18 @@ def commands():
                 out.append(argv)
     out.append(["families", "--field", "Q(sqrt3)"])
     out.append(["check", "all"])
+    out.extend(_SYNTH)
     return out
+
+
+# synthetic counts: a large unit-weight run, lognormal weights, the field Q,
+# and a region too small to hold a point
+_SYNTH = [
+    ["synth-count", "--a", "1019.7", "--seed", "7"],
+    ["synth-count", "--a", "500", "--seed", "7", "--weight-law", "lognormal"],
+    ["synth-count", "--field", "Q", "--a", "800", "--seed", "11"],
+    ["synth-count", "--a", "2", "--seed", "1"],
+]
 
 
 def run(argv):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,25 @@ class TestLambdaMeasures:
                 got = V_b_lambda_factor(b, intervals, betas).value
                 want = _piecewise_V_b(b, intervals, betas)
                 assert got == pytest.approx(want, rel=1e-10, abs=0), intervals
+
+    @pytest.mark.parametrize("b, lo, hi", [
+        (0.5, 5.0, 5.0 + 1e-6), (2.0, 1.25, 1.2500001),
+        (1.0, 1.25, 1.26), (-1.0, 7.0, 7.0 + 1e-9), (-3.0, 1.3, 40.0),
+        (2.0, 1e6, 1e6 + 1e-7), (5.0, 1.2, 1.3),
+    ])
+    def test_error_bounds_thin_intervals(self, b, lo, hi):
+        # exact measure of the float endpoints at 40 digits: flat weight for
+        # t <= 1, t^b above, with lambda = 1/4 + t^2
+        with mpmath.workdps(40):
+            t_lo = mpmath.sqrt(mpmath.mpf(lo) - 0.25)
+            t_hi = mpmath.sqrt(mpmath.mpf(hi) - 0.25)
+            one = mpmath.mpf(1)
+            exact = max(min(t_hi, one) - t_lo, 0)
+            top = max(t_lo, one)
+            if t_hi > top:
+                exact += mpmath.quad(lambda t: t ** b, [top, t_hi])
+            got = V_b_lambda_factor(b, [(lo, hi)])
+            assert abs(got.value - exact) <= got.error
 
     def test_pl_even_weyl(self):
         # pl_0[0, 100]: continuous part is the tanh integral after the
