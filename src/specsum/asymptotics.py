@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -31,7 +31,6 @@ from .regions import (
     ProductRegion,
     SectorFamily,
     discrete_singleton,
-    imaginary_box,
     shell_growth_constant,
     shells,
     unit_ball_volume,
@@ -157,14 +156,14 @@ class ErrorBudget:
     kloosterman_piece: float
     smoothing_piece: float
     boundary_piece: float
-    eisenstein_bound: float  # the U^{-1/2} Plancherel-smoothing piece
+    plancherel_piece: float  # the U^{-1/2} Plancherel-smoothing piece
     U: float
     eps: float
 
     @property
     def pieces(self):
         return (self.kloosterman_piece, self.smoothing_piece,
-                self.boundary_piece, self.eisenstein_bound)
+                self.boundary_piece, self.plancherel_piece)
 
     @property
     def total_error(self):
@@ -268,7 +267,7 @@ def check_thm_conditions(fam, t_grid, params: AnalysisParams = None,
         ms.append(m_rho(region, None, params))
         sides = [hi - lo for f in region.factors for lo, hi in f.im]
         min_sides.append(min(sides) if sides else math.inf)
-    slope = float(np.polyfit(np.log(t_grid), np.log(ms), 1)[0])
+    _, slope = _loglog_fit(t_grid, ms)
     o_ok = slope < 0 and ms[-1] < ms[0]
     report = {
         "o_condition": {"pass": bool(o_ok), "exponent": slope,
@@ -313,12 +312,12 @@ def _weyl1_value(F, t):
 
 
 def _weyl2_value(F, t):
-    # nested Plancherel mass of the simplex {lambda_j >= 0, sum <= t}
+    # nested Plancherel mass of the simplex {lambda_j >= 0, sum <= t}; the
+    # last place weighs by 1 (f=None), which spares a call per quad node
     def level(remaining, depth):
-        if depth == F.d:
-            return 1.0
-        return pl_lambda(0, 0.0, remaining,
-                         f=lambda lam: level(remaining - lam, depth + 1)).value
+        f = None if depth == F.d - 1 else \
+            (lambda lam: level(remaining - lam, depth + 1))
+        return pl_lambda(0, 0.0, remaining, f=f).value
 
     return field_prefactor(F) * level(t, 0)
 
@@ -350,6 +349,16 @@ def _sphere_value(F, t):
 
 # rows whose regions have two places (the quadratic case): they need F.d == 2
 TWO_PLACE_ROWS = frozenset({"slant", "sphere", "sector", "rectquad"})
+# t grid of each row of the families table
+FAMILY_GRIDS = {
+    "weyl1": np.geomspace(100, 1000, 5),
+    "weyl2": np.geomspace(100, 1000, 5),
+    "slant": np.geomspace(1000, 10000, 5),
+    "sphere": np.geomspace(100, 1000, 5),
+    "sector": np.geomspace(1e6, 1e7, 5),
+    "rectquad": np.geomspace(1e4, 1e5, 5),
+    "holo": [1.0, 2.0, 3.0],
+}
 
 
 def family_asymptotic_table(name: str, F: QuadField, t_grid,
@@ -360,7 +369,7 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
     Rows: weyl1, weyl2, slant, sphere, sector, rectquad, holo; those in
     TWO_PLACE_ROWS need a quadratic field.  The sector row compares the
     reference measure V_1 (no field factor); holo is an exact algebraic
-    identity at the discrete point `points` (default 2 at every place, one
+    identity at the discrete point `points` (default (2, 3.5), one
     coordinate per place), evaluated at the grid points.
     """
     t_grid = list(t_grid)
@@ -389,7 +398,8 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
         vals = [sec.quadrature_vc(1.0, t).value for t in t_grid]
         target_c, target_e = 0.25, 1.75
     elif name == "rectquad":
-        # continuous mass of [5/4, 37/4] at the first place
+        # continuous mass of [5/4, 37/4] at the first place, integrated in
+        # lambda: in u = sqrt(lambda - 1/4) it differs in the last bit
         v1, _ = quad(lambda lam: math.tanh(math.pi * math.sqrt(lam - 0.25)),
                      1.25, 9.25, limit=200)
         vals = [field_prefactor(F) * v1 * pl_lambda(0, 0.0, math.sqrt(t)).value
@@ -398,13 +408,10 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
     elif name == "holo":
         # singleton discrete spectrum: main term is exactly
         # 2 sqrt|D_F| / pi^d * prod p_j
-        ps = [2.0] * d if points is None else points
+        ps = [2.0, 3.5][:d] if points is None else points
         if len(ps) != d:
             raise ValueError(f"holo needs one point per place, got {len(ps)}")
-        # point (b-1)/2 is an integer for odd b (parity 1), half-integer
-        # for even b (parity 0)
-        region = discrete_singleton(ps, parities=[1 if p == int(p) else 0
-                                                  for p in ps])
+        region = discrete_singleton(ps)
         value = main_term(region, F)
         target = 2 * sqD / math.pi ** d * math.prod(ps)
         return {"family": name, "value": value, "target": target,

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .asymptotics import (
+    FAMILY_GRIDS,
     TWO_PLACE_ROWS,
     choose_U,
     choose_eps,
@@ -127,12 +128,8 @@ def parse_phi(spec: str):
 
 
 def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -199,12 +196,8 @@ def cmd_measure(args) -> int:
     else:
         _require(args, "region")
         region = parse_region(args.region)
-        if args.kind == "npl":
-            res = npl(region)
-        elif args.kind == "nv":
-            res = nv_b(args.b, region)
-        else:
-            raise ValueError(f"unknown measure kind {args.kind!r}")
+        # argparse admits no other kind
+        res = npl(region) if args.kind == "npl" else nv_b(args.b, region)
     emit(measure_dict(res))
     return 0
 
@@ -265,8 +258,6 @@ def cmd_bessel(args) -> int:
         r = transform_contour(phi, args.parity, args.eta, args.t)
         out["contour"] = {"value": r.value, "error": r.error,
                           "method": "contour"}
-    if not out:
-        raise ValueError(f"unknown formula {args.formula!r}")
     emit(out)
     return 0
 
@@ -280,37 +271,22 @@ def cmd_budget(args) -> int:
              "pieces": {"kloosterman": b.kloosterman_piece,
                         "smoothing": b.smoothing_piece,
                         "boundary": b.boundary_piece,
-                        "plancherel": b.eisenstein_bound},
+                        "plancherel": b.plancherel_piece},
              "U": b.U, "eps": b.eps, "ratio": b.ratio}
             for t, b in zip(grid, budgets)]
     emit({"rows": rows})
     return 0
 
 
-# t grid of each families row
-_FAMILY_ROWS = {
-    "weyl1": np.geomspace(100, 1000, 5),
-    "weyl2": np.geomspace(100, 1000, 5),
-    "slant": np.geomspace(1000, 10000, 5),
-    "sphere": np.geomspace(100, 1000, 5),
-    "sector": np.geomspace(1e6, 1e7, 5),
-    "rectquad": np.geomspace(1e4, 1e5, 5),
-    "holo": [1.0, 2.0, 3.0],
-}
-# the holo row's discrete point, one coordinate per place (the first d)
-_HOLO_POINTS = [2.0, 3.5]
-
-
 def cmd_families(args) -> int:
     F = parse_field(args.field)
     names = args.rows.split(",") if args.rows else \
-        [n for n in _FAMILY_ROWS if F.d == 2 or n not in TWO_PLACE_ROWS]
+        [n for n in FAMILY_GRIDS if F.d == 2 or n not in TWO_PLACE_ROWS]
     rows = []
     for name in names:
-        if name not in _FAMILY_ROWS:
+        if name not in FAMILY_GRIDS:
             raise ValueError(f"unknown family row {name!r}")
-        rows.append(family_asymptotic_table(name, F, _FAMILY_ROWS[name],
-                                            points=_HOLO_POINTS[:F.d]))
+        rows.append(family_asymptotic_table(name, F, FAMILY_GRIDS[name]))
     if args.report == "csv":
         print("family,constant,exponent,target,target_exponent,rel_deviation")
         for r in rows:
@@ -363,7 +339,7 @@ def _suite_kloosterman_small() -> dict:
 def _suite_identities() -> dict:
     checks = {}
     F5 = make_field(5)
-    row = family_asymptotic_table("holo", F5, [1, 2, 3], points=_HOLO_POINTS)
+    row = family_asymptotic_table("holo", F5, [1, 2, 3])
     checks["holomorphic main-term identity"] = row["rel_deviation"] < 1e-12
     m = math.exp(-100)
     U = choose_U(m, 0.5, 1)

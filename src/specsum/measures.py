@@ -51,11 +51,8 @@ class MeasureResult:
     method: str  # closed-form | quadrature | monte-carlo
     detail: int = 0  # Monte Carlo sample count, else 0
 
-    def __float__(self):
-        return float(self.value)
 
-
-def _combine(results, method=None):
+def _combine(results, method):
     """Product of per-place MeasureResults with first-order error propagation."""
     value = 1.0
     for r in results:
@@ -67,9 +64,7 @@ def _combine(results, method=None):
             if s is not r:
                 rest *= abs(s.value)
         err += r.error * rest
-    meth = method or ("closed-form" if all(r.method == "closed-form" for r in results)
-                      else "quadrature")
-    return MeasureResult(value, err, meth)
+    return MeasureResult(value, err, method)
 
 
 # --------------------------------------------------------------------------
@@ -118,7 +113,7 @@ def npl_factor(factor) -> MeasureResult:
 
 
 def npl(region) -> MeasureResult:
-    return _combine([npl_factor(f) for f in region.factors], method="quadrature")
+    return _combine([npl_factor(f) for f in region.factors], "quadrature")
 
 
 # --------------------------------------------------------------------------
@@ -129,11 +124,11 @@ def _power_integral(lo: float, hi: float, b: float) -> float:
     """integral of t^b over [lo, hi], 0 <= lo <= hi."""
     if hi <= lo:
         return 0.0
-    if abs(b + 1) < 1e-14:
+    if b == -1:
         return math.log(hi / lo)
-    if lo > 0 and (hi - lo) < 0.1 * lo:
-        # stable form for relatively thin intervals, where the naive
-        # difference of powers loses digits to cancellation
+    if lo > 0 and ((hi - lo) < 0.1 * lo or abs(b + 1) * math.log(hi / lo) <= 0.1):
+        # stable form for relatively thin intervals and for b near -1, where
+        # the naive difference of powers loses digits to cancellation
         return lo ** (b + 1) * math.expm1((b + 1) * math.log1p((hi - lo) / lo)) \
             / (b + 1)
     return (hi ** (b + 1) - lo ** (b + 1)) / (b + 1)
@@ -173,7 +168,7 @@ def _nv_b_place(b: float, im, re, disc) -> MeasureResult:
 
 
 def nv_b(b: float, region) -> MeasureResult:
-    return _combine([nv_b_factor(b, f) for f in region.factors])
+    return _combine([nv_b_factor(b, f) for f in region.factors], "closed-form")
 
 
 def nv_1(region) -> MeasureResult:
@@ -205,14 +200,8 @@ def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None) -> MeasureResul
         u0 = math.sqrt(lo - 0.25)
         u1 = math.sqrt(lam_hi - 0.25)
 
-        def g(u):  # 2u times plancherel_density, inline: quad's hot loop
-            lam = 0.25 + u * u
-            if parity == 0:
-                w = math.tanh(math.pi * u) * 2 * u
-            else:
-                # coth(pi u) * 2u -> 2/pi at u=0
-                w = 2 * u / math.tanh(math.pi * u) if u > 0 else 2 / math.pi
-            return f(lam) * w
+        def g(u):  # lambda = 1/4 + u^2, so d(lambda) = 2u du
+            return 2 * plancherel_density(parity, u) * f(0.25 + u * u)
 
         v, e = quad(g, u0, u1, limit=200)
         total += v
@@ -255,7 +244,8 @@ def V_b_lambda(b: float, lambda_region) -> MeasureResult:
 
     lambda_region: list of (intervals, discrete_betas) pairs per place.
     """
-    return _combine([V_b_lambda_factor(b, iv, pts) for iv, pts in lambda_region])
+    return _combine([V_b_lambda_factor(b, iv, pts) for iv, pts in lambda_region],
+                    "closed-form")
 
 
 # --------------------------------------------------------------------------

@@ -40,7 +40,7 @@ class QuadField:
         if m == 1:
             self.d = 1
             self.discriminant = 1
-            self.s, self.t = 0, 0  # unused for Q
+            self.s, self.t = 0, 0  # y is always 0 over Q: w folds to 1
         else:
             self.d = 2
             if m % 4 == 1:
@@ -80,14 +80,10 @@ class QuadField:
         return self.element(1)
 
     def omega(self) -> "FieldElement":
-        if self.d == 1:
-            return self.one()
         return self.element(0, 1)
 
     def sqrt_m_element(self) -> "FieldElement":
         """sqrt(m) as a field element: w itself, or 2w - 1 on the half-integer basis."""
-        if self.d == 1:
-            return self.one()
         if self.m % 4 == 1:
             return self.element(-1, 2)
         return self.element(0, 1)
@@ -139,8 +135,6 @@ class FieldElement:
 
     def conjugate(self) -> "FieldElement":
         F = self.field
-        if F.d == 1:
-            return self
         return FieldElement(F, self.x + F.s * self.y, -self.y)
 
     def norm(self) -> Fraction:
@@ -181,7 +175,7 @@ class FieldElement:
         return tuple(float(self.x) + float(self.y) * w for w in wv)
 
     def __repr__(self):
-        if self.field.d == 1 or self.y == 0:
+        if self.y == 0:
             return str(self.x)
         return f"{self.x}+{self.y}*w"
 
@@ -403,8 +397,6 @@ class ResidueRing:
 
     def representatives(self):
         F = self.field
-        if F.d == 1:
-            return [F.element(i) for i in range(self._a)]
         return [F.element(i, j) for j in range(self._d) for i in range(self._a)]
 
     def reduce_pair(self, i: int, j: int):
@@ -423,10 +415,6 @@ class ResidueRing:
         if not x.is_integral():
             raise ValueError("can only reduce integral elements")
         return self.reduce_pair(int(x.x), int(x.y))
-
-    def reduce(self, x: FieldElement) -> FieldElement:
-        """Canonical representative of x mod I."""
-        return self.field.element(*self.key(x))
 
     def _build(self):
         """{unit key: inverse key} in sorted key order.  i + j*w is a unit iff

@@ -10,7 +10,7 @@ the branch distance |q - nu| / |q| + |nu| becomes plain |u - u'|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -263,13 +263,9 @@ class RegionFamily:
     depends on t, every volume method reads it through one _resolve(t).
     """
 
-    name = None
-
 
 class BoxFamily(RegionFamily):
     """C_t = prod_j i[a_j(t), b_j(t)] with callables or constants."""
-
-    name = "box"
 
     def __init__(self, a, b, parities=None):
         parities = parities or [0] * len(a)
@@ -294,8 +290,6 @@ class BoxFamily(RegionFamily):
 class HypercubeFamily(BoxFamily):
     """prod_j i[a_j(t), a_j(t) + sigma]."""
 
-    name = "hypercube"
-
     def __init__(self, a, sigma, parities=None):
         self.sigma = sigma
         b = []
@@ -309,8 +303,6 @@ class HypercubeFamily(BoxFamily):
 
 class SingletonFamily(RegionFamily):
     """Discrete product point at constant points p_j of the given parities."""
-
-    name = "singleton"
 
     def __init__(self, points, parities):
         if len(points) != len(parities):
@@ -333,8 +325,6 @@ class SphereFamily(RegionFamily):
     the closed form 2 v_n r^n prod |m_j| and the spectral-density constant
     for floating spheres are exact.  Requires |m_j| >= r + 1.
     """
-
-    name = "sphere"
 
     def __init__(self, m, r):
         if r <= 0:
@@ -391,8 +381,6 @@ class SectorFamily(RegionFamily):
     Both bounds on l2 are proportional to l1, so the region is a genuine
     angular sector in the (l1, l2) quadrant.
     """
-
-    name = "sector"
 
     def __init__(self, p, q, alpha):
         if not (0 < p < q):
@@ -457,8 +445,6 @@ class SectorFamily(RegionFamily):
 class SlantedStripFamily(RegionFamily):
     """{i(x, y): t <= x <= 2t, a x + b <= y <= a x + c} in nu space."""
 
-    name = "slanted-strip"
-
     def __init__(self, a, b, c):
         if a <= 0 or c <= b:
             raise ValueError("need a > 0 and c > b")
@@ -499,8 +485,6 @@ class SlantedStripFamily(RegionFamily):
 
 class SimplexFamily(RegionFamily):
     """W_n(Y) = {lambda in [5/4, inf)^n : sum lambda_j <= Y}."""
-
-    name = "simplex"
 
     def __init__(self, n):
         if n < 1:

@@ -164,23 +164,20 @@ def lambda_smoothed(f, support, T: float, tau: float = 0.3, a: float = 3.0,
 # norm and validation
 # --------------------------------------------------------------------------
 
-def _strip_grid(tau: float):
-    res = [0.0, tau / 2, tau]
+def _strip_sup(phi: LocalTestFunction) -> float:
+    """max of |phi(z)|(1+|z|)^a over a grid of the right half-strip."""
     hs = [0.0] + list(np.geomspace(1e-3, 1e3, 60))
-    return [complex(r, h) for r in res for h in hs]
+    zs = [complex(r, h) for r in (0.0, phi.tau / 2, phi.tau) for h in hs]
+    return max(abs(phi(z)) * (1 + abs(z)) ** phi.a for z in zs)
 
 
 def norm_N(phi: LocalTestFunction) -> float:
     """sup over the right half-strip of |phi(nu)|(1+|nu|)^a plus the
     discrete sum of b^a |phi((b-1)/2)| over the discrete series, b <= 200."""
-    a = phi.a
-    sup = 0.0
-    for z in _strip_grid(phi.tau):
-        sup = max(sup, abs(phi(z)) * (1 + abs(z)) ** a)
     disc = 0.0
     for b in range(2 + phi.parity, 201, 2):
-        disc += b ** a * abs(phi((b - 1) / 2.0))
-    return sup + disc
+        disc += b ** phi.a * abs(phi((b - 1) / 2.0))
+    return _strip_sup(phi) + disc
 
 
 def validate_test_function(phi: LocalTestFunction) -> dict:
@@ -199,7 +196,7 @@ def validate_test_function(phi: LocalTestFunction) -> dict:
         dy = (phi(z + 1j * h) - phi(z - 1j * h)) / (2j * h)
         scale = max(abs(dx), abs(dy), 1.0)
         cr_err = max(cr_err, abs(dx - dy) / scale)
-    K = max(abs(phi(z)) * (1 + abs(z)) ** phi.a for z in _strip_grid(phi.tau))
+    K = _strip_sup(phi)
     return {
         "even_ok": even_err <= 1e-10,
         "holomorphic_ok": cr_err <= 1e-4,

@@ -3,9 +3,11 @@ import re
 import shlex
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import specsum.cli
+from specsum.asymptotics import FAMILY_GRIDS
 from specsum.cli import (
     build_parser,
     dispatch,
@@ -45,10 +47,11 @@ class TestParsers:
         assert parse_field("Q(sqrt2)").discriminant == 8
 
     def test_region_roundtrip(self):
-        r = parse_region("i[1,2]:1xd[2.5]")
+        r = parse_region("i[1,2]:1xd[2.5]xr[0,1/9]")
         assert r.factors[0].parity == 1
         assert r.factors[0].im == ((1.0, 2.0),)
         assert r.factors[1].disc == (2.5,)
+        assert r.factors[2].re == ((0.0, 1 / 9),)
 
     def test_region_rejects_garbage(self):
         for bad in ("z[1,2]", "i[1]", "i[1,2,3]", "d[1,2]", "i(1,2)"):
@@ -110,6 +113,14 @@ class TestExamples:
                        "--region", "i[1,2]")
         assert out["value"] == pytest.approx(1.5)
 
+    def test_measure_npl(self, capsys):
+        # 2 int_1^2 t coth(pi t) dt at parity 1, times 2 * 1.5 at d[1.5]
+        out = run_json(capsys, "measure", "--kind", "npl",
+                       "--region", "i[1,2]:1xd[1.5]")
+        cont = 2 * mpmath.quad(lambda t: t * mpmath.coth(mpmath.pi * t), [1, 2])
+        assert out["value"] == pytest.approx(float(cont) * 3.0, rel=1e-12)
+        assert out["method"] == "quadrature"
+
     def test_bessel_both_formulas_agree(self, capsys):
         out = run_json(capsys, "bessel", "--phi", "gaussian:q=10i,U=25",
                        "--parity", "0", "--eta", "1", "--t", "0.5",
@@ -169,7 +180,7 @@ class TestExamples:
     def test_families_quadratic_field_keeps_every_row(self, capsys):
         out = run_json(capsys, "families", "--field", "Q(sqrt2)")
         assert [r["family"] for r in out["rows"]] == \
-            list(specsum.cli._FAMILY_ROWS)
+            list(FAMILY_GRIDS)
 
     def test_synth_count(self, capsys):
         out = run_json(capsys, "synth-count", "--a", "200", "--seed", "3")

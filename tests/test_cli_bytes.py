@@ -61,6 +61,7 @@ def commands():
     out.append(["families", "--field", "Q(sqrt3)"])
     out.append(["check", "all"])
     out.extend(_SYNTH)
+    out.extend(_MEASURE)
     return out
 
 
@@ -71,6 +72,15 @@ _SYNTH = [
     ["synth-count", "--a", "500", "--seed", "7", "--weight-law", "lognormal"],
     ["synth-count", "--field", "Q", "--a", "800", "--seed", "11"],
     ["synth-count", "--a", "2", "--seed", "1"],
+]
+
+# Plancherel measures across discrete points of both parities, and the
+# families table over Q (one-place rows only, holo at its default point)
+_MEASURE = [
+    ["measure", "--kind", "pl", "--parity", "0", "--lo", "-30", "--hi", "40"],
+    ["measure", "--kind", "pl", "--parity", "1", "--lo", "-30", "--hi", "40"],
+    ["measure", "--kind", "npl", "--region", "i[0,2.5]:1xd[1.5]"],
+    ["families", "--field", "Q"],
 ]
 
 

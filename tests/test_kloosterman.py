@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from specsum.kloosterman import (
     CentralParity,
+    _tail_integrals,
     character_from_generators,
     compatibility_check,
     kloosterman_sum,
@@ -286,6 +287,28 @@ class TestKSeries:
         tails = [ksum(Q, Zs, None, Q.element(1), f, T, 1.0, tau=0.3).tail_estimate
                  for T in (10, 20, 40)]
         assert tails[0] >= tails[1] >= tails[2]
+
+    @pytest.mark.parametrize("F", [F2, F5])
+    def test_quadratic_field_against_brute_force(self, F):
+        tau, box = 0.3, 6.0
+        f = lambda t: math.prod(min(abs(tj) ** (2 * tau), 1.0) for tj in t)
+        O = IdealLattice.ring_of_integers(F)
+        res = ksum(F, O, None, F.one(), f, box, 1.0, tau=tau)
+        pts = O.lattice_points_in_box(box)
+        want = 0j
+        for c in pts:
+            R = residue_ring(F, c)
+            S = brute_kloosterman(F, F.one(), F.one(), c,
+                                  brute_unit_inverses(F, R.lattice)) \
+                if R.size > 1 else 1
+            want += S / float(abs(c.norm())) * f(
+                [4 * math.pi / abs(v) for v in c.embeddings()])
+        assert res.terms_used == len(pts) > 0
+        assert abs(res.partial_sum - want) <= 1e-9
+        # |r_j| = 1 at both places: tail = 8/covol * 2 * tail_int * full_int
+        full, tail = _tail_integrals(4 * math.pi, box, tau)
+        assert res.tail_estimate == pytest.approx(
+            16 * full * tail / O.covolume(), rel=1e-12)
 
     @pytest.mark.parametrize("tau", [0.25, 0.2, 0.0])
     def test_rejects_tau_at_most_quarter(self, tau):

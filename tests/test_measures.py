@@ -129,6 +129,18 @@ class TestReferenceMeasure:
         big = nv_1(imaginary_box([(a, a + w + 0.5)])).value
         assert big > small
 
+    @pytest.mark.parametrize("b", [
+        -1.0, -1 + 9e-15, -1 - 9e-15, -1 + 1e-12, -1 + 1e-10, -1 + 1e-8,
+        -1 + 1e-4, -1 - 1e-4, -1.1, -0.9, -0.5,
+    ])
+    def test_error_bound_b_near_minus_one(self, b):
+        # int_1^100 t^b dt at 40 digits: the difference of powers cancels
+        # when b is near -1
+        with mpmath.workdps(40):
+            exact = mpmath.quad(lambda t: t ** mpmath.mpf(b), [1, 10, 100])
+            got = nv_b_factor(b, PlaceFactor(im=((1.0, 100.0),)))
+            assert abs(got.value - exact) <= got.error
+
 
 def _piecewise_V_b(b, intervals, discrete_betas):
     """The former V_b_lambda_factor: the antiderivative in lambda, piece by

@@ -242,6 +242,9 @@ class TestFamilies:
         sph = family("sphere", m=[10, 20], r=1)
         assert sph.closed_form_nv1().value == pytest.approx(400 * math.pi)
         assert sph.quadrature_nv1().value == pytest.approx(400 * math.pi, rel=1e-9)
+        line = family("sphere", m=[10], r=1)  # d = 1: the interval i[9, 11]
+        assert line.quadrature_nv1().value == pytest.approx(
+            line.closed_form_nv1().value, rel=1e-15)
 
     def test_sphere_monte_carlo(self):
         sph = family("sphere", m=[10, 20], r=1)
