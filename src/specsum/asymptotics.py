@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import (
-    discrete_series,
-    npl,
-    nv_1,
-    nv_b,
-    pl_lambda,
-    plancherel_density,
-)
+from .measures import npl, nv_b, pl_lambda, plancherel_density
 from .numberfield import QuadField
 from .regions import (
     HypercubeFamily,
@@ -84,28 +77,11 @@ def field_prefactor(F: QuadField) -> float:
 
 
 # --------------------------------------------------------------------------
-# m_rho, beta_eps and the choice of U, eps
+# the choice of U, eps
 # --------------------------------------------------------------------------
 
 def _nv(b, region):
     return 1.0 if region is None else nv_b(b, region).value
-
-
-def m_rho(c_plus, c_minus, params: AnalysisParams) -> float:
-    """nv_rho(C+) nv_{-A}(C-) / nv_1(C); the small parameter driving the
-    choice of U.  Either region may be None (empty coordinate set)."""
-    denom = _nv(1.0, c_plus) * _nv(1.0, c_minus)
-    if denom <= 0:
-        raise ValueError("nv_1(C) must be positive")
-    return _nv(params.rho, c_plus) * _nv(-params.A, c_minus) / denom
-
-
-def beta_eps(c_plus, eps: float) -> float:
-    """Relative nv_1 mass of the boundary shell C+[2 eps]."""
-    base = nv_1(c_plus).value
-    if base <= 0:
-        raise ValueError("nv_1(C+) must be positive")
-    return shells(c_plus, 2 * eps).nv1_ring / base
 
 
 class PreAsymptoticError(ValueError):
@@ -229,66 +205,6 @@ def hypercube_budget_sweep(F: QuadField, t_grid, sigma: float = 40.0):
     return [error_budget(fam.instance(t).product, None, params,
                          600.0 + 15.0 * k, 0.082 - 0.0008 * k, F)
             for k, t in enumerate(t_grid)]
-
-
-# --------------------------------------------------------------------------
-# theorem-condition checks
-# --------------------------------------------------------------------------
-
-def endpoint_admissible(lam: float, parity: int = None) -> bool:
-    """A fixed box endpoint in lambda must avoid the discrete spectrum
-    values (b/2)(1-b/2) by more than 1e-9."""
-    parities = (0, 1) if parity is None else (parity,)
-    for par in parities:
-        for _, pt in discrete_series(par, lam - 1.0):
-            if abs(lam - pt) <= 1e-9:
-                return False
-    return True
-
-
-def check_thm_conditions(fam, t_grid, params: AnalysisParams = None,
-                         gamma: float = 0.1, alpha: float = 0.4,
-                         fixed_endpoints=()) -> dict:
-    """Condition report for a box-type family along a t grid.
-
-    Checks: the ratio nv_rho(C_t+) nv_{-A}(C_t-) / nv_1(C_t) decays (with
-    its fitted log-log exponent); every side length stays above
-    sigma(t) = gamma * (|log m_rho(C_t)|)^{-alpha} with alpha < 1/2; and any
-    fixed lambda endpoints avoid the discrete spectrum values.
-    """
-    if params is None:
-        params = AnalysisParams()
-    t_grid = list(t_grid)
-    if len(t_grid) < 3:
-        raise ValueError("need at least 3 grid points")
-    ms, min_sides = [], []
-    for t in t_grid:
-        region = fam.instance(t).product
-        ms.append(m_rho(region, None, params))
-        sides = [hi - lo for f in region.factors for lo, hi in f.im]
-        min_sides.append(min(sides) if sides else math.inf)
-    _, slope = _loglog_fit(t_grid, ms)
-    o_ok = slope < 0 and ms[-1] < ms[0]
-    report = {
-        "o_condition": {"pass": bool(o_ok), "exponent": slope,
-                        "m_rho": ms},
-    }
-    if alpha >= 0.5 or alpha <= 0:
-        report["sigma_condition"] = {
-            "pass": False, "reason": "alpha must lie in (0, 1/2)"}
-    else:
-        sig = [gamma * abs(math.log(m)) ** (-alpha) for m in ms]
-        ok = all(s >= st for s, st in zip(min_sides, sig))
-        report["sigma_condition"] = {"pass": bool(ok), "sigma": sig,
-                                     "min_side": min_sides}
-    report["endpoint_condition"] = {
-        "pass": all(endpoint_admissible(l) for l in fixed_endpoints),
-        "violations": [l for l in fixed_endpoints
-                       if not endpoint_admissible(l)],
-    }
-    report["pass"] = all(v["pass"] for k, v in report.items()
-                         if isinstance(v, dict))
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -431,13 +347,6 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
         "rel_deviation": abs(const_at_e / target_c - 1),
         "values": vals,
     }
-
-
-def eisenstein_bound(t: float, mu) -> float:
-    """(log(2 + sum_j |t + mu_j|))^7, the continuous-spectrum coefficient
-    bound."""
-    mu = np.atleast_1d(mu)
-    return math.log(2 + float(np.sum(np.abs(t + mu)))) ** 7
 
 
 # --------------------------------------------------------------------------

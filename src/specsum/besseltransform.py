@@ -233,7 +233,7 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
     return BesselTransformResult(value, t, e + tail, "axis")
 
 
-_HOLOMORPHIC_TAGS = {"gaussian", "phi_p", "lambda-smoothed"}
+_HOLOMORPHIC_TAGS = {"gaussian", "phi_p"}
 
 
 def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
@@ -283,19 +283,3 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
     pref = (-1j * eta * math.copysign(1.0, t)) ** parity
     value = pref * (2 * v + _discrete_sum(phi, parity, t_abs))
     return BesselTransformResult(value, t, 2 * (e + tail), "contour")
-
-
-def decay_certificate(transform, tau: float, ts) -> dict:
-    """Fitted constant K with |f(t)| <= K min(|t|^{2 tau}, 1) over the sample,
-    plus the log-log exponent fit on the sub-unit part of the sample."""
-    ts = list(ts)
-    vals = [abs(complex(transform(t))) for t in ts]
-    K = max((v / min(abs(t) ** (2 * tau), 1.0) for v, t in zip(vals, ts)),
-            default=0.0)
-    small = [(t, v) for t, v in zip(ts, vals) if abs(t) < 1 and v > 0]
-    exponent = None
-    if len(small) >= 3:
-        lt = np.log([abs(t) for t, _ in small])
-        lv = np.log([v for _, v in small])
-        exponent = float(np.polyfit(lt, lv, 1)[0])
-    return {"K": K, "exponent": exponent}

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 
 from .numberfield import (
-    MAX_NORM,
     FieldElement,
     IdealLattice,
     QuadField,
@@ -29,81 +28,15 @@ from .numberfield import (
 class CharacterModI:
     """A character of (O/I)^*, stored as a full multiplicative table."""
 
-    def __init__(self, F: QuadField, I: IdealLattice, table, ring: ResidueRing):
-        self.field = F
+    def __init__(self, I: IdealLattice, table, ring: ResidueRing):
         self.level = I
         self.ring = ring
         self.table = table  # key -> complex of unit modulus
-        minus_one = ring.key(F.element(-1))
-        self.parity = 1 if abs(table[minus_one] - 1) < 1e-12 else -1
-
-    def __call__(self, a: FieldElement) -> complex:
-        return self.table[self.ring.key(a)]
-
-    def is_trivial(self) -> bool:
-        return all(abs(v - 1) < 1e-12 for v in self.table.values())
 
 
 def trivial_character(F: QuadField, I: IdealLattice) -> CharacterModI:
     R = residue_ring(F, I)
-    return CharacterModI(F, I, dict.fromkeys(R.unit_inverses(), 1.0 + 0.0j), R)
-
-
-def character_from_generators(F: QuadField, I: IdealLattice,
-                              generator_values) -> CharacterModI:
-    """Build a character from values on generators of (O/I)^*.
-
-    generator_values: list of (FieldElement, complex).  The closure of the
-    generators under multiplication must be the full unit group and the
-    assigned values must be consistent (i.e. respect all relations).
-    """
-    R = residue_ring(F, I)
-    units = R.unit_inverses()
-    gens = [(R.key(g), complex(val)) for g, val in generator_values]
-    one = R.key(F.one())
-    table = {one: 1.0 + 0.0j}
-    frontier = [one]
-    while frontier:
-        kx = frontier.pop()
-        for kg, val in gens:
-            ky = R.mul(kx, kg)
-            want = table[kx] * val
-            if ky in table:
-                if abs(table[ky] - want) > 1e-9:
-                    raise ValueError("inconsistent generator values")
-            else:
-                table[ky] = want
-                frontier.append(ky)
-    if table.keys() != units.keys():
-        raise ValueError("generators do not generate the unit group")
-    for v in table.values():
-        if abs(abs(v) - 1) > 1e-9:
-            raise ValueError("generator values must lie on the unit circle")
-    # full multiplicativity check
-    for ka in table:
-        for kb in table:
-            if abs(table[R.mul(ka, kb)] - table[ka] * table[kb]) > 1e-8:
-                raise ValueError("inconsistent generator values")
-    return CharacterModI(F, I, table, R)
-
-
-@dataclass(frozen=True)
-class CentralParity:
-    """Per-place parity vector xi in {0,1}^d."""
-
-    xi: tuple
-
-    def __post_init__(self):
-        if any(x not in (0, 1) for x in self.xi):
-            raise ValueError("parity entries must be 0 or 1")
-
-    def sign(self) -> int:
-        return 1 if sum(self.xi) % 2 == 0 else -1
-
-
-def compatibility_check(chi: CharacterModI, xi: CentralParity) -> bool:
-    """chi(-1) == prod_j (-1)^{xi_j}."""
-    return chi.parity == xi.sign()
+    return CharacterModI(I, dict.fromkeys(R.unit_inverses(), 1.0 + 0.0j), R)
 
 
 # --------------------------------------------------------------------------
@@ -146,48 +79,6 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
 def trivial_bound(F: QuadField, c: FieldElement) -> float:
     """|S_chi(r, r'; c)| <= |N(c)|."""
     return float(abs(c.norm()))
-
-
-def _factor_norm(n: int):
-    """Trial-division factorization of |n|."""
-    n = abs(n)
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def weil_bound(F: QuadField, I: IdealLattice, r: FieldElement,
-               rp: FieldElement, c: FieldElement, delta: float = 0.01) -> float:
-    """Shape of the square-root cancellation bound, implied constant 1.
-
-    |N(r r')|^{1/2} * prod_{p | N(c), p not below I} (p-part)^{1/2 + delta}
-                    * prod_{p below I} (p-part)^{1 + delta}
-    where p-part is the full p-part of |N(c)|.  This is a *shape* bound: the
-    true inequality carries an unquantified delta-dependent constant, so it
-    is only used for monotonicity/size checks, never as a certified bound.
-    """
-    nr = abs(r.norm() * rp.norm())
-    if nr == 0:
-        return 0.0
-    n_c = abs(int(c.norm()))
-    if n_c == 0:
-        raise ValueError("c must be nonzero")
-    if n_c > MAX_NORM:
-        raise ValueError("bound unavailable: modulus norm too large to factor")
-    n_I = abs(int(I.norm_index()))
-    bound = math.sqrt(float(nr))
-    for p, v in _factor_norm(n_c).items():
-        on_level = n_I % p == 0
-        exponent = (1.0 + delta) if on_level else (0.5 + delta)
-        bound *= float(p) ** (v * exponent)
-    return bound
 
 
 # --------------------------------------------------------------------------

@@ -239,15 +239,6 @@ def V_b_lambda_factor(b: float, intervals, discrete_betas=()) -> MeasureResult:
     return MeasureResult(res.value, res.error + rounding, res.method)
 
 
-def V_b_lambda(b: float, lambda_region) -> MeasureResult:
-    """Product over places of V_b_lambda_factor.
-
-    lambda_region: list of (intervals, discrete_betas) pairs per place.
-    """
-    return _combine([V_b_lambda_factor(b, iv, pts) for iv, pts in lambda_region],
-                    "closed-form")
-
-
 # --------------------------------------------------------------------------
 # Monte-Carlo oracle
 # --------------------------------------------------------------------------

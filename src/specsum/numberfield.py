@@ -73,19 +73,10 @@ class QuadField:
     def element(self, x, y=0) -> "FieldElement":
         return FieldElement(self, Fraction(x), Fraction(y))
 
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
     def one(self) -> "FieldElement":
         return self.element(1)
 
     def omega(self) -> "FieldElement":
-        return self.element(0, 1)
-
-    def sqrt_m_element(self) -> "FieldElement":
-        """sqrt(m) as a field element: w itself, or 2w - 1 on the half-integer basis."""
-        if self.m % 4 == 1:
-            return self.element(-1, 2)
         return self.element(0, 1)
 
 
@@ -113,15 +104,6 @@ class FieldElement:
         return FieldElement(self.field, self.x + o.x, self.y + o.y)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return FieldElement(self.field, -self.x, -self.y)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -157,12 +139,6 @@ class FieldElement:
         c = self.conjugate()
         return FieldElement(self.field, c.x / n, c.y / n)
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
@@ -182,18 +158,6 @@ class FieldElement:
 
 def make_field(m: int) -> QuadField:
     return QuadField(m)
-
-
-def embed(F: QuadField, x: FieldElement):
-    return x.embeddings()
-
-
-def trace_and_norm(F: QuadField, x: FieldElement):
-    return x.trace(), x.norm()
-
-
-def is_totally_positive(F: QuadField, x: FieldElement) -> bool:
-    return all(v > 0 for v in x.embeddings())
 
 
 # --------------------------------------------------------------------------
@@ -298,13 +262,6 @@ class IdealLattice:
             return self.rows[0][0]
         return self.rows[0][0] * self.rows[1][1]
 
-    def scaled(self, g: FieldElement) -> "IdealLattice":
-        rows = []
-        for e in self.basis_elements():
-            p = e * g
-            rows.append([p.x, p.y] if self.field.d == 2 else [p.x])
-        return IdealLattice(self.field, rows)
-
     def __eq__(self, other):
         return (isinstance(other, IdealLattice) and self.field == other.field
                 and self.rows == other.rows)
@@ -351,20 +308,6 @@ class IdealLattice:
         return out
 
 
-@lru_cache(maxsize=None)
-def inverse_different(F: QuadField) -> IdealLattice:
-    """The trace dual of O: x in O' iff Tr(x*O) is contained in Z.
-
-    For Q this is Z; for a quadratic field it is (1/(2w - s)) * O, since
-    2w - s generates the different.
-    """
-    O = IdealLattice.ring_of_integers(F)
-    if F.d == 1:
-        return O
-    g = F.element(-F.s, 2)  # 2w - s
-    return O.scaled(g.inverse())
-
-
 # --------------------------------------------------------------------------
 # Residue rings O/I
 # --------------------------------------------------------------------------
@@ -395,21 +338,10 @@ class ResidueRing:
         self.size = self._a * self._d
         self._inv = None
 
-    def representatives(self):
-        F = self.field
-        return [F.element(i, j) for j in range(self._d) for i in range(self._a)]
-
     def reduce_pair(self, i: int, j: int):
         """Key of i + j*w mod I: reduce i with (a, b), then j with (0, d)."""
         q = i // self._a
         return i - q * self._a, (j - q * self._b) % self._d
-
-    def mul(self, x, y):
-        """Key of the product of the residues with keys x and y."""
-        (i1, j1), (i2, j2), F = x, y, self.field
-        # (i1 + j1 w)(i2 + j2 w) with w^2 = s w + t
-        return self.reduce_pair(i1 * i2 + F.t * j1 * j2,
-                                i1 * j2 + j1 * i2 + F.s * j1 * j2)
 
     def key(self, x: FieldElement):
         if not x.is_integral():

@@ -1,10 +1,10 @@
-"""Spectral-space geometry: distances, shells, bluntness, region families.
+"""Spectral-space geometry: shells, bluntness, region families.
 
 Points live per place on the two branches i[0, infinity) (principal) and
-(0, nu_theta] (complementary), plus the discrete points (b-1)/2.  For all
-shell/distance arithmetic the two branches are flattened isometrically onto
-the real line: i t -> t >= 0 and x -> -x in [-nu_theta, 0).  On the chart
-the branch distance |q - nu| / |q| + |nu| becomes plain |u - u'|.
+(0, nu_theta] (complementary), plus the discrete points (b-1)/2.  For shell
+arithmetic the two branches are flattened isometrically onto the real line:
+i t -> t >= 0 and x -> -x in [-nu_theta, 0).  On the chart the branch
+distance |q - nu| / |q| + |nu| becomes plain |u - u'|.
 """
 
 from __future__ import annotations
@@ -75,35 +75,8 @@ def discrete_singleton(points, parities=None) -> ProductRegion:
 
 
 # --------------------------------------------------------------------------
-# distance / neighborhoods / bluntness
+# bluntness
 # --------------------------------------------------------------------------
-
-def flatten(value, branch: str) -> float:
-    """Chart coordinate: principal i|t| -> |t|, complementary x -> -x."""
-    if branch == "principal":
-        return abs(value)
-    if branch == "complementary":
-        return -abs(value)
-    raise ValueError(f"unknown branch {branch!r}")
-
-
-def dist(nu, q) -> float:
-    """Branch distance between two per-place values.
-
-    Each argument is (value, branch) with branch 'principal' (i t) or
-    'complementary' (x in (0, nu_theta]).  Same branch: |difference|;
-    across branches: sum of absolute values.  Equivalently |u - u'| on the
-    flattened chart.
-    """
-    return abs(flatten(*nu) - flatten(*q))
-
-
-def neighborhood_contains(nu_vec, eps: float, q_vec) -> bool:
-    """q in A(nu, eps): every coordinate within eps/2 in branch distance."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return all(dist(n, q) <= eps / 2 + 1e-12 for n, q in zip(nu_vec, q_vec))
-
 
 def bluntness_deficit(region, eps: float):
     """Bluntness constant w of a box of imaginary intervals.
@@ -183,36 +156,6 @@ def shells(region, c: float) -> ShellSet:
     outer = ProductRegion(tuple(_fatten_factor(f, c) for f in region.factors))
     inner = ProductRegion(tuple(_shrink_factor(f, c) for f in region.factors))
     return ShellSet(outer, inner, nv_b(1.0, outer).value, nv_b(1.0, inner).value)
-
-
-# --------------------------------------------------------------------------
-# lambda <-> nu transforms
-# --------------------------------------------------------------------------
-
-def point_to_lambda(nu_abs: float, branch: str) -> float:
-    """lambda = 1/4 - nu^2 with nu = i*t (principal) or x (real branches)."""
-    if branch == "principal":
-        return 0.25 + nu_abs * nu_abs
-    return 0.25 - nu_abs * nu_abs
-
-
-def point_to_nu(lam: float):
-    if lam >= 0.25:
-        return math.sqrt(lam - 0.25), "principal"
-    return math.sqrt(0.25 - lam), "real"
-
-
-def to_lambda(region: ProductRegion):
-    """lambda-space description [(intervals, discrete_betas), ...] per place."""
-    out = []
-    for f in region.factors:
-        ivs = []
-        for a, b in f.im:
-            ivs.append((0.25 + a * a, 0.25 + b * b))
-        for lo, hi in f.re:
-            ivs.append((0.25 - hi * hi, 0.25 - lo * lo))
-        out.append((ivs, tuple(f.disc)))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -505,15 +448,6 @@ class SimplexFamily(RegionFamily):
         n = self.n
         v = max(Y - 1.25 * n, 0.0) ** n / (2 ** n * math.factorial(n))
         return MeasureResult(v, 0.0, "closed-form")
-
-    def recursion_nv1(self, Y) -> MeasureResult:
-        """nv1(W_n(Y)) = (1/2) int_{5/4}^Y nv1(W_{n-1}(Y - l)) dl."""
-        if self.n == 1:
-            return MeasureResult(max(Y - 1.25, 0.0) / 2.0, 0.0, "closed-form")
-        sub = SimplexFamily(self.n - 1)
-        v, e = quad(lambda lam: sub.closed_form_nv1(Y - lam).value, 1.25, max(Y, 1.25),
-                    limit=200)
-        return MeasureResult(0.5 * v, 0.5 * e, "quadrature")
 
 
 _FAMILIES = {

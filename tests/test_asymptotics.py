@@ -13,18 +13,13 @@ from specsum.asymptotics import (
     MAX_SYNTH_POINTS,
     PreAsymptoticError,
     SyntheticSpectrum,
-    beta_eps,
-    check_thm_conditions,
     choose_U,
     choose_eps,
     count,
-    eisenstein_bound,
-    endpoint_admissible,
     error_budget,
     family_asymptotic_table,
     field_prefactor,
     hypercube_budget_sweep,
-    m_rho,
     main_term,
     synth_spectrum,
 )
@@ -60,35 +55,6 @@ class TestAnalysisParams:
     def test_rejections(self, kw):
         with pytest.raises(ValueError):
             AnalysisParams(**kw)
-
-
-class TestMRho:
-    def test_box_scaling(self):
-        p = AnalysisParams()
-        for a in (10.0, 100.0, 1000.0):
-            C = imaginary_box([(a, a + 1)])
-            assert m_rho(C, None, p) == pytest.approx(a ** (p.rho - 1),
-                                                      rel=0.02)
-
-    def test_singleton_point_mass(self):
-        p = AnalysisParams()
-        Cm = discrete_singleton([2.5], parities=[0])
-        # nv_{-A}({p}) / nv_1({p}) = p^{-A} / p
-        assert m_rho(None, Cm, p) == pytest.approx(2.5 ** (-p.A) / 2.5)
-
-    def test_zero_measure_rejected(self):
-        p = AnalysisParams()
-        with pytest.raises(ValueError):
-            m_rho(imaginary_box([(2, 2)]), None, p)
-
-    def test_beta_eps_interval_arithmetic(self):
-        a, s, eps = 5.0, 2.0, 0.1
-        C = imaginary_box([(a, a + s)])
-        outer = ((a + s + 2 * eps) ** 2 - (a - 2 * eps) ** 2) / 2
-        inner = ((a + s - 2 * eps) ** 2 - (a + 2 * eps) ** 2) / 2
-        base = ((a + s) ** 2 - a ** 2) / 2
-        assert beta_eps(C, eps) == pytest.approx((outer - inner) / base,
-                                                 rel=1e-10)
 
 
 class TestParameterChoice:
@@ -169,55 +135,11 @@ class TestErrorBudget:
 
 
 @pytest.fixture(scope="module")
-def hyper():
-    return family("hypercube", a=[lambda t: t, lambda t: t], sigma=0.3)
-
-
-@pytest.fixture(scope="module")
 def setup():
     fam = family("hypercube", a=[lambda t: t, lambda t: t], sigma=0.3)
     reg = fam.instance(500.0).product
     spec = synth_spectrum(F5, reg, seed=7)
     return reg, spec
-
-
-class TestConditions:
-    def test_hypercube_passes(self, hyper):
-        rep = check_thm_conditions(hyper, [10, 100, 1000])
-        assert rep["pass"]
-        assert rep["o_condition"]["exponent"] < 0
-
-    def test_large_alpha_fails(self, hyper):
-        rep = check_thm_conditions(hyper, [10, 100, 1000], alpha=0.6)
-        assert not rep["sigma_condition"]["pass"]
-
-    def test_shrinking_side_within_sigma_passes(self):
-        # box whose side shrinks exactly like the allowed sigma(t)
-        p = AnalysisParams()
-
-        def side(t):
-            return 0.1 * ((1 - p.rho) * math.log(t)) ** (-0.4)
-
-        fam = family("box", a=[lambda t: t],
-                     b=[lambda t: t + side(t)])
-        rep = check_thm_conditions(fam, [1e3, 1e4, 1e5], gamma=0.05)
-        assert rep["sigma_condition"]["pass"]
-
-    def test_endpoint_violation_flagged(self, hyper):
-        rep = check_thm_conditions(hyper, [10, 100, 1000],
-                                   fixed_endpoints=[-2.0])
-        assert not rep["endpoint_condition"]["pass"]
-        assert -2.0 in rep["endpoint_condition"]["violations"]
-
-    def test_endpoint_admissible(self):
-        assert not endpoint_admissible(0.0)       # b = 2
-        assert not endpoint_admissible(-0.75)     # b = 3
-        assert endpoint_admissible(-1.1)
-        assert endpoint_admissible(0.3)
-
-    def test_needs_three_points(self, hyper):
-        with pytest.raises(ValueError):
-            check_thm_conditions(hyper, [10, 100])
 
 
 class TestMainTerm:
@@ -258,16 +180,6 @@ class TestMainTerm:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             family_asymptotic_table("weyl1", F5, [10, 100])
-
-
-class TestEisenstein:
-    def test_reference(self):
-        assert eisenstein_bound(0.0, [0.0]) == pytest.approx(
-            math.log(2) ** 7)
-
-    def test_monotone(self):
-        vals = [eisenstein_bound(t, [1.0, -0.5]) for t in (0, 5, 50, 500)]
-        assert vals == sorted(vals)
 
 
 class TestSynthetic:

@@ -317,6 +317,10 @@ class TestBadInput:
           "0", "--c", "1", "--t", "0.1", "--method", "quadrature"],
          "strip must lie in"),
         (["synth-count", "--a", "1e5"], "points, above 1000000"),
+        (["region-volume", "--family", "singleton", "--points", "2.5",
+          "--parities", "0", "--method", "mc"], "no membership predicate"),
+        (["kloosterman", "--field", "Q(sqrt5)", "--c", "1,2,3", "--r", "1"],
+         "wrong arity for Q(sqrt 5)"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from specsum.measures import (
     LAMBDA_STAR_DEFAULT,
-    V_b_lambda,
     V_b_lambda_factor,
     discrete_admissible,
     discrete_plancherel_weight,
@@ -192,8 +191,9 @@ class TestLambdaMeasures:
         assert v.value == pytest.approx(8.0)
 
     def test_product(self):
-        v = V_b_lambda(1.0, [([(1.25, 3.25)], ()), ([(1.25, 5.25)], ())])
-        assert v.value == pytest.approx(1.0 * 2.0)
+        # the measure of a product region is the product over its places
+        v = [V_b_lambda_factor(1.0, iv) for iv in ([(1.25, 3.25)], [(1.25, 5.25)])]
+        assert v[0].value * v[1].value == pytest.approx(1.0 * 2.0)
 
     @pytest.mark.parametrize("b", [-3.0, -1.0, 0.5, 1.0, 2.0])
     def test_matches_piecewise_antiderivative(self, b):

@@ -8,38 +8,12 @@ from specsum.regions import (
     ProductRegion,
     bluntness_deficit,
     discrete_singleton,
-    dist,
     family,
     imaginary_box,
-    neighborhood_contains,
-    point_to_lambda,
-    point_to_nu,
     shell_growth_constant,
     shells,
-    to_lambda,
     unit_ball_volume,
 )
-
-
-class TestDistance:
-    def test_same_branch_principal(self):
-        assert dist((2.0, "principal"), (5.0, "principal")) == 3.0
-
-    def test_same_branch_complementary(self):
-        assert dist((0.05, "complementary"), (0.1, "complementary")) == pytest.approx(0.05)
-
-    def test_cross_branch_adds(self):
-        assert dist((2.0, "principal"), (0.1, "complementary")) == pytest.approx(2.1)
-
-    def test_neighborhood(self):
-        nu = [(2.0, "principal"), (3.0, "principal")]
-        assert neighborhood_contains(nu, 1.0, [(2.4, "principal"), (3.0, "principal")])
-        assert not neighborhood_contains(nu, 1.0, [(2.6, "principal"), (3.0, "principal")])
-
-    def test_neighborhood_across_branch(self):
-        nu = [(0.05, "principal")]
-        assert neighborhood_contains(nu, 0.4, [(0.1, "complementary")])
-        assert not neighborhood_contains(nu, 0.2, [(0.11, "complementary")])
 
 
 class TestShells:
@@ -163,26 +137,6 @@ class TestBluntnessClosedForm:
         assert bluntness_deficit(imaginary_box([(2.0, 2.0)]), 0.5) is None
         with pytest.raises(ValueError):
             bluntness_deficit(ProductRegion((PlaceFactor(disc=(1.5,)),)), 0.5)
-
-
-class TestCoordinateMaps:
-    def test_point_roundtrip_principal(self):
-        lam = point_to_lambda(3.0, "principal")
-        assert lam == pytest.approx(0.25 + 9)
-        t, branch = point_to_nu(lam)
-        assert (t, branch) == (pytest.approx(3.0), "principal")
-
-    def test_point_real_branch(self):
-        assert point_to_lambda(0.5, "real") == pytest.approx(0.0)
-        t, branch = point_to_nu(0.0)
-        assert (t, branch) == (pytest.approx(0.5), "real")
-
-    def test_region_map(self):
-        r = ProductRegion((PlaceFactor(im=((1, 2),), re=((0.0, 0.1),), disc=(1.5,)),))
-        (ivs, betas), = to_lambda(r)
-        assert (1.25, 4.25) in ivs
-        assert (pytest.approx(0.24), pytest.approx(0.25)) in ivs
-        assert betas == (1.5,)
 
 
 class TestFamilies:
@@ -332,13 +286,8 @@ class TestFamilies:
         assert family("simplex", n=1).closed_form_nv1(3.25).value == pytest.approx(1.0)
         assert family("simplex", n=2).closed_form_nv1(2.0).value == 0.0
 
-    def test_simplex_recursion(self):
+    def test_simplex_mc(self):
         for n, Y in ((2, 4.5), (3, 6.0)):
             fam = family("simplex", n=n)
-            assert fam.recursion_nv1(Y).value == pytest.approx(
-                fam.closed_form_nv1(Y).value, abs=1e-6)
-
-    def test_simplex_mc(self):
-        fam = family("simplex", n=2)
-        mc = fam.instance(4.5).mc_nv1(300000, seed=14)
-        assert abs(mc.value - 0.5) <= mc.error
+            mc = fam.instance(Y).mc_nv1(300000, seed=14)
+            assert abs(mc.value - fam.closed_form_nv1(Y).value) <= mc.error

@@ -1,22 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from specsum.measures import plancherel_density
 from specsum.testfunctions import (
-    TestFunctionProduct,
-    delta_at_discrete,
     gaussian_phi,
     gaussian_tail,
-    lambda_smoothed,
     local_comparison,
-    norm_N,
     phi_p,
-    plancherel_pairing,
     smoothing_discrepancy_bound,
-    validate_test_function,
 )
 
 
@@ -53,24 +48,6 @@ class TestGaussian:
             gaussian_phi(2.0, 0.5)
 
 
-class TestDelta:
-    def test_values(self):
-        d = delta_at_discrete(2.0, parity=1)
-        assert d(2.0 + 0j) == 1.0
-        assert d(-2.0 + 0j) == 1.0
-        assert d(3.0 + 0j) == 0.0
-        assert d(2j) == 0.0
-
-    def test_rejects_inadmissible(self):
-        with pytest.raises(ValueError):
-            delta_at_discrete(1.25, parity=0)
-
-    def test_norm_single_discrete_term(self):
-        # the point q corresponds to b = 2q+1 in the discrete sum
-        d = delta_at_discrete(2.0, parity=1)
-        assert norm_N(d) == pytest.approx(5.0 ** 3)
-
-
 class TestPhiP:
     def test_at_zero(self):
         assert phi_p(1.0, a=3.0)(0) == pytest.approx(1.0)
@@ -93,58 +70,22 @@ class TestPhiP:
             phi_p(0.2, a=3.0, tau=0.3)
 
 
-class TestLambdaSmoothed:
-    @staticmethod
-    def hat(l):
-        return max(0.0, 1 - abs(l - 1.25))
-
-    def test_zero_function(self):
-        z = lambda_smoothed(lambda l: 0.0, (0.0, 2.0), 100.0)
-        assert z(0) == 0.0
-        assert z(3j) == 0.0
-
-    def test_value_scales_like_T_half_at_support_edge(self):
-        # lambda(nu=0) = 1/4 where hat vanishes
-        vals = [abs(lambda_smoothed(self.hat, (0.25, 2.25), T)(0))
-                for T in (1e2, 1e4)]
-        assert vals[1] == pytest.approx(vals[0] / 10, rel=1e-6)
-        assert vals[1] <= 0.5 * 1e-2
-
-    def test_sup_norm_bound(self):
-        f = lambda_smoothed(self.hat, (0.25, 2.25), 100.0)
-        for z in (0, 0.5j, 1j, 3j, 0.1 + 0j):
-            assert abs(f(complex(z))) <= 1.0 + 1e-9
-
-    def test_interior_value(self):
-        # at lambda = 1.25 the hat is 1; smoothing reproduces it
-        f = lambda_smoothed(self.hat, (0.25, 2.25), 1e4)
-        assert abs(f(1j)) == pytest.approx(1.0, abs=0.02)  # lambda = 1/4+1
-
-    def test_rejects_unbounded_support(self):
-        with pytest.raises(ValueError):
-            lambda_smoothed(self.hat, (0.0, math.inf), 100.0)
-
-
 class TestValidator:
     @pytest.mark.parametrize("tau,a", [(0.3, 3.0), (0.45, 6.0)])
     def test_constructions_pass(self, tau, a):
-        funcs = [
-            gaussian_phi(3.0, 25.0, tau=tau, a=a),
-            phi_p(1.0, a=a, tau=tau),
-            lambda_smoothed(TestLambdaSmoothed.hat, (0.25, 2.25), 100.0,
-                            tau=tau, a=a),
-        ]
-        for f in funcs:
-            rep = validate_test_function(f)
-            assert rep["even_ok"], f.provenance
-            assert rep["holomorphic_ok"], f.provenance
-            assert math.isfinite(rep["decay_K"])
-
-    def test_product(self):
-        g = gaussian_phi(3.0, 25.0)
-        p = phi_p(1.0)
-        prod = TestFunctionProduct((g, p))
-        assert prod((3j, 0)) == pytest.approx(g(3j) * p(0))
+        # sampled defining conditions on the strip: evenness, Cauchy-Riemann
+        # agreement of difference quotients, and a finite sup
+        h = 1e-6
+        pts = [complex(r, s) for r in (0.0, tau / 2) for s in (0.5, 2.0, 7.0)]
+        for f in (gaussian_phi(3.0, 25.0, tau=tau, a=a),
+                  phi_p(1.0, a=a, tau=tau)):
+            for z in pts:
+                assert abs(f(-z) - f(z)) <= 1e-10, f.provenance
+                dx = (f(z + h) - f(z - h)) / (2 * h)
+                dy = (f(z + 1j * h) - f(z - 1j * h)) / (2j * h)
+                scale = max(abs(dx), abs(dy), 1.0)
+                assert abs(dx - dy) / scale <= 1e-4, f.provenance
+                assert math.isfinite(abs(f(z)))
 
 
 class TestGaussianTail:
@@ -196,19 +137,29 @@ class TestLocalComparison:
             local_comparison(100.0, (5.0, "principal"), 0.05)
 
 
+def gaussian_pairing(q, U, parity=0):
+    """2 int_0^inf g(it) density(t) dt for g = gaussian_phi(q, U, parity).
+
+    g vanishes at the discrete points and is below e^-1600 past 40/sqrt(U)
+    from q, so the integral over [0, q + 40/sqrt(U)] is the whole pairing.
+    """
+    g = gaussian_phi(q, U, parity=parity)
+    w = 40 / math.sqrt(U)
+    return 2 * float(mpmath.quad(
+        lambda t: (g(1j * float(t)).real
+                   * plancherel_density(parity, float(t))),
+        [0, max(q - w, 0.0), q, q + w]))
+
+
 class TestSmoothingComparison:
     def test_pairing_matches_density(self):
         for q in (5.0, 10.0):
-            g = gaussian_phi(q, 400.0)
-            pair = plancherel_pairing(g)
-            assert pair.value == pytest.approx(
+            assert gaussian_pairing(q, 400.0) == pytest.approx(
                 2 * plancherel_density(0, q), abs=1e-8)
 
     def test_pairing_parity_one(self):
-        g = gaussian_phi(10.0, 400.0, parity=1)
-        pair = plancherel_pairing(g)
-        assert pair.value == pytest.approx(2 * plancherel_density(1, 10.0),
-                                           abs=1e-8)
+        assert gaussian_pairing(10.0, 400.0, parity=1) == pytest.approx(
+            2 * plancherel_density(1, 10.0), abs=1e-8)
 
     def test_envelope_slope(self):
         Us = [1e2, 1e3, 1e4]
@@ -218,9 +169,7 @@ class TestSmoothingComparison:
 
     def test_envelope_dominates_raw_difference(self):
         for U in (1e2, 1e3):
-            g = gaussian_phi(10.0, U)
-            raw = abs(plancherel_pairing(g).value -
-                      2 * plancherel_density(0, 10.0))
+            raw = abs(gaussian_pairing(10.0, U) - 2 * plancherel_density(0, 10.0))
             assert raw <= smoothing_discrepancy_bound(10.0, U)
 
     def test_envelope_preconditions(self):
