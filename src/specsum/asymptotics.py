@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import npl, nv_b, pl_lambda, plancherel_density
+from .measures import (
+    npl,
+    nv_b,
+    pl_lambda,
+    plancherel_density,
+    plancherel_mass,
+)
 from .numberfield import QuadField
 from .regions import (
     HypercubeFamily,
@@ -241,8 +247,7 @@ def _weyl2_value(F, t):
 def _slant_value(F, t):
     # strip between the lines y = x and y = x + 1 over x in [t, 2t]
     def inner(x):
-        v, _ = quad(lambda y: plancherel_density(0, y), x, x + 1.0)
-        return plancherel_density(0, x) * v
+        return plancherel_density(0, x) * plancherel_mass(0, x, x + 1.0)[0]
 
     v, _ = quad(inner, t, 2 * t, limit=200)
     return field_prefactor(F) * 4 * v
@@ -314,10 +319,8 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
         vals = [sec.quadrature_vc(1.0, t).value for t in t_grid]
         target_c, target_e = 0.25, 1.75
     elif name == "rectquad":
-        # continuous mass of [5/4, 37/4] at the first place, integrated in
-        # lambda: in u = sqrt(lambda - 1/4) it differs in the last bit
-        v1, _ = quad(lambda lam: math.tanh(math.pi * math.sqrt(lam - 0.25)),
-                     1.25, 9.25, limit=200)
+        # continuous mass of [5/4, 37/4] at the first place
+        v1 = pl_lambda(0, 1.25, 9.25).value
         vals = [field_prefactor(F) * v1 * pl_lambda(0, 0.0, math.sqrt(t)).value
                 for t in t_grid]
         target_c, target_e = sqD / (2 * math.pi ** 2) * v1, 0.5

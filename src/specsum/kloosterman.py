@@ -66,11 +66,13 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
               for x in (F.one(), F.omega())]
     den = math.lcm(*(q.denominator for q in coeffs))
     p1, p2, p3, p4 = (q.numerator * (den // q.denominator) for q in coeffs)
+    # a character that is 1 everywhere (the trivial one) twists nothing
+    twisted = chi is not None and set(chi.table.values()) != {1}
     total = 0.0 + 0.0j
     for (i, j), (it, jt) in R.unit_inverses().items():
         k = (i * p1 + j * p2 + it * p3 + jt * p4) % den
         term = cmath.exp(2j * math.pi * (k / den))
-        if chi is not None:
+        if twisted:
             term *= chi.table[chi.ring.reduce_pair(i, j)]
         total += term
     return total

@@ -82,6 +82,87 @@ def plancherel_density(parity: int, t: float) -> float:
     return t / math.tanh(math.pi * t)
 
 
+def dilog(z: float) -> float:
+    """Li_2(z) = sum_k z^k / k^2 for -1 <= z <= 1 in double precision: the
+    power series for |z| <= 1/2, the reflection Li_2(z) + Li_2(1 - z) =
+    pi^2/6 - log(z) log(1 - z) above 1/2, and Li_2(z) + Li_2(-z) =
+    Li_2(z^2)/2 below -1/2 (DLMF 25.12.1-25.12.6)."""
+    if z > 0.5:
+        if z == 1.0:
+            return math.pi ** 2 / 6
+        return math.pi ** 2 / 6 - math.log(z) * math.log1p(-z) - dilog(1 - z)
+    if z < -0.5:
+        return 0.5 * dilog(z * z) - dilog(-z)
+    total, power, k = 0.0, z, 1
+    while total + (term := power / (k * k)) != total:
+        total += term
+        power *= z
+        k += 1
+    return total
+
+
+def _tanh_series(n: int):
+    """t_0, ..., t_{n-1} of tanh z = sum_k t_k z^(2k+1): t_0 = 1 and, from
+    tanh' = 1 - tanh^2, (2k+1) t_k = -sum_{i+j=k-1} t_i t_j."""
+    t = [1.0]
+    for k in range(1, n):
+        t.append(-sum(t[i] * t[k - 1 - i] for i in range(k)) / (2 * k + 1))
+    return t
+
+
+# Below _SERIES_X the antiderivative of the density is its Taylor series,
+# where the closed form would cancel its constant against the dilogarithm.
+# From the series of tanh and z coth z = 2z coth 2z - z tanh z,
+# P(x) = parity x/pi + sum_{n>=1} t_{n-1} pi^(2n-1) x^(2n+1)
+#                                 / ((4^n - 1)^parity (2n+1)).
+# Below x = 1/4 the terms fall by 4x^2 < 1/4 (parity 0) or x^2 a step, so
+# 29 of them reach double precision.
+_SERIES_X = 0.25
+_SERIES = [[t * math.pi ** (2 * n - 1) / ((4 ** n - 1) ** parity * (2 * n + 1))
+            for n, t in enumerate(_tanh_series(29), 1)] for parity in (0, 1)]
+
+
+def _antiderivative(parity: int, x: float):
+    """P(x) = integral of plancherel_density over [0, x], x >= 0, as
+    (square, rest, size): P = square + rest, square = x^2/2 (0 on the series
+    branch), and size bounds the terms of rest, weighted by how far rounding
+    in exp(-2 pi x) carries.
+
+    Closed form (DLMF 25.12), q = exp(-2 pi x):
+    parity 0: x^2/2 - 1/24 + (x/pi) log(1 + q) - Li_2(-q) / (2 pi^2);
+    parity 1: x^2/2 + 1/12 + (x/pi) log(1 - q) - Li_2(q) / (2 pi^2).
+    """
+    if x < _SERIES_X:
+        x2, rest = x * x, 0.0
+        for c in reversed(_SERIES[parity]):
+            rest = rest * x2 + c
+        rest = x * (parity / math.pi + x2 * rest)
+        return 0.0, rest, abs(rest)
+    sign = 1 - 2 * parity
+    q = math.exp(-2 * math.pi * x)
+    log_term = x / math.pi * math.log1p(sign * q)
+    li2_term = dilog(-sign * q) / (2 * math.pi ** 2)
+    const = -1 / 24 if parity == 0 else 1 / 12
+    size = abs(const) + (abs(log_term) + abs(li2_term)) * (1 + 2 * math.pi * x)
+    return x * x / 2, const + log_term - li2_term, size
+
+
+def plancherel_mass(parity: int, a: float, b: float):
+    """(value, error) of the integral of plancherel_density over [a, b],
+    0 <= a <= b, as P(b) - P(a) with P in closed form; error bounds the
+    rounding of the formula."""
+    check_parity(parity)
+    if not 0 <= a <= b:
+        raise ValueError(f"interval [{a}, {b}] needs 0 <= a <= b")
+    sq_a, rest_a, size_a = _antiderivative(parity, a)
+    sq_b, rest_b, size_b = _antiderivative(parity, b)
+    # with a on the closed-form branch b is there too, and the squares are
+    # differenced without cancelling
+    line = (b - a) * (b + a) / 2 if sq_a else sq_b
+    value = line + (rest_b - rest_a)
+    return value, 8 * 2.0 ** -52 * (abs(line) + size_a + size_b)
+
+
 def discrete_admissible(parity: int, beta: float) -> bool:
     """True iff beta lies in (parity+1)/2 + N0 (the discrete-series points),
     to within 1e-9."""
@@ -103,17 +184,19 @@ def npl_factor(factor) -> MeasureResult:
     total = 0.0
     err = 0.0
     for a, b in factor.im:
-        v, e = quad(lambda t: plancherel_density(parity, t), a, b, limit=200)
+        v, e = plancherel_mass(parity, a, b)
         total += 2 * v
         err += 2 * e
-    # real (complementary) intervals carry zero Plancherel mass
+    # real (complementary) intervals carry zero Plancherel mass; each sum
+    # with a discrete weight rounds by up to half an ulp
     for beta in factor.disc:
         total += 2 * discrete_plancherel_weight(parity, beta)
-    return MeasureResult(total, err, "quadrature")
+        err += 2.0 ** -53 * abs(total)
+    return MeasureResult(total, err, "closed-form")
 
 
 def npl(region) -> MeasureResult:
-    return _combine([npl_factor(f) for f in region.factors], "quadrature")
+    return _combine([npl_factor(f) for f in region.factors], "closed-form")
 
 
 # --------------------------------------------------------------------------
@@ -187,29 +270,42 @@ def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None) -> MeasureResul
     substitution lambda = 1/4 + u^2 which removes the coth endpoint
     singularity.  Discrete part: weights (b-1) at lambda = (b/2)(1-b/2) for
     the discrete series of the parity, restricted to the interval.
+
+    With f None (weight 1) the continuous part is 2(P(u1) - P(u0)) in closed
+    form, P = u^2/2 + rest(u) as in _antiderivative, with 2 (u^2/2) taken
+    from lambda - 1/4 (exact in floating point) rather than from the rounded
+    u.  Its error adds to the formula's rounding the shift from the rounded
+    endpoints: u is off by under 2^-52 u, and |d rest/du| < 1/2.
     """
     check_parity(parity)
     if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)):
         raise ValueError("interval must be bounded")
-    if f is None:
-        f = lambda lam: 1.0
     total = 0.0
     err = 0.0
     lo = max(lam_lo, 0.25)
     if lam_hi > lo:
         u0 = math.sqrt(lo - 0.25)
         u1 = math.sqrt(lam_hi - 0.25)
+        if f is None:
+            sq0, rest0, size0 = _antiderivative(parity, u0)
+            sq1, rest1, size1 = _antiderivative(parity, u1)
+            line = lam_hi - lo if sq0 else (lam_hi - 0.25 if sq1 else 0.0)
+            v = line + 2 * (rest1 - rest0)
+            e = 8 * 2.0 ** -52 * (abs(line) + 2 * (size0 + size1)) \
+                + 2.0 ** -52 * (u0 + u1)
+        else:
+            def g(u):  # lambda = 1/4 + u^2, so d(lambda) = 2u du
+                return 2 * plancherel_density(parity, u) * f(0.25 + u * u)
 
-        def g(u):  # lambda = 1/4 + u^2, so d(lambda) = 2u du
-            return 2 * plancherel_density(parity, u) * f(0.25 + u * u)
-
-        v, e = quad(g, u0, u1, limit=200)
+            v, e = quad(g, u0, u1, limit=200)
         total += v
         err += e
     for b, lam_b in discrete_series(parity, lam_lo - 1e-12):
         if lam_b <= lam_hi + 1e-12:
-            total += (b - 1) * f(lam_b)
-    return MeasureResult(total, err, "quadrature")
+            total += (b - 1) * (1.0 if f is None else f(lam_b))
+            err += 2.0 ** -53 * abs(total)  # the sum's rounding
+    return MeasureResult(total, err,
+                         "closed-form" if f is None else "quadrature")
 
 
 def V_b_lambda_factor(b: float, intervals, discrete_betas=()) -> MeasureResult:
@@ -264,11 +360,7 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
     highs = np.array([hi for _, hi in bbox])
     x = rng.uniform(lows, highs, size=(n_samples, len(bbox)))
     inside = np.asarray(membership(x), dtype=bool)
-    vals = np.zeros(n_samples)
-    if weight is None:
-        vals[inside] = 1.0
-    else:
-        vals[inside] = np.asarray(weight(x[inside]), dtype=float)
+    vals = np.where(inside, 1.0 if weight is None else weight(x), 0.0)
     vals *= vol * multiplicity
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))

@@ -358,20 +358,32 @@ class SectorFamily(RegionFamily):
         return self.closed_form_vc(1.0, t)
 
     def closed_form_vc(self, c: float, t: float) -> MeasureResult:
+        """The leading term angular(c) t^{c+alpha}; its error is the distance
+        to refined_vc plus that one's error (the exact remainder at c = 1)."""
         self._resolve(t)
         v = self._angular(c) * t ** (c + self.alpha)
-        return MeasureResult(v, float("nan"), "closed-form")  # asymptotic
+        refined = self.refined_vc(c, t)
+        return MeasureResult(v, abs(refined.value - v) + refined.error,
+                             "leading term")
 
     def refined_vc(self, c: float, t: float) -> MeasureResult:
         """Same direct computation with the l1 integral kept exact.
 
         Identical leading term to closed_form_vc; the pure power t^{c+alpha}
         under-reports the exact volume by about (c/2) t^{alpha-1}, which at
-        moderate t dwarfs every other correction.
+        moderate t dwarfs every other correction.  The weights (l - 1/4)^e,
+        e = (c-1)/2, are taken as l^e, exact at c = 1; with l >= L0 = min(1, p)
+        lo on the region their product is off by a factor between 1 and
+        (1 - 1/(4 L0))^(c-1).  The error adds that to the rounding.
         """
         lo, hi = self._resolve(t)
-        l1_int = (hi ** (c + 1) - lo ** (c + 1)) / (c + 1)
-        return MeasureResult(self._angular(c) * l1_int, float("nan"), "closed-form")
+        angular = self._angular(c)
+        v = angular * (hi ** (c + 1) - lo ** (c + 1)) / (c + 1)
+        L0 = min(1, self.p) * lo
+        shift = abs(math.expm1((c - 1) * math.log1p(-0.25 / L0)))
+        rounding = (abs(c + 1) + 8) * 2.0 ** -52 * angular \
+            * (hi ** (c + 1) + lo ** (c + 1)) / (c + 1)
+        return MeasureResult(v, v * shift + rounding, "closed-form")
 
     def quadrature_vc(self, c: float, t: float) -> MeasureResult:
         p, q = self.p, self.q
@@ -411,9 +423,15 @@ class SlantedStripFamily(RegionFamily):
         return RegionInstance("nu", bbox=bbox, membership=member)
 
     def closed_form_nv1(self, t) -> MeasureResult:
+        """The leading term (7/3) a (c-b) t^3 of the exact volume
+        (c-b)(7a t^3/3 + 3(b+c) t^2/4); the error is the remainder plus
+        rounding."""
         self._resolve(t)
-        v = (7.0 / 3.0) * self.a * (self.c - self.b) * t ** 3
-        return MeasureResult(v, float("nan"), "closed-form")  # asymptotic
+        a, b, c = self.a, self.b, self.c
+        v = (7.0 / 3.0) * a * (c - b) * t ** 3
+        remainder = 0.75 * (c - b) * (b + c) * t * t
+        return MeasureResult(v, abs(remainder) + 2.0 ** -50 * abs(v),
+                             "leading term")
 
     def quadrature_nv1(self, t) -> MeasureResult:
         a, b, c = self.a, self.b, self.c
@@ -438,7 +456,12 @@ class SimplexFamily(RegionFamily):
         n = self.n
 
         def member(x):
-            return (np.all(x >= 1.25, axis=-1)) & (np.sum(x, axis=-1) <= Y)
+            inside = x[:, 0] >= 1.25
+            total = x[:, 0]
+            for j in range(1, n):
+                inside &= x[:, j] >= 1.25
+                total = total + x[:, j]
+            return inside & (total <= Y)
 
         hi = max(Y - 1.25 * (n - 1), 1.25 + 1e-9)
         bbox = [(1.25, hi)] * n

@@ -119,7 +119,7 @@ class TestExamples:
                        "--region", "i[1,2]:1xd[1.5]")
         cont = 2 * mpmath.quad(lambda t: t * mpmath.coth(mpmath.pi * t), [1, 2])
         assert out["value"] == pytest.approx(float(cont) * 3.0, rel=1e-12)
-        assert out["method"] == "quadrature"
+        assert out["method"] == "closed-form"
 
     def test_bessel_both_formulas_agree(self, capsys):
         out = run_json(capsys, "bessel", "--phi", "gaussian:q=10i,U=25",
@@ -321,6 +321,10 @@ class TestBadInput:
           "--parities", "0", "--method", "mc"], "no membership predicate"),
         (["kloosterman", "--field", "Q(sqrt5)", "--c", "1,2,3", "--r", "1"],
          "wrong arity for Q(sqrt 5)"),
+        (["measure", "--kind", "npl", "--region", "i[2,1]"],
+         "needs 0 <= a <= b"),
+        (["measure", "--kind", "npl", "--region", "i[-1,2]:1"],
+         "needs 0 <= a <= b"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

@@ -16,7 +16,6 @@ from specsum.measures import (
     npl,
     nu_theta,
     nv_1,
-    nv_b,
     nv_b_factor,
     pl_lambda,
     plancherel_density,

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specsum.numberfield import (
-    FieldElement,
     IdealLattice,
     make_field,
     residue_ring,

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -228,6 +229,20 @@ class TestFamilies:
                 for t in (100.0, 10000.0)]
         assert errs[1] < errs[0]
 
+    def test_sector_errors_bound_the_exact_volume(self):
+        # refined_vc is exact at c = 1 and bounded off it; the leading term's
+        # error adds its distance to refined_vc
+        sec = family("sector", p=1.0, q=2.0, alpha=0.75)
+        for c in (0.5, 1.0, 2.0):
+            for t in (10.0, 100.0, 1e4):
+                exact = sec.quadrature_vc(c, t)
+                for res in (sec.refined_vc(c, t), sec.closed_form_vc(c, t)):
+                    assert abs(res.value - exact.value) <= res.error + exact.error
+        lead = sec.closed_form_vc(1.0, 100.0)
+        assert lead.method == "leading term"
+        assert lead.error == pytest.approx(
+            sec.refined_vc(1.0, 100.0).value - lead.value, rel=1e-12)
+
     def test_sector_domain(self):
         with pytest.raises(ValueError):
             family("sector", p=2.0, q=1.0, alpha=0.75)
@@ -262,6 +277,20 @@ class TestFamilies:
         t = 1000.0
         assert fam.quadrature_nv1(t).value == pytest.approx(
             fam.closed_form_nv1(t).value, rel=0.02)
+
+    def test_slant_leading_term_error_is_the_remainder(self):
+        # exact volume (c-b)(7a t^3/3 + 3(b+c) t^2/4), in rationals
+        for a, b, c in ((1, 0, 1), (2, -1, 3), (0.5, 1, 1.5)):
+            fam = family("slanted-strip", a=a, b=b, c=c)
+            for t in (5, 10, 1000):
+                lead = fam.closed_form_nv1(float(t))
+                a_, b_, c_ = (Fraction(v) for v in (a, b, c))
+                exact = (c_ - b_) * (Fraction(7, 3) * a_ * t ** 3
+                                     + Fraction(3, 4) * (b_ + c_) * t ** 2)
+                assert lead.method == "leading term"
+                assert abs(Fraction(lead.value) - exact) <= lead.error
+                assert lead.error == pytest.approx(
+                    float(exact - Fraction(lead.value)), rel=1e-9)
 
     def test_slant_mc(self):
         fam = family("slanted-strip", a=1.0, b=0.0, c=1.0)

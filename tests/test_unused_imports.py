@@ -1,4 +1,5 @@
-"""Every module-level import in src/specsum is used in its module.
+"""Every module-level import in src/specsum and in the test files is used
+in its module.
 
 Neither ruff nor pyflakes is a dependency, so this reads each module's
 syntax tree with the standard library: a name bound by a top-level import
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "specsum"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "specsum").glob("*.py")) + \
+    sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -31,7 +34,8 @@ def test_detects_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == [(1, "os")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda p: p.name if p.parent.name == "specsum" else f"tests/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
