@@ -47,8 +47,9 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
                     c: FieldElement) -> complex:
     """S_chi(r, r'; c) with exact rational phases.
 
-    chi may be a CharacterModI or None (trivial).  c must be a nonzero
-    element of the level ideal of chi (when a character is supplied).
+    Only the trivial character is supported: chi is None or a
+    trivial_character, whose level ideal c must lie in; its table values
+    (all 1) are not multiplied in.  c must be nonzero.
     """
     if c.is_zero():
         raise ValueError("c must be nonzero")
@@ -66,15 +67,10 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
               for x in (F.one(), F.omega())]
     den = math.lcm(*(q.denominator for q in coeffs))
     p1, p2, p3, p4 = (q.numerator * (den // q.denominator) for q in coeffs)
-    # a character that is 1 everywhere (the trivial one) twists nothing
-    twisted = chi is not None and set(chi.table.values()) != {1}
     total = 0.0 + 0.0j
     for (i, j), (it, jt) in R.unit_inverses().items():
         k = (i * p1 + j * p2 + it * p3 + jt * p4) % den
-        term = cmath.exp(2j * math.pi * (k / den))
-        if twisted:
-            term *= chi.table[chi.ring.reduce_pair(i, j)]
-        total += term
+        total += cmath.exp(2j * math.pi * (k / den))
     return total
 
 

@@ -83,16 +83,9 @@ def plancherel_density(parity: int, t: float) -> float:
 
 
 def dilog(z: float) -> float:
-    """Li_2(z) = sum_k z^k / k^2 for -1 <= z <= 1 in double precision: the
-    power series for |z| <= 1/2, the reflection Li_2(z) + Li_2(1 - z) =
-    pi^2/6 - log(z) log(1 - z) above 1/2, and Li_2(z) + Li_2(-z) =
-    Li_2(z^2)/2 below -1/2 (DLMF 25.12.1-25.12.6)."""
-    if z > 0.5:
-        if z == 1.0:
-            return math.pi ** 2 / 6
-        return math.pi ** 2 / 6 - math.log(z) * math.log1p(-z) - dilog(1 - z)
-    if z < -0.5:
-        return 0.5 * dilog(z * z) - dilog(-z)
+    """Li_2(z) = sum_k z^k / k^2 (DLMF 25.12.1) in double precision for
+    |z| <= 1/2, by its power series; the antiderivative below calls it with
+    |z| <= exp(-pi/2) < 0.21."""
     total, power, k = 0.0, z, 1
     while total + (term := power / (k * k)) != total:
         total += term
@@ -124,9 +117,9 @@ _SERIES = [[t * math.pi ** (2 * n - 1) / ((4 ** n - 1) ** parity * (2 * n + 1))
 
 def _antiderivative(parity: int, x: float):
     """P(x) = integral of plancherel_density over [0, x], x >= 0, as
-    (square, rest, size): P = square + rest, square = x^2/2 (0 on the series
-    branch), and size bounds the terms of rest, weighted by how far rounding
-    in exp(-2 pi x) carries.
+    (rest, size): P = x^2/2 + rest at and above _SERIES_X, P = rest below,
+    and size bounds the terms of rest, weighted by how far rounding in
+    exp(-2 pi x) carries.
 
     Closed form (DLMF 25.12), q = exp(-2 pi x):
     parity 0: x^2/2 - 1/24 + (x/pi) log(1 + q) - Li_2(-q) / (2 pi^2);
@@ -137,30 +130,35 @@ def _antiderivative(parity: int, x: float):
         for c in reversed(_SERIES[parity]):
             rest = rest * x2 + c
         rest = x * (parity / math.pi + x2 * rest)
-        return 0.0, rest, abs(rest)
+        return rest, abs(rest)
     sign = 1 - 2 * parity
     q = math.exp(-2 * math.pi * x)
     log_term = x / math.pi * math.log1p(sign * q)
     li2_term = dilog(-sign * q) / (2 * math.pi ** 2)
     const = -1 / 24 if parity == 0 else 1 / 12
     size = abs(const) + (abs(log_term) + abs(li2_term)) * (1 + 2 * math.pi * x)
-    return x * x / 2, const + log_term - li2_term, size
+    return const + log_term - li2_term, size
+
+
+def _mass(parity: int, a: float, b: float, half_diff: float, half_top: float):
+    """(value, error) of P(b) - P(a), 0 <= a <= b, given (b^2 - a^2)/2 and
+    b^2/2 to a few ulps; error bounds the rounding of the formula."""
+    rest_a, size_a = _antiderivative(parity, a)
+    rest_b, size_b = _antiderivative(parity, b)
+    # with a on the closed-form branch b is there too, and the squares are
+    # differenced without cancelling
+    line = half_diff if a >= _SERIES_X else half_top if b >= _SERIES_X else 0.0
+    value = line + (rest_b - rest_a)
+    return value, 8 * 2.0 ** -52 * (abs(line) + size_a + size_b)
 
 
 def plancherel_mass(parity: int, a: float, b: float):
     """(value, error) of the integral of plancherel_density over [a, b],
-    0 <= a <= b, as P(b) - P(a) with P in closed form; error bounds the
-    rounding of the formula."""
+    0 <= a <= b, as P(b) - P(a) with P in closed form."""
     check_parity(parity)
     if not 0 <= a <= b:
         raise ValueError(f"interval [{a}, {b}] needs 0 <= a <= b")
-    sq_a, rest_a, size_a = _antiderivative(parity, a)
-    sq_b, rest_b, size_b = _antiderivative(parity, b)
-    # with a on the closed-form branch b is there too, and the squares are
-    # differenced without cancelling
-    line = (b - a) * (b + a) / 2 if sq_a else sq_b
-    value = line + (rest_b - rest_a)
-    return value, 8 * 2.0 ** -52 * (abs(line) + size_a + size_b)
+    return _mass(parity, a, b, (b - a) * (b + a) / 2, b * b / 2)
 
 
 def discrete_admissible(parity: int, beta: float) -> bool:
@@ -272,10 +270,10 @@ def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None) -> MeasureResul
     the discrete series of the parity, restricted to the interval.
 
     With f None (weight 1) the continuous part is 2(P(u1) - P(u0)) in closed
-    form, P = u^2/2 + rest(u) as in _antiderivative, with 2 (u^2/2) taken
-    from lambda - 1/4 (exact in floating point) rather than from the rounded
-    u.  Its error adds to the formula's rounding the shift from the rounded
-    endpoints: u is off by under 2^-52 u, and |d rest/du| < 1/2.
+    form (_mass), with the u^2/2 parts taken from lambda - 1/4 rather than
+    from the rounded u.  Its error adds to the formula's rounding the shift
+    from the rounded endpoints: u is off by under 2^-52 u, and
+    |d rest/du| < 1/2.
     """
     check_parity(parity)
     if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)):
@@ -287,12 +285,8 @@ def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None) -> MeasureResul
         u0 = math.sqrt(lo - 0.25)
         u1 = math.sqrt(lam_hi - 0.25)
         if f is None:
-            sq0, rest0, size0 = _antiderivative(parity, u0)
-            sq1, rest1, size1 = _antiderivative(parity, u1)
-            line = lam_hi - lo if sq0 else (lam_hi - 0.25 if sq1 else 0.0)
-            v = line + 2 * (rest1 - rest0)
-            e = 8 * 2.0 ** -52 * (abs(line) + 2 * (size0 + size1)) \
-                + 2.0 ** -52 * (u0 + u1)
+            v, e = _mass(parity, u0, u1, (lam_hi - lo) / 2, (lam_hi - 0.25) / 2)
+            v, e = 2 * v, 2 * e + 2.0 ** -52 * (u0 + u1)
         else:
             def g(u):  # lambda = 1/4 + u^2, so d(lambda) = 2u du
                 return 2 * plancherel_density(parity, u) * f(0.25 + u * u)

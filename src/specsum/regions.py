@@ -425,12 +425,12 @@ class SlantedStripFamily(RegionFamily):
     def closed_form_nv1(self, t) -> MeasureResult:
         """The leading term (7/3) a (c-b) t^3 of the exact volume
         (c-b)(7a t^3/3 + 3(b+c) t^2/4); the error is the remainder plus
-        rounding."""
+        the rounding of both terms."""
         self._resolve(t)
         a, b, c = self.a, self.b, self.c
         v = (7.0 / 3.0) * a * (c - b) * t ** 3
-        remainder = 0.75 * (c - b) * (b + c) * t * t
-        return MeasureResult(v, abs(remainder) + 2.0 ** -50 * abs(v),
+        remainder = abs(0.75 * (c - b) * (b + c) * t * t)
+        return MeasureResult(v, remainder + 2.0 ** -50 * (abs(v) + remainder),
                              "leading term")
 
     def quadrature_nv1(self, t) -> MeasureResult:

@@ -280,9 +280,10 @@ class TestFamilies:
 
     def test_slant_leading_term_error_is_the_remainder(self):
         # exact volume (c-b)(7a t^3/3 + 3(b+c) t^2/4), in rationals
-        for a, b, c in ((1, 0, 1), (2, -1, 3), (0.5, 1, 1.5)):
+        # (0.001, 0, 100) at t = 1000 has a remainder 30 times the value
+        for a, b, c in ((1, 0, 1), (2, -1, 3), (0.5, 1, 1.5), (0.001, 0, 100)):
             fam = family("slanted-strip", a=a, b=b, c=c)
-            for t in (5, 10, 1000):
+            for t in ((5, 10, 1000) if a >= 0.5 else (1000, 1777)):
                 lead = fam.closed_form_nv1(float(t))
                 a_, b_, c_ = (Fraction(v) for v in (a, b, c))
                 exact = (c_ - b_) * (Fraction(7, 3) * a_ * t ** 3
