@@ -62,6 +62,7 @@ def commands():
     out.append(["check", "all"])
     out.extend(_SYNTH)
     out.extend(_MEASURE)
+    out.extend(_RESULTS)
     return out
 
 
@@ -84,6 +85,23 @@ _MEASURE = [
 ]
 
 
+# the Kloosterman series over one and two places, Kloosterman sums at a
+# level strictly larger than (c) and over Q(sqrt5), each transform formula
+# alone, and a point value of J
+_RESULTS = [
+    ["ksum", "--field", "Q", "--box", "15"],
+    ["ksum", "--field", "Q(sqrt5)", "--box", "15"],
+    ["kloosterman", "--field", "Q", "--c", "12", "--r", "1", "--level", "4"],
+    ["kloosterman", "--field", "Q(sqrt2)", "--c=3,6", "--r=1", "--level=3"],
+    ["kloosterman", "--field", "Q(sqrt5)", "--c=4,1", "--r=1"],
+    ["bessel", "--phi", "phi_p:p=1,a=3", "--parity", "1", "--eta", "-1",
+     "--t", "3", "--formula", "axis"],
+    ["bessel", "--phi", "phi_p:p=1,a=3", "--parity", "1", "--eta", "-1",
+     "--t", "3", "--formula", "contour"],
+    ["bessel", "--order", "2", "--x", "5"],
+]
+
+
 def run(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -103,6 +121,17 @@ def test_pinned_commands_are_current():
 @pytest.mark.parametrize("record", PINNED, ids=lambda r: " ".join(r["argv"]))
 def test_output_bytes(record):
     assert run(record["argv"]) == record
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number (RFC 8259)")
+
+
+def test_json_outputs_hold_no_nan_or_infinity():
+    outputs = [r["stdout"] for r in PINNED if r["stdout"].startswith("{")]
+    assert len(outputs) > 10
+    for out in outputs:
+        json.loads(out, parse_constant=_reject_constant)
 
 
 if __name__ == "__main__":
