@@ -365,7 +365,6 @@ class SyntheticSpectrum:
     points: tuple  # tuple of d-tuples of floats (|nu_j| on the axis)
     weights: tuple
     parities: tuple
-    seed: int
 
     def __len__(self):
         return len(self.points)
@@ -434,34 +433,22 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
         weights = tuple(rng.lognormal(mean=-s * s / 2, sigma=s, size=n))
     else:
         raise ValueError(f"unknown weight law {weight_law!r}")
-    return SyntheticSpectrum(tuple(pts), weights, tuple(parities), seed)
+    return SyntheticSpectrum(tuple(pts), weights, tuple(parities))
 
 
-def count(spectrum: SyntheticSpectrum, region=None, f=None) -> float:
-    """Weighted count of spectrum points: over a region (indicator), or
-    against a product test function f = (f_1, ..., f_d) evaluated at
-    nu_j = i y_j."""
-    if (region is None) == (f is None):
-        raise ValueError("pass exactly one of region, f")
+def count(spectrum: SyntheticSpectrum, region) -> float:
+    """Weighted count of the spectrum points inside a region: a point is
+    inside when each coordinate lies in some interval of its factor (to
+    1e-12).  The weights are added in order."""
+    pts = np.array(spectrum.points, dtype=float).reshape(
+        len(spectrum), len(spectrum.parities))
+    inside = np.ones(len(spectrum), dtype=bool)
+    for y, factor in zip(pts.T, region.factors):
+        hit = np.zeros(len(spectrum), dtype=bool)
+        for lo, hi in factor.im:
+            hit |= (lo - 1e-12 <= y) & (y <= hi + 1e-12)
+        inside &= hit
     total = 0.0
-    if region is not None:
-        # a point is inside when each coordinate lies in some interval of
-        # its factor (to 1e-12); the weights are added in order
-        pts = np.array(spectrum.points, dtype=float).reshape(
-            len(spectrum), len(spectrum.parities))
-        inside = np.ones(len(spectrum), dtype=bool)
-        for y, factor in zip(pts.T, region.factors):
-            hit = np.zeros(len(spectrum), dtype=bool)
-            for lo, hi in factor.im:
-                hit |= (lo - 1e-12 <= y) & (y <= hi + 1e-12)
-            inside &= hit
-        for w in np.array(spectrum.weights, dtype=float)[inside].tolist():
-            total += w
-        return total
-    fs = f if isinstance(f, (tuple, list)) else (f,)
-    for pt, w in zip(spectrum.points, spectrum.weights):
-        val = 1.0
-        for y, fj in zip(pt, fs):
-            val *= (fj(1j * y)).real
-        total += w * val
+    for w in np.array(spectrum.weights, dtype=float)[inside].tolist():
+        total += w
     return total

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import rgamma
 
-from .measures import check_parity
+from .measures import MeasureResult, check_parity
 from .testfunctions import LocalTestFunction
 
 
@@ -142,14 +141,6 @@ def bessel_j(mu: complex, x: float, *, atol: float = _ATOL) -> complex:
 # transforms
 # --------------------------------------------------------------------------
 
-@dataclass
-class BesselTransformResult:
-    value: complex
-    t: float
-    error: float
-    formula: str  # axis | contour
-
-
 def _check_parity_eta(parity: int, eta: int) -> None:
     """Reject a parity outside {0, 1} or a sign eta outside {1, -1}."""
     check_parity(parity)
@@ -179,7 +170,7 @@ def _height(phi: LocalTestFunction) -> float:
 
 
 def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
-                   t: float) -> BesselTransformResult:
+                   t: float) -> MeasureResult:
     """Transform by integration along the spectral axis plus the discrete sum.
 
     parity 0:  -2 int_0^inf y phi(iy) Im J_{2iy}(|t|) / cosh(pi y) dy + discrete
@@ -197,8 +188,6 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
     _check_parity_eta(parity, eta)
     if t == 0:
         raise ValueError("t must be nonzero")
-    if phi.a <= 2:
-        raise ValueError("decay certificate requires a > 2")
     t_abs = abs(t)
     H = _height(phi)
     tail = 1e-14
@@ -219,7 +208,7 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
 
         v, e = quad(g, 0.0, H, limit=400)
         value = v + _discrete_sum(phi, 0, t_abs)
-        return BesselTransformResult(value, t, e + tail, "axis")
+        return MeasureResult(value, e + tail, "axis")
 
     def g(y):
         if y < 1e-8:
@@ -230,14 +219,14 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
 
     v, e = quad(g, 0.0, H, limit=400)
     value = -1j * eta * math.copysign(1.0, t) * (v + _discrete_sum(phi, 1, t_abs))
-    return BesselTransformResult(value, t, e + tail, "axis")
+    return MeasureResult(value, e + tail, "axis")
 
 
 _HOLOMORPHIC_TAGS = {"gaussian", "phi_p"}
 
 
 def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
-                      t: float) -> BesselTransformResult:
+                      t: float) -> MeasureResult:
     """Transform via the shifted contour Re nu = tau:
 
         (-i eta sign t)^parity [ 2 int_0^H Re[ phi(nu) nu J_{2nu}(|t|)
@@ -282,4 +271,4 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
         tail = 2 * t_abs ** (2 * tau) * K * H ** (1 - net) / max(net - 1, 0.1)
     pref = (-1j * eta * math.copysign(1.0, t)) ** parity
     value = pref * (2 * v + _discrete_sum(phi, parity, t_abs))
-    return BesselTransformResult(value, t, 2 * (e + tail), "contour")
+    return MeasureResult(value, 2 * (e + tail), "contour")

@@ -177,7 +177,7 @@ def cmd_ksum(args) -> int:
     res = ksum(F, level, chi, r, f, box=args.box, K_f=1.0, tau=tau)
     emit({"value": complex(res.partial_sum), "error": res.tail_estimate,
           "method": "partial sum + square-root-cancellation tail",
-          "terms": res.terms_used, "truncation": res.truncation})
+          "terms": res.terms_used, "truncation": args.box})
     return 0
 
 
@@ -251,13 +251,11 @@ def cmd_bessel(args) -> int:
     _require(args, "phi", "t")
     phi = parse_phi(args.phi)
     out = {}
-    if args.formula in ("axis", "both"):
-        r = transform_axis(phi, args.parity, args.eta, args.t)
-        out["axis"] = {"value": r.value, "error": r.error, "method": "axis"}
-    if args.formula in ("contour", "both"):
-        r = transform_contour(phi, args.parity, args.eta, args.t)
-        out["contour"] = {"value": r.value, "error": r.error,
-                          "method": "contour"}
+    for name, transform in (("axis", transform_axis),
+                            ("contour", transform_contour)):
+        if args.formula in (name, "both"):
+            out[name] = measure_dict(
+                transform(phi, args.parity, args.eta, args.t))
     emit(out)
     return 0
 

@@ -20,23 +20,20 @@ from .numberfield import (
     FieldElement,
     IdealLattice,
     QuadField,
-    ResidueRing,
     residue_ring,
 )
 
 
 class CharacterModI:
-    """A character of (O/I)^*, stored as a full multiplicative table."""
+    """The trivial character of (O/I)^*, the only one supported."""
 
-    def __init__(self, I: IdealLattice, table, ring: ResidueRing):
+    def __init__(self, I: IdealLattice):
         self.level = I
-        self.ring = ring
-        self.table = table  # key -> complex of unit modulus
 
 
 def trivial_character(F: QuadField, I: IdealLattice) -> CharacterModI:
-    R = residue_ring(F, I)
-    return CharacterModI(I, dict.fromkeys(R.unit_inverses(), 1.0 + 0.0j), R)
+    residue_ring(F, I)  # rejects a non-integral level or one above MAX_NORM
+    return CharacterModI(I)
 
 
 # --------------------------------------------------------------------------
@@ -48,8 +45,8 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
     """S_chi(r, r'; c) with exact rational phases.
 
     Only the trivial character is supported: chi is None or a
-    trivial_character, whose level ideal c must lie in; its table values
-    (all 1) are not multiplied in.  c must be nonzero.
+    trivial_character, whose level ideal c must lie in; it weighs every
+    unit by 1.  c must be nonzero.
     """
     if c.is_zero():
         raise ValueError("c must be nonzero")
@@ -86,7 +83,6 @@ def trivial_bound(F: QuadField, c: FieldElement) -> float:
 @dataclass
 class KSeriesResult:
     partial_sum: complex
-    truncation: float
     tail_estimate: float
     terms_used: int
 
@@ -152,5 +148,4 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
                 piece *= fulls[k]
         tail += piece
     tail *= 8.0 * K_f / covol
-    return KSeriesResult(partial_sum=total, truncation=box,
-                         tail_estimate=tail, terms_used=len(pts))
+    return KSeriesResult(total, tail, len(pts))

@@ -35,6 +35,12 @@ def check_parity(parity: int) -> None:
         raise ValueError("parity must be 0 or 1")
 
 
+def check_interval(a: float, b: float) -> None:
+    """Reject an imaginary interval i[a, b] unless 0 <= a <= b."""
+    if not 0 <= a <= b:
+        raise ValueError(f"interval [{a}, {b}] needs 0 <= a <= b")
+
+
 def discrete_series(parity: int, lam_min: float):
     """Yield (b, lambda_b) with lambda_b = (b/2)(1 - b/2) for the discrete
     series b = 2 + parity, 4 + parity, ..., while lambda_b >= lam_min."""
@@ -46,9 +52,11 @@ def discrete_series(parity: int, lam_min: float):
 
 @dataclass
 class MeasureResult:
-    value: float
+    """A value with its error: a measure, a volume or a Bessel transform."""
+
+    value: float  # complex for a Bessel transform
     error: float
-    method: str  # closed-form | quadrature | monte-carlo
+    method: str  # e.g. closed-form, quadrature, monte-carlo, axis, contour
     detail: int = 0  # Monte Carlo sample count, else 0
 
 
@@ -156,8 +164,7 @@ def plancherel_mass(parity: int, a: float, b: float):
     """(value, error) of the integral of plancherel_density over [a, b],
     0 <= a <= b, as P(b) - P(a) with P in closed form."""
     check_parity(parity)
-    if not 0 <= a <= b:
-        raise ValueError(f"interval [{a}, {b}] needs 0 <= a <= b")
+    check_interval(a, b)
     return _mass(parity, a, b, (b - a) * (b + a) / 2, b * b / 2)
 
 
@@ -202,12 +209,10 @@ def npl(region) -> MeasureResult:
 # --------------------------------------------------------------------------
 
 def _power_integral(lo: float, hi: float, b: float) -> float:
-    """integral of t^b over [lo, hi], 0 <= lo <= hi."""
-    if hi <= lo:
-        return 0.0
+    """integral of t^b over [lo, hi], 1 <= lo < hi."""
     if b == -1:
         return math.log(hi / lo)
-    if lo > 0 and ((hi - lo) < 0.1 * lo or abs(b + 1) * math.log(hi / lo) <= 0.1):
+    if (hi - lo) < 0.1 * lo or abs(b + 1) * math.log(hi / lo) <= 0.1:
         # stable form for relatively thin intervals and for b near -1, where
         # the naive difference of powers loses digits to cancellation
         return lo ** (b + 1) * math.expm1((b + 1) * math.log1p((hi - lo) / lo)) \
@@ -220,7 +225,7 @@ def nv_b_factor(b: float, factor) -> MeasureResult:
 
     p(q) = 1 on (0, nu_theta] and i[0,1), |q| elsewhere; the base measure is
     dt on the imaginary axis, dx on the complementary interval, and counting
-    measure on the discrete points.
+    measure on the discrete points.  Each i[a, b] needs 0 <= a <= b.
     """
     return _nv_b_place(b, factor.im, factor.re, factor.disc)
 
@@ -228,9 +233,7 @@ def nv_b_factor(b: float, factor) -> MeasureResult:
 def _nv_b_place(b: float, im, re, disc) -> MeasureResult:
     total = 0.0
     for a, hi in im:
-        a = max(a, 0.0)
-        if hi <= a:
-            continue
+        check_interval(a, hi)
         flat_hi = min(hi, 1.0)
         if flat_hi > a:
             total += flat_hi - a

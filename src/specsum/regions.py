@@ -234,7 +234,6 @@ class HypercubeFamily(BoxFamily):
     """prod_j i[a_j(t), a_j(t) + sigma]."""
 
     def __init__(self, a, sigma, parities=None):
-        self.sigma = sigma
         b = []
         for f in a:
             if callable(f):
@@ -437,8 +436,9 @@ class SlantedStripFamily(RegionFamily):
         a, b, c = self.a, self.b, self.c
 
         def integrand(x):
-            lo, hi = a * x + b, a * x + c
-            return x * (hi * hi - lo * lo) / 2.0
+            # x ((ax + c)^2 - (ax + b)^2) / 2, factored so that no two
+            # large squares cancel
+            return x * (c - b) * (2 * a * x + b + c) / 2.0
 
         v, e = quad(integrand, *self._resolve(t), limit=200)
         return MeasureResult(v, e, "quadrature")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .measures import check_parity, nu_theta, plancherel_density
+from .measures import nu_theta, plancherel_density
 
 
 @dataclass
@@ -24,8 +24,7 @@ class LocalTestFunction:
     evaluator: object
     tau: float
     a: float
-    parity: int
-    provenance: str  # gaussian | phi_p | user
+    provenance: str  # gaussian | phi_p; any other tag has no contour form
     params: dict = field(default_factory=dict)
 
     def __call__(self, nu):
@@ -36,15 +35,14 @@ class LocalTestFunction:
             raise ValueError("tau must lie in (1/4, 1/2)")
         if self.a <= 2:
             raise ValueError("decay exponent a must exceed 2")
-        check_parity(self.parity)
 
 
 def _on_strip(nu: complex, tau: float) -> bool:
     return abs(nu.real) <= tau + 1e-12
 
 
-def gaussian_phi(q_abs: float, U: float, tau: float = 0.3, a: float = 3.0,
-                 parity: int = 0) -> LocalTestFunction:
+def gaussian_phi(q_abs: float, U: float, tau: float = 0.3,
+                 a: float = 3.0) -> LocalTestFunction:
     """Sharp Gaussian centered at the imaginary point q = i|q|, |q| >= 1.
 
     sqrt(U/pi)(e^{U(q-nu)^2} + e^{U(q+nu)^2}) on the strip, 0 elsewhere.
@@ -66,12 +64,10 @@ def gaussian_phi(q_abs: float, U: float, tau: float = 0.3, a: float = 3.0,
             return 0.0
         return pref * (cmath.exp(U * (q - nu) ** 2) + cmath.exp(U * (q + nu) ** 2))
 
-    return LocalTestFunction(ev, tau, a, parity, "gaussian",
-                             {"q": q_abs, "U": U})
+    return LocalTestFunction(ev, tau, a, "gaussian", {"q": q_abs, "U": U})
 
 
-def phi_p(p: float, a: float = 3.0, tau: float = 0.3,
-          parity: int = 0) -> LocalTestFunction:
+def phi_p(p: float, a: float = 3.0, tau: float = 0.3) -> LocalTestFunction:
     """(p^2 - nu^2)^{-a/2} on the strip, (p^2 + nu^2)^{-a/2} elsewhere."""
     if p <= tau:
         raise ValueError("need p > tau so the strip factor stays positive")
@@ -81,7 +77,7 @@ def phi_p(p: float, a: float = 3.0, tau: float = 0.3,
             return (p * p - nu * nu) ** (-a / 2.0)
         return (p * p + nu * nu) ** (-a / 2.0)
 
-    return LocalTestFunction(ev, tau, a, parity, "phi_p", {"p": p})
+    return LocalTestFunction(ev, tau, a, "phi_p", {"p": p})
 
 
 # --------------------------------------------------------------------------

@@ -217,20 +217,6 @@ class TestSynthetic:
         spec = synth_spectrum(FQ, reg, seed=1, weight_law="lognormal")
         assert np.mean(spec.weights) == pytest.approx(1.0, abs=0.2)
 
-    def test_count_with_test_function(self, setup):
-        reg, spec = setup
-        # constant function reproduces the total weight
-        one = lambda nu: 1.0 + 0j
-        assert count(spec, f=(one, one)) == pytest.approx(
-            sum(spec.weights))
-
-    def test_count_argument_validation(self, setup):
-        reg, spec = setup
-        with pytest.raises(ValueError):
-            count(spec)
-        with pytest.raises(ValueError):
-            count(spec, region=reg, f=(lambda nu: 1.0,))
-
     def test_rejects_unsupported_regions(self):
         with pytest.raises(ValueError):
             synth_spectrum(F5, discrete_singleton([2.0, 3.0],
@@ -258,7 +244,7 @@ def _scalar_synth_spectrum(F, region, seed, weight_law):
         weights = tuple(1.0 for _ in range(n))
     else:
         weights = tuple(rng.lognormal(mean=-0.125, sigma=0.5, size=n))
-    return SyntheticSpectrum(tuple(pts), weights, tuple(parities), seed)
+    return SyntheticSpectrum(tuple(pts), weights, tuple(parities))
 
 
 def _scalar_count(spectrum, region):

@@ -6,13 +6,13 @@ import pytest
 from scipy.special import jv
 
 from specsum.besseltransform import (
-    BesselTransformResult,
     PrecisionError,
     bessel_j,
     bessel_j_err,
     transform_axis,
     transform_contour,
 )
+from specsum.measures import MeasureResult
 from specsum.testfunctions import LocalTestFunction, gaussian_phi, phi_p
 
 
@@ -144,7 +144,7 @@ class TestTransforms:
 
     def test_discrete_only_input_exact(self):
         # a function supported on the single discrete point q = 2 (b = 5)
-        d = LocalTestFunction(lambda nu: float(nu in (2, -2)), 0.3, 3.0, 1,
+        d = LocalTestFunction(lambda nu: float(nu in (2, -2)), 0.3, 3.0,
                               "delta")
         for t in (0.5, 3.0):
             got = transform_axis(d, 1, 1, t)
@@ -152,7 +152,7 @@ class TestTransforms:
             assert got.value == pytest.approx(want, abs=1e-12)
 
     def test_contour_rejects_untagged(self):
-        d = LocalTestFunction(lambda nu: float(nu in (2, -2)), 0.3, 3.0, 1,
+        d = LocalTestFunction(lambda nu: float(nu in (2, -2)), 0.3, 3.0,
                               "delta")
         with pytest.raises(ValueError):
             transform_contour(d, 1, 1, 1.0)
@@ -165,10 +165,10 @@ class TestTransforms:
 
     def test_result_fields(self, gauss):
         r = transform_axis(gauss, 0, 1, 1.0)
-        assert isinstance(r, BesselTransformResult)
-        assert r.formula == "axis"
+        assert isinstance(r, MeasureResult)
+        assert r.method == "axis"
         assert r.error >= 0
-        assert transform_contour(gauss, 0, 1, 1.0).formula == "contour"
+        assert transform_contour(gauss, 0, 1, 1.0).method == "contour"
 
 
 class TestSmallT:

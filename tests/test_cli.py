@@ -103,8 +103,9 @@ class TestExamples:
         out = run_json(capsys, "kloosterman", "--field", field, f"--c={c}",
                        "--r=1", f"--level={level}")
         F = parse_field(field)
-        chi = trivial_character(F, IdealLattice.principal(parse_element(F, level)))
-        assert chi.ring.size < abs(parse_element(F, c).norm())
+        I = IdealLattice.principal(parse_element(F, level))
+        assert I.norm_index() < abs(parse_element(F, c).norm())
+        chi = trivial_character(F, I)
         S = kloosterman_sum(F, chi, F.one(), F.one(), parse_element(F, c))
         assert out["value"] == [S.real, S.imag]
 
@@ -325,6 +326,10 @@ class TestBadInput:
          "needs 0 <= a <= b"),
         (["measure", "--kind", "npl", "--region", "i[-1,2]:1"],
          "needs 0 <= a <= b"),
+        (["measure", "--kind", "nv", "--region", "i[2,1]"],
+         "interval [2.0, 1.0] needs 0 <= a <= b"),
+        (["measure", "--kind", "nv", "--region", "i[-1,2]"],
+         "interval [-1.0, 2.0] needs 0 <= a <= b"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

@@ -108,14 +108,16 @@ class TestCharacters:
     def test_trivial(self):
         I = IdealLattice.principal(Q.element(4))
         chi = trivial_character(Q, I)
-        assert list(chi.table.values()) == [1, 1]  # the units 1 and 3 mod 4
+        assert chi.level is I
+        # the units 1 and 3 mod 4, each weighed by 1: e(2/4) + e(6/4)
+        S = kloosterman_sum(Q, chi, Q.element(1), Q.element(1), Q.element(4))
+        assert S == pytest.approx(-2, abs=1e-12)
 
-    @pytest.mark.parametrize("F,c", [(Q, Q.element(12)), (F2, F2.element(9, 1)),
-                                     (F5, F5.element(10, 1))])
-    def test_character_ring_is_the_ring_of_its_level(self, F, c):
-        chi = trivial_character(F, IdealLattice.principal(c))
-        assert chi.ring is residue_ring(F, c)
-        assert len(chi.table) == len(chi.ring.units())
+    def test_rejects_level_with_no_residue_ring(self):
+        with pytest.raises(ValueError, match="integral"):
+            trivial_character(Q, IdealLattice.principal(Q.element(Fraction(1, 2))))
+        with pytest.raises(ValueError, match="too large"):
+            trivial_character(Q, IdealLattice.principal(Q.element(MAX_NORM + 1)))
 
 
 class TestKloostermanSums:

@@ -140,6 +140,14 @@ class TestBluntnessClosedForm:
             bluntness_deficit(ProductRegion((PlaceFactor(disc=(1.5,)),)), 0.5)
 
 
+def _strip_volume(a, b, c, t):
+    """Exact volume (c-b)(7a t^3/3 + 3(b+c) t^2/4) of the slanted strip, in
+    rationals."""
+    a, b, c, t = (Fraction(v) for v in (a, b, c, t))
+    return (c - b) * (Fraction(7, 3) * a * t ** 3
+                      + Fraction(3, 4) * (b + c) * t ** 2)
+
+
 class TestFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -279,19 +287,25 @@ class TestFamilies:
             fam.closed_form_nv1(t).value, rel=0.02)
 
     def test_slant_leading_term_error_is_the_remainder(self):
-        # exact volume (c-b)(7a t^3/3 + 3(b+c) t^2/4), in rationals
         # (0.001, 0, 100) at t = 1000 has a remainder 30 times the value
         for a, b, c in ((1, 0, 1), (2, -1, 3), (0.5, 1, 1.5), (0.001, 0, 100)):
             fam = family("slanted-strip", a=a, b=b, c=c)
             for t in ((5, 10, 1000) if a >= 0.5 else (1000, 1777)):
                 lead = fam.closed_form_nv1(float(t))
-                a_, b_, c_ = (Fraction(v) for v in (a, b, c))
-                exact = (c_ - b_) * (Fraction(7, 3) * a_ * t ** 3
-                                     + Fraction(3, 4) * (b_ + c_) * t ** 2)
+                exact = _strip_volume(a, b, c, t)
                 assert lead.method == "leading term"
                 assert abs(Fraction(lead.value) - exact) <= lead.error
                 assert lead.error == pytest.approx(
                     float(exact - Fraction(lead.value)), rel=1e-9)
+
+    @pytest.mark.parametrize("a, b, c, t", [
+        (1, 0, 1, 5), (2, -1, 3, 1000), (0.5, 1, 1.5, 1000),
+        (0.001, 0, 100, 1777), (3.7, -2.5, 9.1, 12345.6)])
+    def test_slant_quadrature_error_covers_exact_volume(self, a, b, c, t):
+        # at large t the integrand must not difference two squares of the
+        # strip's edges, whose rounding quad's estimate does not see
+        res = family("slanted-strip", a=a, b=b, c=c).quadrature_nv1(t)
+        assert abs(Fraction(res.value) - _strip_volume(a, b, c, t)) <= res.error
 
     def test_slant_mc(self):
         fam = family("slanted-strip", a=1.0, b=0.0, c=1.0)

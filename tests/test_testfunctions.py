@@ -138,12 +138,12 @@ class TestLocalComparison:
 
 
 def gaussian_pairing(q, U, parity=0):
-    """2 int_0^inf g(it) density(t) dt for g = gaussian_phi(q, U, parity).
+    """2 int_0^inf g(it) density_parity(t) dt for g = gaussian_phi(q, U).
 
     g vanishes at the discrete points and is below e^-1600 past 40/sqrt(U)
     from q, so the integral over [0, q + 40/sqrt(U)] is the whole pairing.
     """
-    g = gaussian_phi(q, U, parity=parity)
+    g = gaussian_phi(q, U)
     w = 40 / math.sqrt(U)
     return 2 * float(mpmath.quad(
         lambda t: (g(1j * float(t)).real
