@@ -94,11 +94,11 @@ class PreAsymptoticError(ValueError):
     """m_rho is too large for the smoothing parameters to be admissible."""
 
 
-def choose_U(m: float, t0: float, n_qplus: int, D: float = None) -> float:
+def choose_U(m: float, t0: float, n_qplus: int) -> float:
     """U = (|log m| - (1/2) log|log m|) / (t0 |Q+|).
 
-    Requires m < 1/e so |log m| > 1; when the shell constant D is supplied
-    the admissibility floor U > D e^2 is enforced.
+    Requires m < 1/e so |log m| > 1.  The admissibility floor U > D e^2 is
+    error_budget's check.
     """
     if n_qplus < 1:
         raise ValueError("Q+ must be nonempty to choose U")
@@ -106,15 +106,7 @@ def choose_U(m: float, t0: float, n_qplus: int, D: float = None) -> float:
         raise PreAsymptoticError(
             f"m_rho={m:.3g} not below the 1/e threshold")
     L = abs(math.log(m))
-    U = (L - 0.5 * math.log(L)) / (t0 * n_qplus)
-    if D is not None and U <= D * math.e ** 2:
-        # invert the defining formula at the floor to report a threshold on m
-        l_star = t0 * n_qplus * D * math.e ** 2
-        l_star += 0.5 * math.log(max(l_star, math.e))
-        raise PreAsymptoticError(
-            f"pre-asymptotic regime: U={U:.6g} <= D e^2 = "
-            f"{D * math.e ** 2:.6g}; need m_rho below ~{math.exp(-l_star):.3g}")
-    return U
+    return (L - 0.5 * math.log(L)) / (t0 * n_qplus)
 
 
 def choose_eps(m: float, U: float) -> float:
@@ -234,14 +226,20 @@ def _weyl1_value(F, t):
 
 
 def _weyl2_value(F, t):
-    # nested Plancherel mass of the simplex {lambda_j >= 0, sum <= t}; the
-    # last place weighs by 1 (f=None), which spares a call per quad node
-    def level(remaining, depth):
-        f = None if depth == F.d - 1 else \
-            (lambda lam: level(remaining - lam, depth + 1))
-        return pl_lambda(0, 0.0, remaining, f=f).value
+    # Plancherel mass of the simplex {lambda_j >= 0, sum <= t}.  The last
+    # place is a closed form; over Q(sqrt m) the first place integrates it
+    # over lambda = 1/4 + u^2 (d lambda = 2u du), plus its one discrete
+    # point, b = 2 at lambda = 0, of weight 1
+    def last(remaining):
+        return pl_lambda(0, 0.0, remaining).value
 
-    return field_prefactor(F) * level(t, 0)
+    def first(u):
+        return 2 * plancherel_density(0, u) * last(t - (0.25 + u * u))
+
+    if F.d == 1:
+        return field_prefactor(F) * last(t)
+    v, _ = quad(first, 0.0, math.sqrt(t - 0.25), limit=200)
+    return field_prefactor(F) * (v + last(t))
 
 
 def _slant_value(F, t):

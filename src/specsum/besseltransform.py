@@ -205,20 +205,18 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
             c = math.cosh(math.pi * y)
             return -2 * y * (phi(1j * y)).real \
                 * bessel_j(2j * y, t_abs, atol=_ATOL * c).imag / c
-
-        v, e = quad(g, 0.0, H, limit=400)
-        value = v + _discrete_sum(phi, 0, t_abs)
-        return MeasureResult(value, e + tail, "axis")
-
-    def g(y):
-        if y < 1e-8:
-            return 2 * (phi(0j)).real * bessel_j(0, t_abs).real / math.pi
-        s = math.sinh(math.pi * y)
-        return 2 * y * (phi(1j * y)).real \
-            * bessel_j(2j * y, t_abs, atol=_ATOL * s).real / s
+    else:
+        def g(y):
+            if y < 1e-8:
+                return 2 * (phi(0j)).real * bessel_j(0, t_abs).real / math.pi
+            s = math.sinh(math.pi * y)
+            return 2 * y * (phi(1j * y)).real \
+                * bessel_j(2j * y, t_abs, atol=_ATOL * s).real / s
 
     v, e = quad(g, 0.0, H, limit=400)
-    value = -1j * eta * math.copysign(1.0, t) * (v + _discrete_sum(phi, 1, t_abs))
+    value = v + _discrete_sum(phi, parity, t_abs)
+    if parity == 1:
+        value *= -1j * eta * math.copysign(1.0, t)
     return MeasureResult(value, e + tail, "axis")
 
 

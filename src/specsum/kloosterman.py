@@ -14,8 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .numberfield import (
     FieldElement,
     IdealLattice,
@@ -89,22 +87,17 @@ class KSeriesResult:
 
 def _tail_integrals(a_j: float, T: float, tau: float):
     """(full, tail) integrals of g(x) = |x|^{-1/2} min((a_j/|x|)^{2tau}, 1)
-    over |x| in (0, inf) and |x| > T respectively (both halves)."""
+    over |x| in (0, inf) and |x| > T respectively (both halves).
 
-    def g(x):
-        return x ** (-0.5) * min((a_j / x) ** (2 * tau), 1.0)
-
-    full, _ = quad(g, 0, max(a_j, 1.0), limit=200)
-    # analytic tail of x^{-1/2 - 2tau} beyond max(a_j, 1):
-    b = max(a_j, 1.0)
-    expo = 0.5 + 2 * tau
-    full += a_j ** (2 * tau) * b ** (1 - expo) / (expo - 1)
-    if T <= b:
-        mid, _ = quad(g, T, b, limit=200)
-        tail = mid + a_j ** (2 * tau) * b ** (1 - expo) / (expo - 1)
-    else:
-        tail = a_j ** (2 * tau) * T ** (1 - expo) / (expo - 1)
-    return 2 * full, 2 * tail
+    g is x^{-1/2} below a_j and a_j^{2tau} x^{-1/2-2tau} above, so with
+    e = 2tau - 1/2 > 0 both are closed forms: full = 2 sqrt(a_j) (2 + 1/e),
+    and the tail is full - 4 sqrt(T) for T < a_j, else 2 a_j^{2tau} T^{-e}/e.
+    """
+    e = 2 * tau - 0.5
+    full = 2 * math.sqrt(a_j) * (2 + 1 / e)
+    if T < a_j:
+        return full, full - 4 * math.sqrt(T)
+    return full, 2 * a_j ** (2 * tau) * T ** -e / e
 
 
 def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
@@ -133,19 +126,7 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
         S = kloosterman_sum(F, chi, r, r, c)
         t = tuple(4 * math.pi * rv / cv for rv, cv in zip(r_emb, c.embeddings()))
         total += S / float(abs(c.norm())) * f(t)
-    covol = I.covolume()
-    tail = 0.0
-    fulls, tails = [], []
-    for j in range(F.d):
-        a_j = 4 * math.pi * r_emb[j]
-        fu, ta = _tail_integrals(a_j, box, tau)
-        fulls.append(fu)
-        tails.append(ta)
-    for j in range(F.d):
-        piece = tails[j]
-        for k in range(F.d):
-            if k != j:
-                piece *= fulls[k]
-        tail += piece
-    tail *= 8.0 * K_f / covol
-    return KSeriesResult(total, tail, len(pts))
+    ints = [_tail_integrals(4 * math.pi * rv, box, tau) for rv in r_emb]
+    tail = sum(ta * math.prod(fu for k, (fu, _) in enumerate(ints) if k != j)
+               for j, (_, ta) in enumerate(ints))
+    return KSeriesResult(total, 8.0 * K_f / I.covolume() * tail, len(pts))

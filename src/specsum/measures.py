@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 # the fixed exceptional-eigenvalue bound lambda_star = 77/324, which gives
 # nu_theta = sqrt(1/4 - lambda_star) = 1/9
@@ -178,11 +177,6 @@ def discrete_admissible(parity: int, beta: float) -> bool:
     return abs(beta - base - k) <= 1e-9
 
 
-def discrete_plancherel_weight(parity: int, beta: float) -> float:
-    """|beta| at admissible points, else 0."""
-    return abs(beta) if discrete_admissible(parity, beta) else 0.0
-
-
 def npl_factor(factor) -> MeasureResult:
     """One-place Plancherel measure: 2*integral + 2*sum over the factor."""
     parity = factor.parity
@@ -192,10 +186,10 @@ def npl_factor(factor) -> MeasureResult:
         v, e = plancherel_mass(parity, a, b)
         total += 2 * v
         err += 2 * e
-    # real (complementary) intervals carry zero Plancherel mass; each sum
-    # with a discrete weight rounds by up to half an ulp
+    # real (complementary) intervals carry zero Plancherel mass; a discrete
+    # point weighs |beta|, and each sum with it rounds by up to half an ulp
     for beta in factor.disc:
-        total += 2 * discrete_plancherel_weight(parity, beta)
+        total += 2 * abs(beta)
         err += 2.0 ** -53 * abs(total)
     return MeasureResult(total, err, "closed-form")
 
@@ -208,7 +202,7 @@ def npl(region) -> MeasureResult:
 # reference measures nv_b
 # --------------------------------------------------------------------------
 
-def _power_integral(lo: float, hi: float, b: float) -> float:
+def power_integral(lo: float, hi: float, b: float) -> float:
     """integral of t^b over [lo, hi], 1 <= lo < hi."""
     if b == -1:
         return math.log(hi / lo)
@@ -225,7 +219,7 @@ def nv_b_factor(b: float, factor) -> MeasureResult:
 
     p(q) = 1 on (0, nu_theta] and i[0,1), |q| elsewhere; the base measure is
     dt on the imaginary axis, dx on the complementary interval, and counting
-    measure on the discrete points.  Each i[a, b] needs 0 <= a <= b.
+    measure on the discrete points.  PlaceFactor has checked the intervals.
     """
     return _nv_b_place(b, factor.im, factor.re, factor.disc)
 
@@ -233,19 +227,14 @@ def nv_b_factor(b: float, factor) -> MeasureResult:
 def _nv_b_place(b: float, im, re, disc) -> MeasureResult:
     total = 0.0
     for a, hi in im:
-        check_interval(a, hi)
         flat_hi = min(hi, 1.0)
         if flat_hi > a:
             total += flat_hi - a
         lo = max(a, 1.0)
         if hi > lo:
-            total += _power_integral(lo, hi, b)
-    nth = nu_theta()
+            total += power_integral(lo, hi, b)
     for lo, hi in re:
-        lo = max(lo, 0.0)
-        hi = min(hi, nth)
-        if hi > lo:
-            total += hi - lo
+        total += hi - lo
     for beta in disc:
         total += abs(beta) ** b
     return MeasureResult(total, 1e-14 * abs(total), "closed-form")
@@ -263,20 +252,17 @@ def nv_1(region) -> MeasureResult:
 # measures in the lambda coordinate
 # --------------------------------------------------------------------------
 
-def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None) -> MeasureResult:
-    """Plancherel measure pl_parity of f over [lam_lo, lam_hi].
+def pl_lambda(parity: int, lam_lo: float, lam_hi: float) -> MeasureResult:
+    """Plancherel measure pl_parity of [lam_lo, lam_hi].
 
     Continuous part: tanh (parity 0) or coth (parity 1) of pi*sqrt(lambda-1/4)
-    over the interval's intersection with (1/4, infinity), evaluated with the
-    substitution lambda = 1/4 + u^2 which removes the coth endpoint
-    singularity.  Discrete part: weights (b-1) at lambda = (b/2)(1-b/2) for
-    the discrete series of the parity, restricted to the interval.
-
-    With f None (weight 1) the continuous part is 2(P(u1) - P(u0)) in closed
-    form (_mass), with the u^2/2 parts taken from lambda - 1/4 rather than
-    from the rounded u.  Its error adds to the formula's rounding the shift
-    from the rounded endpoints: u is off by under 2^-52 u, and
-    |d rest/du| < 1/2.
+    over the interval's intersection with (1/4, infinity).  Under
+    lambda = 1/4 + u^2 it is 2(P(u1) - P(u0)) in closed form (_mass), with
+    the u^2/2 parts taken from lambda - 1/4 rather than from the rounded u.
+    Its error adds to the formula's rounding the shift from the rounded
+    endpoints: u is off by under 2^-52 u, and |d rest/du| < 1/2.  Discrete
+    part: weights (b-1) at lambda = (b/2)(1-b/2) for the discrete series of
+    the parity, restricted to the interval.
     """
     check_parity(parity)
     if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)):
@@ -287,46 +273,38 @@ def pl_lambda(parity: int, lam_lo: float, lam_hi: float, f=None) -> MeasureResul
     if lam_hi > lo:
         u0 = math.sqrt(lo - 0.25)
         u1 = math.sqrt(lam_hi - 0.25)
-        if f is None:
-            v, e = _mass(parity, u0, u1, (lam_hi - lo) / 2, (lam_hi - 0.25) / 2)
-            v, e = 2 * v, 2 * e + 2.0 ** -52 * (u0 + u1)
-        else:
-            def g(u):  # lambda = 1/4 + u^2, so d(lambda) = 2u du
-                return 2 * plancherel_density(parity, u) * f(0.25 + u * u)
-
-            v, e = quad(g, u0, u1, limit=200)
-        total += v
-        err += e
+        v, e = _mass(parity, u0, u1, (lam_hi - lo) / 2, (lam_hi - 0.25) / 2)
+        total += 2 * v
+        err += 2 * e + 2.0 ** -52 * (u0 + u1)
     for b, lam_b in discrete_series(parity, lam_lo - 1e-12):
         if lam_b <= lam_hi + 1e-12:
-            total += (b - 1) * (1.0 if f is None else f(lam_b))
+            total += b - 1
             err += 2.0 ** -53 * abs(total)  # the sum's rounding
-    return MeasureResult(total, err,
-                         "closed-form" if f is None else "quadrature")
+    return MeasureResult(total, err, "closed-form")
 
 
-def V_b_lambda_factor(b: float, intervals, discrete_betas=()) -> MeasureResult:
+def V_b_lambda_factor(b: float, intervals) -> MeasureResult:
     """One-place reference measure in the lambda coordinate.
 
     intervals: list of (lo, hi) in lambda-space, clipped to [lambda_star, inf).
     Weight (1/2)(lambda-1/4)^{(b-1)/2} above 5/4, (1/2)|lambda-1/4|^{-1/2}
-    on [lambda_star, 5/4]; discrete points beta get |beta|^b.  This is
-    nv_b_factor's measure under lambda = 1/4 + t^2 (1/4 - x^2 below 1/4), so
-    each interval is mapped to nu and measured there.  The mapped endpoints
-    are rounded square roots, each off by up to 2^-52 of itself, and moving
-    an endpoint t by dt moves the measure by about p(t)^b dt; the error
-    counts this twice over, so on an interval thin against lambda it is far
-    above 1e-14 relative.
+    on [lambda_star, 5/4].  This is nv_b_factor's measure under
+    lambda = 1/4 + t^2 (1/4 - x^2 below 1/4), so each interval is mapped to
+    nu and measured there.  The mapped endpoints are rounded square roots,
+    each off by up to 2^-52 of itself, and moving an endpoint t by dt moves
+    the measure by about p(t)^b dt; the error counts this twice over, so on
+    an interval thin against lambda it is far above 1e-14 relative.
     """
     im, re = [], []
     for lo, hi in intervals:
+        lo = max(lo, LAMBDA_STAR_DEFAULT)
         if hi <= lo:
             continue
         if hi > 0.25:
             im.append((math.sqrt(max(lo, 0.25) - 0.25), math.sqrt(hi - 0.25)))
         if lo < 0.25:
             re.append((math.sqrt(0.25 - min(hi, 0.25)), math.sqrt(0.25 - lo)))
-    res = _nv_b_place(b, im, re, discrete_betas)
+    res = _nv_b_place(b, im, re, ())
     rounding = 2.0 ** -51 * sum(t * max(t, 1.0) ** b
                                 for pair in im + re for t in pair)
     return MeasureResult(res.value, res.error + rounding, res.method)

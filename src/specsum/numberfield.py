@@ -250,11 +250,9 @@ class IdealLattice:
         return all(c.denominator == 1 for c in self.coords_of(x))
 
     def covolume(self) -> float:
-        """Absolute determinant of the embedding matrix of the basis."""
-        import numpy as np
-
-        rows = [e.embeddings() for e in self.basis_elements()]
-        return abs(float(np.linalg.det(np.array(rows))))
+        """Absolute determinant of the embedding matrix of the basis: for
+        the HNF basis (a + b w, d w) it is a d |w - w'| = N(I) sqrt|D_F|."""
+        return float(self.norm_index()) * math.sqrt(self.field.discriminant)
 
     def norm_index(self) -> Fraction:
         """Index in O as a (possibly fractional) determinant ratio."""

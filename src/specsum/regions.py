@@ -17,11 +17,13 @@ from scipy.integrate import quad
 
 from .measures import (
     MeasureResult,
+    check_interval,
     check_parity,
     discrete_admissible,
     monte_carlo_measure,
     nu_theta,
     nv_b,
+    power_integral,
 )
 
 
@@ -33,9 +35,11 @@ from .measures import (
 class PlaceFactor:
     """One place of a product region.
 
-    im: imaginary-axis intervals (a, b) meaning i[a, b]
-    re: complementary intervals inside (0, nu_theta]
-    disc: discrete points beta
+    im: imaginary-axis intervals (a, b) meaning i[a, b], 0 <= a <= b
+    re: complementary intervals (a, b), 0 <= a <= b <= nu_theta
+    disc: discrete points beta, admissible at the parity
+
+    Each is checked here, once, so the measures need not clip or skip.
     """
 
     parity: int = 0
@@ -45,6 +49,16 @@ class PlaceFactor:
 
     def __post_init__(self):
         check_parity(self.parity)
+        for a, b in self.im:
+            check_interval(a, b)
+        for a, b in self.re:
+            if not 0 <= a <= b <= nu_theta():
+                raise ValueError(f"complementary interval [{a}, {b}] needs "
+                                 f"0 <= a <= b <= nu_theta = 1/9")
+        for beta in self.disc:
+            if not discrete_admissible(self.parity, beta):
+                raise ValueError(f"point {beta} not admissible for parity "
+                                 f"{self.parity}")
 
 
 @dataclass(frozen=True)
@@ -66,12 +80,8 @@ def imaginary_box(intervals, parities=None) -> ProductRegion:
 def discrete_singleton(points, parities=None) -> ProductRegion:
     if parities is None:
         parities = [1 if round(2 * p) % 2 == 0 else 0 for p in points]
-    factors = []
-    for p, par in zip(points, parities):
-        if not discrete_admissible(par, p):
-            raise ValueError(f"point {p} not admissible for parity {par}")
-        factors.append(PlaceFactor(parity=par, disc=(float(p),)))
-    return ProductRegion(tuple(factors))
+    return ProductRegion(tuple(PlaceFactor(parity=par, disc=(float(p),))
+                               for p, par in zip(points, parities)))
 
 
 # --------------------------------------------------------------------------
@@ -385,12 +395,14 @@ class SectorFamily(RegionFamily):
         return MeasureResult(v, v * shift + rounding, "closed-form")
 
     def quadrature_vc(self, c: float, t: float) -> MeasureResult:
-        p, q = self.p, self.q
+        """The reference volume with weight (1/2)(l - 1/4)^{(c-1)/2} per
+        place: the l2 integral in closed form, l1 by quadrature."""
+        p, q, expo = self.p, self.q, (c - 1) / 2.0
 
         def inner(l1):
-            v, _ = quad(lambda l2: 0.5 * (l2 - 0.25) ** ((c - 1) / 2.0),
-                        p * l1, q * l1, limit=100)
-            return 0.5 * (l1 - 0.25) ** ((c - 1) / 2.0) * v
+            # p l1 - 1/4 >= 1 on the domain that _resolve admits
+            v = 0.5 * power_integral(p * l1 - 0.25, q * l1 - 0.25, expo)
+            return 0.5 * (l1 - 0.25) ** expo * v
 
         v, e = quad(inner, *self._resolve(t), limit=200)
         return MeasureResult(v, e, "quadrature")

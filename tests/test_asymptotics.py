@@ -82,10 +82,13 @@ class TestParameterChoice:
         assert products == sorted(products)
 
     def test_pre_asymptotic_threshold_reported(self):
-        with pytest.raises(PreAsymptoticError):
+        with pytest.raises(PreAsymptoticError, match="1/e threshold"):
             choose_U(0.9, 0.5, 1)
-        with pytest.raises(PreAsymptoticError, match="pre-asymptotic"):
-            choose_U(math.exp(-2), 0.5, 1, D=shell_growth_constant(1)[1])
+        # a U below the floor D e^2 is error_budget's to reject
+        U = choose_U(math.exp(-2), 0.5, 1)
+        with pytest.raises(ValueError, match="admissibility violated: U"):
+            error_budget(imaginary_box([(50, 60)]), None, AnalysisParams(),
+                         U, 0.2, FQ)
 
 
 class TestErrorBudget:

@@ -330,6 +330,16 @@ class TestBadInput:
          "interval [2.0, 1.0] needs 0 <= a <= b"),
         (["measure", "--kind", "nv", "--region", "i[-1,2]"],
          "interval [-1.0, 2.0] needs 0 <= a <= b"),
+        (["measure", "--kind", "nv", "--region", "r[0.5,0.3]"],
+         "complementary interval [0.5, 0.3] needs 0 <= a <= b <= nu_theta"),
+        (["measure", "--kind", "npl", "--region", "r[-1,0.05]"],
+         "complementary interval [-1.0, 0.05] needs 0 <= a <= b <= nu_theta"),
+        (["measure", "--kind", "nv", "--region", "r[0.05,5]"],
+         "complementary interval [0.05, 5.0] needs 0 <= a <= b <= nu_theta"),
+        (["measure", "--kind", "npl", "--region", "d[1]"],
+         "point 1.0 not admissible for parity 0"),
+        (["measure", "--kind", "nv", "--region", "d[1.7]"],
+         "point 1.7 not admissible for parity 0"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -209,7 +210,37 @@ class TestBounds:
         assert trivial_bound(F5, F5.element(2)) == 4
 
 
+def _tail_integrals_mp(a, T, tau):
+    """(full, tail) of _tail_integrals at 30 digits: mpmath quad over the
+    finite pieces of g, plus the power tail a^{2tau} x^{-1/2-2tau} beyond
+    a, which is analytic (mpmath's quad of it out to infinity is not
+    accurate enough)."""
+    with mpmath.workdps(30):
+        a, T, tau = mpmath.mpf(a), mpmath.mpf(T), mpmath.mpf(tau)
+        e = 2 * tau - mpmath.mpf(0.5)
+
+        def beyond(x):  # integral of g over (x, inf), x >= a
+            return a ** (2 * tau) * x ** -e / e
+
+        full = mpmath.quad(lambda x: x ** -0.5, [0, a]) + beyond(a)
+        if T < a:
+            tail = mpmath.quad(lambda x: x ** -0.5, [T, a]) + beyond(a)
+        else:
+            tail = beyond(T)
+        return 2 * full, 2 * tail
+
+
 class TestKSeries:
+    @pytest.mark.parametrize("a", [0.3, 1.0, 4 * math.pi, 4 * math.pi * math.sqrt(5),
+                                   4 * math.pi * 7.3])
+    def test_tail_integrals_against_mpmath(self, a):
+        for T in (0.5, 5.0, 15.0, 75.0):
+            for tau in (0.3, 0.5, 0.75, 1.0):
+                got = _tail_integrals(a, T, tau)
+                want = _tail_integrals_mp(a, T, tau)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-14 * abs(w), (a, T, tau)
+
     def test_zero_function(self):
         res = ksum(Q, IdealLattice.ring_of_integers(Q), None, Q.element(1),
                    lambda t: 0.0, 20, 0.0)

@@ -10,7 +10,6 @@ from specsum.measures import (
     LAMBDA_STAR_DEFAULT,
     V_b_lambda_factor,
     discrete_admissible,
-    discrete_plancherel_weight,
     discrete_series,
     monte_carlo_measure,
     npl,
@@ -57,8 +56,12 @@ class TestPlancherelDensity:
         assert not discrete_admissible(0, 1.0)
 
     def test_discrete_weight(self):
-        assert discrete_plancherel_weight(0, 2.5) == 2.5
-        assert discrete_plancherel_weight(0, 2.0) == 0.0
+        # npl weighs an admissible point by |beta|; an inadmissible one is
+        # rejected when its factor is built
+        disc = ProductRegion((PlaceFactor(parity=0, disc=(2.5,)),))
+        assert npl(disc).value == 2 * 2.5
+        with pytest.raises(ValueError, match="not admissible for parity 0"):
+            PlaceFactor(parity=0, disc=(2.0,))
 
 
 class TestNpl:
@@ -108,9 +111,11 @@ class TestReferenceMeasure:
         f = PlaceFactor(re=((0.0, nu_theta()),))
         assert nv_b_factor(5.0, f).value == pytest.approx(nu_theta())
 
-    def test_complementary_clipped(self):
-        f = PlaceFactor(re=((0.0, 10.0),))
-        assert nv_b_factor(1.0, f).value == pytest.approx(nu_theta())
+    @pytest.mark.parametrize("a, b", [(0.0, 10.0), (0.5, 0.3), (-1.0, 0.05),
+                                      (0.05, 5.0)])
+    def test_complementary_outside_branch_rejected(self, a, b):
+        with pytest.raises(ValueError, match="0 <= a <= b <= nu_theta"):
+            PlaceFactor(re=((a, b),))
 
     def test_discrete_points(self):
         f = PlaceFactor(parity=1, disc=(1.0, 3.0))
@@ -140,7 +145,7 @@ class TestReferenceMeasure:
             assert abs(got.value - exact) <= got.error
 
 
-def _piecewise_V_b(b, intervals, discrete_betas):
+def _piecewise_V_b(b, intervals):
     """The former V_b_lambda_factor: the antiderivative in lambda, piece by
     piece on [lambda_star, 5/4] and above 5/4."""
     total = 0.0
@@ -162,8 +167,6 @@ def _piecewise_V_b(b, intervals, discrete_betas):
             else:
                 total += 0.5 * ((u_hi - 0.25) ** (p + 1)
                                 - (u_lo - 0.25) ** (p + 1)) / (p + 1)
-    for beta in discrete_betas:
-        total += abs(beta) ** b
     return total
 
 
@@ -185,10 +188,6 @@ class TestLambdaMeasures:
         v_lam = V_b_lambda_factor(1.0, [(1.25, 10.0)]).value
         assert v_lam == pytest.approx(v_nu, rel=1e-12)
 
-    def test_discrete_beta(self):
-        v = V_b_lambda_factor(3.0, [], discrete_betas=(2.0,))
-        assert v.value == pytest.approx(8.0)
-
     def test_product(self):
         # the measure of a product region is the product over its places
         v = [V_b_lambda_factor(1.0, iv) for iv in ([(1.25, 3.25)], [(1.25, 5.25)])]
@@ -206,10 +205,9 @@ class TestLambdaMeasures:
                  [(1.249, 1.251)], [(0.2499, 0.2501)], [(2.0, 2.002)],
                  [(3.0, 2.0)], [(0.0, 0.2)]]
         for intervals in cases:
-            for betas in ((), (1.5,)):
-                got = V_b_lambda_factor(b, intervals, betas).value
-                want = _piecewise_V_b(b, intervals, betas)
-                assert got == pytest.approx(want, rel=1e-10, abs=0), intervals
+            got = V_b_lambda_factor(b, intervals).value
+            want = _piecewise_V_b(b, intervals)
+            assert got == pytest.approx(want, rel=1e-10, abs=0), intervals
 
     @pytest.mark.parametrize("b, lo, hi", [
         (0.5, 5.0, 5.0 + 1e-6), (2.0, 1.25, 1.2500001),

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,6 +216,35 @@ class TestLatticePoints:
                 if all(abs(v) <= T for v in e.embeddings()):
                     naive.add((e.x, e.y))
         assert fast == naive
+
+
+def _mp_covolume(L):
+    """|det| of the embedding matrix of L's basis at 30 digits."""
+    F = L.field
+
+    def emb(q):
+        return mpmath.mpf(q.numerator) / q.denominator
+
+    with mpmath.workdps(30):
+        if F.d == 1:
+            return abs(emb(L.rows[0][0]))
+        r = mpmath.sqrt(F.m)
+        ws = ((1 + r) / 2, (1 - r) / 2) if F.m % 4 == 1 else (r, -r)
+        M = mpmath.matrix([[emb(x) + emb(y) * w for w in ws] for x, y in L.rows])
+        return abs(mpmath.det(M))
+
+
+class TestCovolume:
+    @pytest.mark.parametrize("m", [1, 2, 5, 13])
+    def test_against_mpmath_determinant(self, m):
+        F = make_field(m)
+        gens = [(1, 0), (3, 0), (2, 1), (5, 3), (7, -2), (Fraction(1, 2), 4)]
+        lattices = [IdealLattice.ring_of_integers(F)] + \
+            [IdealLattice.principal(F.element(x, y if F.d == 2 else 0))
+             for x, y in gens]
+        for L in lattices:
+            want = _mp_covolume(L)
+            assert abs(L.covolume() - want) <= 4e-16 * want, L
 
 
 class TestHNFCanonical:
