@@ -4,8 +4,10 @@ bessel_j uses the ascending power series only (DLMF 10.2.2), with a
 cancellation budget that fails loudly instead of returning silently wrong
 values; this covers the small-to-moderate arguments the Kloosterman series
 produces.  The series is summed in double precision and falls back to a
-50-digit mpmath series when the declared double-precision error exceeds an
-absolute tolerance `atol` (1e-10 by default).
+50-digit series when the declared double-precision error exceeds an
+absolute tolerance `atol` (1e-10 by default): its leading term is a 50-digit
+mpmath number and its ratios to that term are summed in fixed point on
+Python integers.
 
 Transforms are computed two ways: integrating along the spectral axis
 (plus the discrete-series sum), and integrating along the shifted contour
@@ -41,31 +43,90 @@ _X_CAP = 1e3
 _IM_CAP = 130.0
 _ATOL = 1e-10  # default absolute accuracy of a point value
 _SERIES_TOL = 1e-13  # stop summing once a term is this small relative to the sum
+_SERIES_BITS = 200  # least bits of each term of the extended-precision series
 
 
 def _series_extended(mu: complex, x: float):
-    """The same ascending series in 50-digit precision (for the
-    cancellation regime x beyond roughly 15)."""
+    """The same ascending series to 50 digits, for the cancellation regime
+    x beyond roughly 15: the leading term L = (x/2)^mu / Gamma(mu+1) in
+    50-digit mpmath, the rest in fixed point on Python integers (the method
+    of mpmath's hypsum; Brent & Zimmermann, Modern Computer Arithmetic, ch.
+    4).
+
+    Each ratio s_k = term_k / L is held as (a + ib) / 2^scale, s_0 = 1, and
+    s_{k+1} = -s_k h^2 / ((k+1)(mu+k+1)) is formed exactly from mu and
+    h^2 = x^2/4 as rationals (a double is one), with one floor division per
+    component.  The sum stops at the first k > x whose next term is below
+    10^-dps max(|total|, 1).  It raises PrecisionError after 2,000 terms,
+    and where max_mag / |total| exceeds the doubled cancellation budget,
+    max_mag being the largest |term|.  The declared error is
+    max_mag 10^(16-dps) + 1e-15 |total|.
+
+    Why that error covers the fixed-point arithmetic: before each division
+    the numerators are shifted left, and scale raised with them, until the
+    quotient keeps at least _SERIES_BITS bits, so each step rounds s_{k+1}
+    by at most 2^(2 - _SERIES_BITS) relative to itself.  Later ratios are
+    exact, so they carry that rounding forward unchanged in relative size,
+    and after at most 2,000 steps each s_k is within 2,000 *
+    2^(2 - _SERIES_BITS), about 5e-57, of its exact value relative to
+    itself.  The sum of at most 2,000 terms is then within 1e-53 max_mag of
+    exact, and the final products with L, rounded to 50 digits, add a few
+    2^-169 of |total| <= 2,000 max_mag, below 1e-47 max_mag: all far below
+    the max_mag 1e-34 declared for the 50-digit rounding of L itself.
+    """
     dps = 50
     with mpmath.workdps(dps):
-        half = mpmath.mpf(x) / 2
         m = mpmath.mpc(mu)
-        total = mpmath.mpc(0)
-        term = half ** m * mpmath.rgamma(m + 1)
-        max_mag = mpmath.mpf(0)
+        lead = (mpmath.mpf(x) / 2) ** m * mpmath.rgamma(m + 1)
+        size = abs(lead)
+        norm = size * size
+        # mu = (p + iq) / den and h^2 = num / (den hden) exactly, so that
+        # s_{k+1} = -s_k num (p_k - iq) / ((k+1)(p_k^2 + q^2) hden) with
+        # p_k = p + (k+1) den
+        p, pden = mu.real.as_integer_ratio()
+        q, qden = mu.imag.as_integer_ratio()
+        den = max(pden, qden)  # both powers of two
+        p, q = p * (den // pden), q * (den // qden)
+        xnum, xden = x.as_integer_ratio()
+        num, hden = xnum * xnum * den, 4 * xden * xden
+        tol = 10 ** (2 * dps)
+        scale = _SERIES_BITS
+        a, b = 1 << scale, 0  # s_k
+        sa = sb = 0  # s_0 + ... + s_k
+        mag2, peak = a * a, 0  # |s_k|^2, max |s_j|^2 over j < k
         for k in range(2000):
-            total += term
-            max_mag = max(max_mag, abs(term))
-            term = -term * half * half / ((k + 1) * (m + k + 1))
-            if abs(term) < mpmath.mpf(10) ** (-dps) * max(abs(total), 1) \
-                    and k > x:
-                break
+            sa += a
+            sb += b
+            peak = max(peak, mag2)
+            pk = p + (k + 1) * den
+            d = (k + 1) * (pk * pk + q * q) * hden
+            ra, rb = -(a * pk + b * q) * num, (a * q - b * pk) * num
+            shift = _SERIES_BITS + d.bit_length() \
+                - max(ra.bit_length(), rb.bit_length())
+            if shift > 0:
+                ra, rb, sa, sb = ra << shift, rb << shift, sa << shift, \
+                    sb << shift
+                peak <<= 2 * shift
+                scale += shift
+            a, b = ra // d, rb // d
+            mag2 = a * a + b * b
+            # |L s_{k+1}| < 10^-dps max(|L S|, 1), squared and in units of
+            # |L|^2 / 4^scale; unit is the 1 in those units, rounded up
+            if k > x:
+                e = 2 * scale - norm.exp
+                unit = -(-(1 << e) // norm.man) if e >= 0 else 1
+                if tol * mag2 < max(sa * sa + sb * sb, unit):
+                    break
         else:
             raise PrecisionError("extended-precision series did not converge")
-        if abs(total) > 0 and max_mag / abs(total) > _CANCELLATION_BUDGET ** 2:
+        # max_mag / |total| = sqrt(peak) / |S|, the leading term cancelling
+        if peak > int(_CANCELLATION_BUDGET ** 2) ** 2 * (sa * sa + sb * sb) \
+                and (sa or sb):
             raise PrecisionError("cancellation exceeds doubled budget")
-        err = float(max_mag) * 10.0 ** (16 - dps) + 1e-15 * abs(complex(total))
-        return complex(total), err
+        total = complex(lead * mpmath.mpc(mpmath.mpf((sa, -scale)),
+                                          mpmath.mpf((sb, -scale))))
+        max_mag = size * mpmath.sqrt(mpmath.mpf((peak, -2 * scale)))
+        return total, float(max_mag) * 10.0 ** (16 - dps) + 1e-15 * abs(total)
 
 
 def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):

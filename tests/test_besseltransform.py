@@ -1,10 +1,14 @@
+import json
 import math
+import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv
 
+from specsum import besseltransform
 from specsum.besseltransform import (
     PrecisionError,
     bessel_j,
@@ -91,9 +95,11 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
 
-    def test_fails_loudly_on_cancellation(self):
-        with pytest.raises(PrecisionError):
+    def test_fails_loudly_on_cancellation(self, fallback_calls):
+        # beyond the doubled budget of the extended-precision series
+        with pytest.raises(PrecisionError, match="doubled budget"):
             bessel_j(0, 200.0)
+        assert fallback_calls == [(0j, 200.0)]
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +213,92 @@ class TestParityAndSign:
         phi = gaussian_phi(10, 25)
         plus = transform_axis(phi, 1, 1, 0.5).value
         assert transform_axis(phi, 1, -1, 0.5).value == -plus
+
+
+# --------------------------------------------------------------------------
+# the extended-precision series
+# --------------------------------------------------------------------------
+
+FALLBACK = Path(__file__).resolve().parent / "data" / "bessel_fallback.json"
+
+
+def fallback_candidates():
+    """Seeded points from the bessel-transforms workload's ranges (orders
+    0.6 + 2iy with y in [0.25, 30] at x in [0.01, 30], integer orders 0-9 at
+    x in [11, 25]) and orders below -1 that are not integers."""
+    rng = random.Random(15)
+    pts = [(complex(0.6, 2 * rng.uniform(0.25, 30.0)), rng.uniform(0.01, 30.0))
+           for _ in range(40)]
+    pts += [(complex(rng.randrange(10)), rng.uniform(11.0, 25.0))
+            for _ in range(20)]
+    pts += [(complex(mu), rng.uniform(11.0, 25.0))
+            for mu in (-1.5, -3.7 + 0.2j, -5.5) for _ in range(2)]
+    return pts
+
+
+def _record_calls(monkeypatch):
+    """Wrap the extended-precision series; returns the list of the
+    arguments of its calls."""
+    calls = []
+    inner = besseltransform._series_extended
+
+    def counted(mu, x):
+        calls.append((mu, x))
+        return inner(mu, x)
+
+    monkeypatch.setattr(besseltransform, "_series_extended", counted)
+    return calls
+
+
+@pytest.fixture
+def fallback_calls(monkeypatch):
+    return _record_calls(monkeypatch)
+
+
+def _row(mu, x, v, e):
+    return {"order": [repr(mu.real), repr(mu.imag)], "x": repr(x),
+            "value": [repr(v.real), repr(v.imag)], "error": repr(e)}
+
+
+# read at collection; the file is absent only while it is being generated
+ROWS = json.loads(FALLBACK.read_text()) if FALLBACK.exists() else []
+
+
+class TestExtendedSeries:
+    """The fallback series, replayed on the points of
+    tests/data/bessel_fallback.json, which holds every candidate above that
+    reaches it, with the value and error the series gave when the file was
+    written.  Regenerate (only on a deliberate change of output) with
+
+        PYTHONPATH=src python tests/test_besseltransform.py
+    """
+
+    def test_rows_cover_the_ranges(self):
+        orders = {complex(float(r["order"][0]), float(r["order"][1]))
+                  for r in ROWS}
+        assert len(ROWS) >= 50
+        assert {-1.5, -3.7 + 0.2j, -5.5} <= orders
+        assert any(mu.imag > 50 for mu in orders)
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda r: f"{r['order']}@{r['x']}")
+    def test_row(self, row, fallback_calls):
+        mu = complex(float(row["order"][0]), float(row["order"][1]))
+        x = float(row["x"])
+        v, e = bessel_j_err(mu, x)
+        assert fallback_calls == [(mu, x)]
+        assert _row(mu, x, v, e) == row
+        with mpmath.workdps(60):
+            ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
+            assert float(abs(mpmath.mpc(v) - ref)) <= e
+
+
+if __name__ == "__main__":
+    rows = []
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _record_calls(mp)
+        for mu, x in fallback_candidates():
+            calls.clear()
+            v, e = bessel_j_err(mu, x)
+            if calls:
+                rows.append(_row(mu, x, v, e))
+    FALLBACK.write_text(json.dumps(rows, indent=1) + "\n")

@@ -87,7 +87,8 @@ _MEASURE = [
 
 # the Kloosterman series over one and two places, Kloosterman sums at a
 # level strictly larger than (c) and over Q(sqrt5), each transform formula
-# alone, and a point value of J
+# alone, and point values of J on the double-precision and the
+# extended-precision series
 _RESULTS = [
     ["ksum", "--field", "Q", "--box", "15"],
     ["ksum", "--field", "Q(sqrt5)", "--box", "15"],
@@ -99,6 +100,7 @@ _RESULTS = [
     ["bessel", "--phi", "phi_p:p=1,a=3", "--parity", "1", "--eta", "-1",
      "--t", "3", "--formula", "contour"],
     ["bessel", "--order", "2", "--x", "5"],
+    ["bessel", "--order", "3", "--x", "20"],
 ]
 
 
