@@ -12,12 +12,25 @@ Python integers.
 Transforms are computed two ways: integrating along the spectral axis
 (plus the discrete-series sum), and integrating along the shifted contour
 Re nu = tau.  The contour form scales explicitly like |t|^{2 tau} and is
-preferred for small |t|.  On both paths |J_{2 nu}(t)| grows like
-e^{pi |Im nu|} and the integrand divides that growth out again by cosh,
-sinh or cos; each integrand asks bessel_j for atol = 1e-10 times that
-divisor, so the error J adds to the integrand is about 1e-10 times the
-factor J is multiplied by there, and the series stays in double precision
-wherever it can deliver that.
+preferred for small |t|.  Both integrands are even and analytic in a strip
+about the line of integration, where the trapezoidal rule converges
+geometrically in 1/h (Trefethen & Weideman, SIAM Review 56, 2014), so each
+transform is one trapezoidal rule on [lo, H] with half weights at both ends
+(_nodes, _trapezoid).  Its step shrinks as the line of integration nears
+a singularity of the integrand, and a rule that would need more than
+_MAX_STEPS steps is rejected.  Its nodes are known at once, and J is
+evaluated at all of them as one numpy array (_bessel_j_nodes).  The
+declared error is |T_h - T_2h| + 1e-15 sum w|g| (rounding and
+cancellation) + sum w|c| e (the nodes' Bessel errors e, times the factor c
+the integrand multiplies J by) + the tail beyond H.  Point values
+(bessel_j_err, and the discrete sum) stay on the scalar series: for one
+order the array machinery costs about 16 times as much.
+
+On both paths |J_{2 nu}(t)| grows like e^{pi |Im nu|} and the integrand
+divides that growth out again by cosh, sinh or cos; each node asks for
+atol = 1e-10 times that divisor, so the error J adds to the integrand is
+about 1e-10 times the factor J is multiplied by there, and the series stays
+in double precision wherever it can deliver that.
 """
 
 from __future__ import annotations
@@ -27,7 +40,6 @@ import math
 
 import mpmath
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import rgamma
 
 from .measures import MeasureResult, check_parity
@@ -180,17 +192,89 @@ def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
             raise PrecisionError("series did not converge within 500 terms")
         term = -term * half * half / ((k + 1) * (mu + k + 1))
         k += 1
-    # relative rounding of the leading term: exp of mu log(x/2) loses about
-    # |mu log(x/2)| ulps, and scipy's rgamma about |mu| ulps (1.7e-13
-    # relative near |mu| = 130, against mpmath)
-    lead_rel = 1e-16 * (40 * (1 + abs(mu + 1)) + 5 * abs(mu * log_half))
-    err = tail + max_mag * 1e-16 * (k + 1) + lead_rel * abs_sum
+    err = _declared_error(mu, log_half, tail, max_mag, k + 1, abs_sum)
     if err > atol:
         return _series_extended(mu, x)
     if abs(total) > 0 and max_mag / abs(total) > _CANCELLATION_BUDGET:
         raise PrecisionError(
             f"cancellation {max_mag / abs(total):.1e} exceeds budget at x={x}")
     return total, err
+
+
+def _declared_error(mu, log_half, tail, max_mag, terms, abs_sum):
+    """Declared error of the double-precision series, for one order or an
+    array of them: the truncated tail, an ulp of the largest term per term
+    summed (the rounding of the summation and of the recurrence), and the
+    relative rounding of the leading term, which every later term inherits:
+    exp of mu log(x/2) loses about |mu log(x/2)| ulps, and scipy's rgamma
+    about |mu| ulps (1.7e-13 relative near |mu| = 130, against mpmath)."""
+    lead_rel = 1e-16 * (40 * (1 + abs(mu + 1)) + 5 * abs(mu * log_half))
+    return tail + max_mag * 1e-16 * terms + lead_rel * abs_sum
+
+
+def _bessel_j_nodes(mu, x: float, atol):
+    """J_mu(x) at an array of orders mu and one x > 0, with declared errors:
+    bessel_j_err's double-precision series run over all orders at once.
+    Each order stops by the scalar stopping rule and is declared the same
+    error; each whose error exceeds its own entry of `atol` is recomputed by
+    the extended-precision series.  Raises the PrecisionErrors of
+    bessel_j_err.  Unlike bessel_j_err it checks only x against _X_CAP: it
+    assumes x > 0, no negative integer order and |Im mu| <= 2 _IM_CAP, as
+    the transforms guarantee.
+
+    The transforms call it with every node of their rule at once.  Point
+    values keep the scalar bessel_j_err: on one order that stays in double
+    precision the array machinery costs 120-290 us against the scalar
+    series' 7-19 us.
+    """
+    if x > _X_CAP:
+        raise ValueError(f"argument {x} beyond supported window {_X_CAP}")
+    half = x / 2.0
+    log_half = math.log(half)
+    n = len(mu)
+    value, err, peak = np.zeros(n, complex), np.zeros(n), np.zeros(n)
+    live = np.arange(n)  # the orders still summing, and their state
+    m = mu
+    term = np.exp(m * log_half) * rgamma(m + 1)
+    total, comp = np.zeros(n, complex), np.zeros(n, complex)
+    max_mag, abs_sum = np.zeros(n), np.zeros(n)
+    k = 0
+    while True:
+        y = term - comp
+        t_new = total + y
+        comp = (t_new - total) - y
+        total = t_new
+        mag = np.abs(term)
+        max_mag = np.maximum(max_mag, mag)
+        abs_sum += mag
+        ratio = half * half / ((k + 1) * np.abs(m + k + 1))
+        done = (mag < _SERIES_TOL * np.maximum(np.abs(total), 1e-300)) \
+            & (ratio < 0.5)
+        if done.any():
+            i = live[done]
+            value[i], peak[i] = total[done], max_mag[done]
+            err[i] = _declared_error(
+                m[done], log_half, mag[done] * ratio[done] / (1 - ratio[done]),
+                max_mag[done], k + 1, abs_sum[done])
+            keep = ~done
+            live, m, term, total, comp, max_mag, abs_sum = (
+                a[keep] for a in (live, m, term, total, comp, max_mag, abs_sum))
+            if not len(live):
+                break
+        if k > 500:
+            raise PrecisionError("series did not converge within 500 terms")
+        term = -term * half * half / ((k + 1) * (m + k + 1))
+        k += 1
+    extended = err > atol
+    for i in np.flatnonzero(extended):
+        value[i], err[i] = _series_extended(complex(mu[i]), x)
+    size = np.abs(value)
+    over = ~extended & (peak > _CANCELLATION_BUDGET * size) & (size > 0)
+    if over.any():
+        i = np.flatnonzero(over)[0]
+        raise PrecisionError(f"cancellation {peak[i] / size[i]:.1e} exceeds "
+                             f"budget at x={x}")
+    return value, err
 
 
 def bessel_j(mu: complex, x: float, *, atol: float = _ATOL) -> complex:
@@ -220,14 +304,71 @@ def _discrete_sum(phi: LocalTestFunction, parity: int, t_abs: float) -> complex:
     return total
 
 
-def _height(phi: LocalTestFunction) -> float:
-    """Truncation height of both transform integrals: past a gaussian's bump
-    at q, otherwise the cap that keeps the Bessel order 2 nu in the
-    supported window."""
+def _window(phi: LocalTestFunction):
+    """(lo, H): the range [lo, H] of both transform integrals.  A gaussian's
+    is its bump at q plus and minus 40 / sqrt(U), cut below at 0 and above
+    at the cap that keeps the Bessel order 2 nu in the supported window;
+    any other phi's is [0, cap]."""
+    cap = _IM_CAP / 2
+    if phi.provenance != "gaussian":
+        return 0.0, cap
+    q, reach = phi.params["q"], 40 / math.sqrt(phi.params["U"])
+    H = min(q + reach, cap)
+    return min(max(0.0, q - reach), H), H
+
+
+_MAX_STEPS = 2 ** 15
+
+
+def _nodes(phi: LocalTestFunction, parity: int, shift: float):
+    """Nodes of the trapezoidal rule on _window's [lo, H], an even number of
+    steps h, on the line Re nu = shift (0 for the axis, tau for the
+    contour).
+
+    h is at most an eighth of the distance d from the line to the nearest
+    singularity of the integrand: a zero of the denominator at
+    Re nu = (1 + parity)/2 (the zeros at nu = 0 are cancelled by the factor
+    y or nu), or phi_p's branch point at nu = p, both level with the node 0.
+    The rule's error falls like e^{-2 pi d / h}, and that of the rule on
+    every other node, which _trapezoid declares, like e^{-pi d / h}.
+    Within that, h = 0.15 / sqrt(U) for a gaussian and 0.05 for any other
+    phi.
+
+    Raises ValueError where that needs more than _MAX_STEPS steps, which
+    bounds the cost of a transform.  On the axis d > 1/4, so at most 2,080
+    steps; the contour takes more as tau or p nears a singularity:
+    phi_p(0.32, tau=0.3) takes 26,000 steps, a gaussian at tau = 0.49 and
+    U = 90 about 6,700.
+    """
+    lo, H = _window(phi)
+    d = min((1 + parity) / 2, phi.params.get("p", math.inf)) - shift
     if phi.provenance == "gaussian":
-        return min(phi.params["q"] + 40 / math.sqrt(phi.params["U"]),
-                   _IM_CAP / 2)
-    return _IM_CAP / 2
+        step = min(0.15 / math.sqrt(phi.params["U"]), d / 8)
+    else:
+        step = min(0.05, d / 8)
+    steps = max(2, 2 * math.ceil((H - lo) / (2 * step)))
+    if steps > _MAX_STEPS:
+        raise ValueError(
+            f"tau or p too close to a singularity of the integrand: the line "
+            f"Re nu = {shift:g} lies {d:.3g} from it, and the rule would need "
+            f"{steps} steps, more than {_MAX_STEPS}")
+    return np.linspace(lo, H, steps + 1)
+
+
+def _trapezoid(nodes, g, bessel_err):
+    """(T_h, declared error) of the integrand values g at the nodes, with
+    half weights at both ends.  The error is |T_h - T_2h| (the rule on every
+    other node, which needs no further evaluation) + 1e-15 sum w|g| (the
+    rounding of the values and their cancellation) + sum w bessel_err (each
+    node's Bessel error, times the factor the integrand multiplies J by)."""
+    h = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
+
+    def rule(f, step):  # exactly rounded sums, so the same bytes everywhere
+        return step * (math.fsum(f[::step].tolist()) - (f[0] + f[-1]) / 2)
+
+    value = rule(g, 1) * h
+    return value, abs(value - rule(g, 2) * h) \
+        + h * (1e-15 * rule(np.abs(g), 1) + rule(bessel_err, 1))
 
 
 def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
@@ -241,16 +382,20 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
     halves combine by evenness; all denominators are zero-free on the axis,
     the y=0 limit of the parity-1 integrand being 2 phi(0) J_0(|t|)/pi).
 
-    J_{2iy} grows like e^{pi y} and the cosh/sinh denominator cancels that
-    growth, so each J is asked for atol = 1e-10 cosh(pi y) (or sinh): its
-    error in the integrand is then 1e-10 times 2 y |phi(iy)|.  The
-    discrete sum uses the default atol.
+    Both integrands are even in y and analytic in a strip about the axis,
+    so the trapezoidal rule of _nodes over [0, H] converges geometrically
+    in 1/h; J is evaluated at all nodes at once.  J_{2iy} grows like
+    e^{pi y} and the cosh/sinh denominator cancels that growth, so each J
+    is asked for atol = 1e-10 cosh(pi y) (or sinh; at y = 0 the default):
+    its error in the integrand is then 1e-10 times 2 y |phi(iy)|.  The
+    declared error is _trapezoid's plus the tail beyond H.  The discrete
+    sum uses the default atol.
     """
     _check_parity_eta(parity, eta)
     if t == 0:
         raise ValueError("t must be nonzero")
     t_abs = abs(t)
-    H = _height(phi)
+    H = _window(phi)[1]
     tail = 1e-14
     if phi.provenance != "gaussian":
         # the integrand is bounded by 2|phi(iy)| y (the Bessel growth e^{pi y}
@@ -259,22 +404,19 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
         K = max(abs(phi(1j * y)) * (1 + y) ** phi.a
                 for y in np.geomspace(1, 60, 40))
         tail = 2 * K * (1 + H) ** (2 - phi.a) / (phi.a - 2)
+    y = _nodes(phi, parity, 0.0)
+    values = np.array([phi(1j * v).real for v in y])
     if parity == 0:
-        def g(y):
-            if y == 0:
-                return 0.0
-            c = math.cosh(math.pi * y)
-            return -2 * y * (phi(1j * y)).real \
-                * bessel_j(2j * y, t_abs, atol=_ATOL * c).imag / c
+        denom = np.cosh(np.pi * y)
+        coef = -2 * y * values / denom
     else:
-        def g(y):
-            if y < 1e-8:
-                return 2 * (phi(0j)).real * bessel_j(0, t_abs).real / math.pi
-            s = math.sinh(math.pi * y)
-            return 2 * y * (phi(1j * y)).real \
-                * bessel_j(2j * y, t_abs, atol=_ATOL * s).real / s
-
-    v, e = quad(g, 0.0, H, limit=400)
+        denom = np.sinh(np.pi * y)
+        at0 = y == 0
+        denom[at0] = 1.0  # 2y / sinh(pi y) -> 2 / pi
+        coef = 2 * np.where(at0, 1 / np.pi, y / denom) * values
+    J, J_err = _bessel_j_nodes(2j * y, t_abs, _ATOL * denom)
+    g = coef * (J.imag if parity == 0 else J.real)
+    v, e = _trapezoid(y, g, np.abs(coef) * J_err)
     value = v + _discrete_sum(phi, parity, t_abs)
     if parity == 1:
         value *= -1j * eta * math.copysign(1.0, t)
@@ -298,10 +440,12 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
     form accurate for small |t|.  Checked against direct complex
     quadrature of the defining axis integrals.
 
-    |J_{2 nu}| grows like e^{pi x} and |cos(pi(nu - parity/2))| like
-    e^{pi x} / 2, so each J is asked for atol = 1e-10 |cos(...)|: its error
-    in the integrand is then 1e-10 times |phi(nu) nu|.  The discrete sum
-    uses the default atol.
+    The integrand is even in x, so the same trapezoidal rule as on the axis
+    applies (_nodes, _trapezoid).  |J_{2 nu}| grows like e^{pi x} and
+    |cos(pi(nu - parity/2))| like e^{pi x} / 2, so each J is asked for
+    atol = 1e-10 |cos(...)|: its error in the integrand is then 1e-10 times
+    |phi(nu) nu|.  The declared error is twice _trapezoid's plus twice the
+    tail beyond H.  The discrete sum uses the default atol.
     """
     _check_parity_eta(parity, eta)
     if t == 0:
@@ -311,15 +455,13 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
                          "holomorphic test function")
     tau = phi.tau
     t_abs = abs(t)
-    H = _height(phi)
-
-    def g(x):
-        nu = tau + 1j * x
-        denom = cmath.cos(math.pi * (nu - parity / 2.0))
-        j = bessel_j(2 * nu, t_abs, atol=_ATOL * abs(denom))
-        return (phi(nu) * nu * j / denom).real
-
-    v, e = quad(g, 0.0, H, limit=400)
+    H = _window(phi)[1]
+    x = _nodes(phi, parity, tau)
+    nu = tau + 1j * x
+    denom = np.cos(np.pi * (nu - parity / 2.0))
+    coef = np.array([phi(v) for v in nu]) * nu / denom
+    J, J_err = _bessel_j_nodes(2 * nu, t_abs, _ATOL * np.abs(denom))
+    v, e = _trapezoid(x, (coef * J).real, np.abs(coef) * J_err)
     tail = 0.0
     if phi.provenance != "gaussian":
         # tail bound: decay of phi against the polynomially-bounded remainder

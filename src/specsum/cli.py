@@ -9,6 +9,7 @@ ValueError); any other exception is a bug and keeps its traceback.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -138,7 +139,14 @@ def emit(obj, stream=None):
           file=stream or sys.stdout)
 
 
+_BEYOND_DOUBLE = "result beyond the range of a double"
+
+
 def measure_dict(res) -> dict:
+    """A result's JSON fields.  A value or error that a double cannot hold
+    comes from input out of window, so it is rejected (exit 2)."""
+    if not (cmath.isfinite(res.value) and math.isfinite(res.error)):
+        raise ValueError(_BEYOND_DOUBLE)
     return {"value": res.value, "error": res.error, "method": res.method}
 
 
@@ -230,14 +238,18 @@ def cmd_region_volume(args) -> int:
             kw[flag.removesuffix("_list")] = value
     fam = family(args.family, **kw)
     t = args.Y if args.family == "simplex" else args.t
-    if args.method == "closed":
-        res = fam.closed_form_nv1(t)
-    elif args.method == "quadrature":
-        if not hasattr(fam, "quadrature_nv1"):
-            raise ValueError(f"family {args.family} has no --method quadrature")
-        res = fam.quadrature_nv1(t)
-    else:  # mc; argparse admits no other method
-        res = fam.instance(t).mc_nv1(args.samples, seed=args.seed)
+    try:
+        if args.method == "closed":
+            res = fam.closed_form_nv1(t)
+        elif args.method == "quadrature":
+            if not hasattr(fam, "quadrature_nv1"):
+                raise ValueError(
+                    f"family {args.family} has no --method quadrature")
+            res = fam.quadrature_nv1(t)
+        else:  # mc; argparse admits no other method
+            res = fam.instance(t).mc_nv1(args.samples, seed=args.seed)
+    except OverflowError:  # a power of a huge side or radius
+        raise ValueError(_BEYOND_DOUBLE) from None
     emit(measure_dict(res))
     return 0
 

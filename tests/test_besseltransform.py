@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from pathlib import Path
 
 import mpmath
@@ -63,29 +64,38 @@ class TestBesselJ:
                 v, e = bessel_j_err(mu, x)
                 assert abs(v - complex(mpmath.besselj(mu, x))) <= max(e, 1e-12)
 
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_declared_error_bounds_true_error(self, scaled):
+    @pytest.mark.parametrize("case", [False, True, "array"])
+    def test_declared_error_bounds_true_error(self, case):
         # orders 2 nu on the transforms' contours (Re nu = 0.3, Im nu up to
         # the axis height 65; 2 nu = 0.6 + 13.24i is where the leading
         # term's rounding once went undeclared) and the discrete-series
-        # orders, at the default atol and at the transforms' atol, which is
-        # scaled by the cosh(pi y) that divides J out again.  A double
-        # cannot hold J to better than half an ulp, so the true error may
-        # exceed atol by that much where |J| is huge.
+        # orders, at the default atol (case False) and at the transforms'
+        # atol (True), which is scaled by the cosh(pi y) that divides J out
+        # again; "array" is the transforms' series over all orders at once,
+        # at the scaled atol, which must also agree with the scalar series.
+        # A double cannot hold J to better than half an ulp, so the true
+        # error may exceed atol by that much where |J| is huge.
         orders = [0.6 + 2j * y for y in (0, 0.1, 0.5, 2, 5, 6.62, 10, 20,
                                          40, 65)]
         orders += [complex(n) for n in range(21)]
-        for mu in orders:
-            atol = 1e-10 * math.cosh(math.pi * mu.imag / 2) if scaled \
-                else 1e-10
-            kw = {"atol": atol} if scaled else {}
-            for x in (1e-4, 1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 8.0, 15.0, 30.0):
-                v, e = bessel_j_err(mu, x, **kw)
+        atols = [1e-10 * math.cosh(math.pi * mu.imag / 2) if case else 1e-10
+                 for mu in orders]
+        for x in (1e-4, 1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 8.0, 15.0, 30.0):
+            if case == "array":
+                got = zip(*besseltransform._bessel_j_nodes(
+                    np.array(orders), x, np.array(atols)))
+            else:
+                got = (bessel_j_err(mu, x, **({"atol": atol} if case else {}))
+                       for mu, atol in zip(orders, atols))
+            for mu, atol, (v, e) in zip(orders, atols, got):
                 with mpmath.workdps(40):
                     ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
                     true = float(abs(mpmath.mpc(v) - ref))
                 assert true <= e, (mu, x)
                 assert true <= atol + 2.3e-16 * float(abs(ref)), (mu, x)
+                if case == "array":
+                    sv, se = bessel_j_err(mu, x, atol=atol)
+                    assert abs(v - sv) <= e + se, (mu, x)
 
     def test_rejects_beyond_window(self):
         with pytest.raises(ValueError):
@@ -126,6 +136,15 @@ class TestTransforms:
         a = transform_axis(power, parity, 1, t)
         c = transform_contour(power, parity, 1, t)
         assert abs(a.value - c.value) <= a.error + c.error
+
+    def test_cross_check_is_informative(self):
+        # a value of order 1e-10: unless both errors are far below it, the
+        # agreement of the two formulas shows nothing
+        phi = phi_p(2.0, a=8.0)
+        a = transform_axis(phi, 1, 1, 2.1e-4)
+        c = transform_contour(phi, 1, 1, 2.1e-4)
+        assert abs(a.value - c.value) <= a.error + c.error
+        assert a.error + c.error < abs(a.value) / 10
 
     def test_parity_zero_even_in_t(self, gauss):
         v1 = transform_axis(gauss, 0, 1, 2.0).value
@@ -175,6 +194,118 @@ class TestTransforms:
         assert r.method == "axis"
         assert r.error >= 0
         assert transform_contour(gauss, 0, 1, 1.0).method == "contour"
+
+
+def _mp_transform(phi, formula, parity, t):
+    """The transform, by mpmath Gauss-Legendre quadrature at 30 digits of
+    its integrand over the same range as the library's rule, plus the
+    discrete sum with mpmath's J.  The panels are short enough for 24 nodes
+    each: 2/sqrt(U) about a gaussian's bump; H/26 for phi_p, and below H/26
+    halving towards 0 down to d/8, d being the distance from the line of
+    integration to the nearest singularity.  A gaussian's panels cover only
+    q +- 10/sqrt(U): beyond them its integrand is below e^{U tau^2 - 100} of
+    its peak."""
+    tau = phi.tau if formula == "contour" else 0.0
+    nodes = besseltransform._nodes(phi, parity, tau)
+    lo, H = float(nodes[0]), float(nodes[-1])
+    with mpmath.workdps(30):
+        if phi.provenance == "gaussian":
+            q, U = phi.params["q"], phi.params["U"]
+            root_u = math.sqrt(U)
+            pts = [min(max(lo, q + k / root_u), H) for k in range(-10, 11, 2)]
+            c, iq = mpmath.sqrt(U / mpmath.pi), mpmath.mpc(0, q)
+
+            def f(nu):
+                return c * (mpmath.exp(U * (iq - nu) ** 2)
+                            + mpmath.exp(U * (iq + nu) ** 2))
+        else:
+            p, a = phi.params["p"], mpmath.mpf(phi.a)
+            d = min((1 + parity) / 2, p) - tau  # to the nearest singularity
+            pts = sorted({*np.linspace(0.0, H, 27),
+                          *(d * 2.0 ** k for k in range(-3, 6)
+                            if d * 2.0 ** k < H / 26)})
+
+            def f(nu):
+                return (p * p - nu * nu) ** (-a / 2)
+
+        def axis(y):
+            if y == 0:
+                return 2 * f(0).real * mpmath.besselj(0, t) / mpmath.pi \
+                    if parity else 0
+            J = mpmath.besselj(2j * y, t)
+            if parity == 0:
+                return -2 * y * f(1j * y).real * J.imag \
+                    / mpmath.cosh(mpmath.pi * y)
+            return 2 * y * f(1j * y).real * J.real / mpmath.sinh(mpmath.pi * y)
+
+        def contour(x):
+            nu = tau + 1j * x
+            return 2 * (f(nu) * nu * mpmath.besselj(2 * nu, t)
+                        / mpmath.cos(mpmath.pi * (nu - parity / 2))).real
+
+        value = mpmath.quad(axis if formula == "axis" else contour, pts,
+                            method="gauss-legendre", maxdegree=4)
+        value += sum((-1) ** (b // 2) * (b - 1) * phi((b - 1) / 2).real
+                     * mpmath.besselj(b - 1, t)
+                     for b in range(2 + parity, 61, 2))
+        return complex(value) * (-1j) ** parity
+
+
+def _error_cases():
+    """gaussians on a default and on a near-edge strip (tau = 0.49, 0.01
+    from the parity-0 contour's pole), the ill-conditioned gaussian contour
+    at U = 400 (|phi| reaches e^{U tau^2} = e^{36} there, so the value is a
+    cancellation of integrand values near 1e17), and phi_p(2, a=8); t is
+    drawn log-uniformly from [0.1, 5], seeded."""
+    rng = random.Random(16)
+    cases = [("U90", gaussian_phi(2.5, 90.0), "contour", 1),
+             ("U90-tau0.49", gaussian_phi(2.5, 90.0, tau=0.49), "axis", 0),
+             ("U90-tau0.49", gaussian_phi(2.5, 90.0, tau=0.49), "contour", 0),
+             ("U400", gaussian_phi(2.5, 400.0), "contour", 0),
+             ("phi_p", phi_p(2.0, a=8.0), "axis", 1),
+             ("phi_p", phi_p(2.0, a=8.0), "contour", 1)]
+    return [pytest.param(phi, formula, parity, 0.1 * 50 ** rng.random(),
+                         id=f"{name}-{formula}-{parity}")
+            for name, phi, formula, parity in cases]
+
+
+class TestTransformError:
+    """The declared error of both formulas covers the distance to mpmath
+    quadrature at 30 digits (_mp_transform), on _error_cases."""
+
+    @pytest.mark.parametrize("phi, formula, parity, t", _error_cases())
+    def test_error_covers_mpmath(self, phi, formula, parity, t):
+        transform = transform_axis if formula == "axis" else transform_contour
+        got = transform(phi, parity, 1, t)
+        assert abs(got.value - _mp_transform(phi, formula, parity, t)) \
+            <= got.error
+
+
+class TestNearSingularity:
+    """The contour's step shrinks as tau or p nears a singularity of the
+    integrand, within a bounded number of steps; beyond it, ValueError."""
+
+    @pytest.mark.parametrize("phi, parity", [
+        (phi_p(0.30000001), 0),                 # branch point 1e-8 away
+        (phi_p(0.30000001), 1),
+        (gaussian_phi(1.0, 25.0, tau=0.49999), 0),  # pole 1e-5 away
+    ])
+    def test_too_close_is_rejected_at_once(self, phi, parity):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 32768"):
+            transform_contour(phi, parity, 1, 1.0)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_closest_accepted_is_fast_and_covered(self, parity):
+        # p = 0.3 + 65 * 8 / 32000: just inside the bound on phi_p's [0, 65]
+        phi = phi_p(0.31625, a=8.0)
+        start = time.perf_counter()
+        got = transform_contour(phi, parity, 1, 1.0)
+        assert time.perf_counter() - start < 1.0
+        assert len(besseltransform._nodes(phi, parity, phi.tau)) > 32000
+        assert abs(got.value - _mp_transform(phi, "contour", parity, 1.0)) \
+            <= got.error
 
 
 class TestSmallT:

@@ -340,6 +340,14 @@ class TestBadInput:
          "point 1.0 not admissible for parity 0"),
         (["measure", "--kind", "nv", "--region", "d[1.7]"],
          "point 1.7 not admissible for parity 0"),
+        (["measure", "--kind", "npl", "--region", "i[0,1e200]"],
+         "result beyond the range of a double"),
+        (["region-volume", "--family", "simplex", "--n", "2", "--Y", "1e200",
+          "--method", "closed"], "result beyond the range of a double"),
+        (["region-volume", "--family", "sphere", "--m", "1e200,1e200", "--r",
+          "1e199", "--method", "closed"], "result beyond the range of a double"),
+        (["bessel", "--phi", "phi_p:p=0.30000001", "--parity", "0", "--eta",
+          "1", "--t", "1", "--formula", "contour"], "more than 32768"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
