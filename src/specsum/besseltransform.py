@@ -308,11 +308,19 @@ def _window(phi: LocalTestFunction):
     """(lo, H): the range [lo, H] of both transform integrals.  A gaussian's
     is its bump at q plus and minus 40 / sqrt(U), cut below at 0 and above
     at the cap that keeps the Bessel order 2 nu in the supported window;
-    any other phi's is [0, cap]."""
+    any other phi's is [0, cap].
+
+    Raises ValueError for a gaussian with q + 6 / sqrt(U) past the cap,
+    which would cut its bump where it is still above e^{-36} of its peak.
+    """
     cap = _IM_CAP / 2
     if phi.provenance != "gaussian":
         return 0.0, cap
-    q, reach = phi.params["q"], 40 / math.sqrt(phi.params["U"])
+    q, U = phi.params["q"], phi.params["U"]
+    if q + 6 / math.sqrt(U) > cap:
+        raise ValueError(f"gaussian centre |q| = {q} is too near the order "
+                         f"window: needs |q| + 6/sqrt(U) <= {cap}")
+    reach = 40 / math.sqrt(U)
     H = min(q + reach, cap)
     return min(max(0.0, q - reach), H), H
 

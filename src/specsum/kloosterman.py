@@ -38,13 +38,50 @@ def trivial_character(F: QuadField, I: IdealLattice) -> CharacterModI:
 # the sums
 # --------------------------------------------------------------------------
 
+def _phase_coefficients(F: QuadField, r: FieldElement, rp: FieldElement,
+                        c: FieldElement):
+    """(p1, p2, p3, p4, den): Tr(r/c), Tr(r w/c), Tr(r'/c), Tr(r' w/c) as
+    integers over their least common denominator den > 0, for integral c.
+
+    All in Python integers: with e the common denominator of r and r' and
+    g c~ = (u + v w)/e for g in (r, r'), g/c = (u + v w)/(e N(c)), where
+    Tr(u + v w) = 2u + s v and Tr((u + v w) w) = 2t v + s(u + s v).  Over Q,
+    w folds to 1 and g/c = u/(e c) with u = e g, so both traces are u.
+    """
+    cx, cy = c.x.numerator, c.y.numerator
+    e = math.lcm(r.x.denominator, r.y.denominator,
+                 rp.x.denominator, rp.y.denominator)
+    nums = []
+    if F.d == 1:
+        D = e * cx
+        for g in (r, rp):
+            u = g.x.numerator * (e // g.x.denominator)
+            nums += [u, u]
+    else:
+        s, t = F.s, F.t
+        D = e * (cx * cx + s * cx * cy - t * cy * cy)
+        for g in (r, rp):
+            g1 = g.x.numerator * (e // g.x.denominator)
+            g2 = g.y.numerator * (e // g.y.denominator)
+            # (g1 + g2 w)(cx + s cy - cy w) with w^2 = s w + t
+            u = g1 * (cx + s * cy) - t * g2 * cy
+            v = g2 * cx - g1 * cy
+            nums += [2 * u + s * v, 2 * t * v + s * (u + s * v)]
+    # the lcm of the reduced denominators n/D is |D| / gcd(D, n...)
+    g = math.gcd(D, *nums)
+    sign = 1 if D > 0 else -1
+    return (*(sign * n // g for n in nums), abs(D) // g)
+
+
 def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
                     c: FieldElement) -> complex:
     """S_chi(r, r'; c) with exact rational phases.
 
     Only the trivial character is supported: chi is None or a
     trivial_character, whose level ideal c must lie in; it weighs every
-    unit by 1.  c must be nonzero.
+    unit by 1.  c must be nonzero.  The four phase coefficients are formed
+    from the integer numerators of r c~ and r' c~ over den(r, r') N(c),
+    with no rational arithmetic.
     """
     if c.is_zero():
         raise ValueError("c must be nonzero")
@@ -56,12 +93,9 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
         # convention S(m, n; 1) = 1
         return 1.0 + 0.0j
     # Tr(r a / c) + Tr(r' a~ / c) is linear in the keys (i, j) of a and
-    # (i~, j~) of a~: k/den with k = i p1 + j p2 + i~ p3 + j~ p4 mod den
-    cinv = c.inverse()
-    coeffs = [(g * x).trace() for g in (r * cinv, rp * cinv)
-              for x in (F.one(), F.omega())]
-    den = math.lcm(*(q.denominator for q in coeffs))
-    p1, p2, p3, p4 = (q.numerator * (den // q.denominator) for q in coeffs)
+    # (i~, j~) of a~: k/den with k = i p1 + j p2 + i~ p3 + j~ p4 mod den,
+    # p1..p4 = Tr(r/c), Tr(r w/c), Tr(r'/c), Tr(r' w/c) over den
+    p1, p2, p3, p4, den = _phase_coefficients(F, r, rp, c)
     total = 0.0 + 0.0j
     for (i, j), (it, jt) in R.unit_inverses().items():
         k = (i * p1 + j * p2 + it * p3 + jt * p4) % den

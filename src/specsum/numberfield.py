@@ -166,15 +166,11 @@ def make_field(m: int) -> QuadField:
 
 def _hnf_2x2(rows):
     """Row HNF of a 2x2 rational matrix of rank 2: rows [[a, b], [0, d]]
-    with a > 0, d > 0 and 0 <= b < d."""
+    with a > 0, d > 0 and 0 <= b < d.  Entries are ints or Fractions."""
     # clear denominators
-    den = 1
-    for r in rows:
-        for v in r:
-            den = math.lcm(den, Fraction(v).denominator)
-    int_rows = [[int(Fraction(v) * den) for v in r] for r in rows]
-    a1, b1 = int_rows[0]
-    a2, b2 = int_rows[1]
+    den = math.lcm(*(v.denominator for r in rows for v in r))
+    (a1, b1), (a2, b2) = ([v.numerator * (den // v.denominator) for v in r]
+                          for r in rows)
     # make second row of form (0, d): euclid on the first column
     while a2 != 0:
         q = a1 // a2
@@ -221,8 +217,9 @@ class IdealLattice:
             raise ValueError("zero generator")
         if F.d == 1:
             return cls(F, [[abs(c.x)]])
-        cw = c * F.omega()
-        L = cls(F, [[c.x, c.y], [cw.x, cw.y]])
+        # rows c and c*w = t y + (x + s y) w
+        x, y = c.x, c.y
+        L = cls(F, [[x, y], [F.t * y, x + F.s * y]])
         if L.norm_index() != abs(c.norm()):
             raise RuntimeError(f"HNF of ({c!r}) has index {L.norm_index()}, "
                                f"not |N(c)| = {abs(c.norm())}")
@@ -287,9 +284,8 @@ class IdealLattice:
             for k in range(1, kmax + 1):
                 out.extend([F.element(k * g), F.element(-k * g)])
             return out
-        b1, b2 = self.basis_elements()
-        e1 = b1.embeddings()
-        e2 = b2.embeddings()
+        (a, b), (_, d) = self.rows
+        e1, e2 = (g.embeddings() for g in self.basis_elements())
         # loop bounds from Cramer: |u| <= (T1|e2_2| + T2|e2_1|)/|det| etc.
         det = abs(e1[0] * e2[1] - e1[1] * e2[0])
         umax = int(math.floor((bounds[0] * abs(e2[1]) + bounds[1] * abs(e2[0])) / det + 1e-9))
@@ -302,7 +298,7 @@ class IdealLattice:
                 s0 = u * e1[0] + v * e2[0]
                 s1 = u * e1[1] + v * e2[1]
                 if abs(s0) <= bounds[0] + tol and abs(s1) <= bounds[1] + tol:
-                    out.append(u * b1 + v * b2)
+                    out.append(F.element(u * a, u * b + v * d))
         return out
 
 

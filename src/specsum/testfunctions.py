@@ -13,10 +13,9 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-from scipy.integrate import quad
+import mpmath
 
-from .measures import nu_theta, plancherel_density
+from .measures import check_parity, nu_theta, plancherel_density
 
 
 @dataclass
@@ -137,15 +136,14 @@ def local_comparison(U: float, nu, alpha: float):
         x = abs(value)
         if x > nu_theta() + 1e-12:
             raise ValueError("complementary point beyond nu_theta")
-        # dist(it, x) = t + x >= 1 > alpha for alpha <= e^{-1}: I empty
-        I = 0.0
-        pref = 2 * math.sqrt(U / math.pi)
-
-        def g(t):
-            return pref * math.exp(U * (x * x - t * t)) * math.cos(2 * U * t * x)
-
-        J, _ = quad(g, 1.0, 1.0 + 40 / math.sqrt(U), limit=200)
-        return I, J
+        # dist(it, x) = t + x >= 1 > alpha for alpha <= e^{-1}: I empty.
+        # J = int_1^b 2 sqrt(U/pi) e^{U(x^2-t^2)} cos(2Utx) dt, b = 1 + 40/sqrt(U);
+        # the integrand is 2 sqrt(U/pi) Re e^{-U(t-ix)^2}, so in closed form
+        # J = Re[erfc(sqrt(U)(1-ix)) - erfc(sqrt(U)(b-ix))]
+        s = math.sqrt(U)
+        b = 1.0 + 40 / s
+        J = mpmath.erfc(mpmath.mpc(s, -s * x)) - mpmath.erfc(mpmath.mpc(s * b, -s * x))
+        return 0.0, float(J.real)
     raise ValueError(f"unknown branch {branch!r}")
 
 
@@ -154,12 +152,16 @@ def local_comparison(U: float, nu, alpha: float):
 # --------------------------------------------------------------------------
 
 def _density_slope_bound(parity: int) -> float:
-    """sup over t >= 0 of |d/dt (spectral density)|, evaluated on a grid."""
-    ts = np.linspace(1e-3, 30, 4000)
-    h = 1e-5
-    vals = [abs(plancherel_density(parity, t + h) -
-                plancherel_density(parity, t - h)) / (2 * h) for t in ts]
-    return max(vals)
+    """sup over t >= 0 of |d/dt (spectral density)|, rounded up to a double.
+
+    With x = pi t, d/dt [t tanh(pi t)] = tanh x + x sech^2 x, whose
+    derivative 2 sech^2 x (1 - x tanh x) vanishes only at the root x* of
+    x tanh x = 1, where the slope equals x* = 1.19967864025773383...
+    d/dt [t coth(pi t)] = coth x - x csch^2 x rises from 0 towards 1 and
+    never reaches it.
+    """
+    check_parity(parity)
+    return 1.199678640257734 if parity == 0 else 1.0
 
 
 def smoothing_discrepancy_bound(q_abs: float, U: float, parity: int = 0) -> float:

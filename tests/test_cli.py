@@ -348,6 +348,8 @@ class TestBadInput:
           "1e199", "--method", "closed"], "result beyond the range of a double"),
         (["bessel", "--phi", "phi_p:p=0.30000001", "--parity", "0", "--eta",
           "1", "--t", "1", "--formula", "contour"], "more than 32768"),
+        (["bessel", "--phi", "gaussian:q=70i,U=25", "--parity", "0", "--eta",
+          "1", "--t", "0.5", "--formula", "both"], "too near the order window"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

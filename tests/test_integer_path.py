@@ -1,0 +1,136 @@
+"""The Kloosterman path works in Python integers where it once worked in
+Fractions: the four phase coefficients of kloosterman_sum, the HNF of a
+principal ideal and the points of a lattice in a box.  Each is checked for
+equality with the Fraction formula it replaced, written out below, over Q,
+Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) and Q(sqrt 13), for signed generators
+(negative norms included) and for r, r' with denominators."""
+
+import math
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from specsum.kloosterman import _phase_coefficients
+from specsum.numberfield import IdealLattice, make_field
+
+FIELDS = [make_field(m) for m in (1, 2, 3, 5, 13)]
+Q, F2 = FIELDS[0], FIELDS[1]
+
+
+def fraction_phase_coefficients(F, r, rp, c):
+    """Tr(g x / c) for g in (r, r'), x in (1, w) in Fractions, then over
+    the lcm of their denominators."""
+    cinv = c.inverse()
+    coeffs = [(g * x).trace() for g in (r * cinv, rp * cinv)
+              for x in (F.one(), F.omega())]
+    den = math.lcm(*(q.denominator for q in coeffs))
+    return (*(q.numerator * (den // q.denominator) for q in coeffs), den)
+
+
+def fraction_hnf_2x2(rows):
+    den = 1
+    for r in rows:
+        for v in r:
+            den = math.lcm(den, Fraction(v).denominator)
+    (a1, b1), (a2, b2) = ([int(Fraction(v) * den) for v in r] for r in rows)
+    while a2 != 0:
+        q = a1 // a2
+        a1, b1, a2, b2 = a2, b2, a1 - q * a2, b1 - q * b2
+    if a1 < 0:
+        a1, b1 = -a1, -b1
+    b2 = abs(b2)
+    b1 %= b2
+    return [[Fraction(a1, den), Fraction(b1, den)], [Fraction(0), Fraction(b2, den)]]
+
+
+def fraction_principal_rows(c):
+    """HNF of the rows c and c*w, with c*w formed as a field product."""
+    F = c.field
+    if F.d == 1:
+        return [[abs(c.x)]]
+    cw = c * F.omega()
+    return fraction_hnf_2x2([[c.x, c.y], [cw.x, cw.y]])
+
+
+def fraction_lattice_points(L, bounds):
+    """The box enumeration with each point formed as u*b1 + v*b2."""
+    F = L.field
+    if F.d == 1:
+        g = L.rows[0][0]
+        out = []
+        for k in range(1, int(math.floor(Fraction(bounds[0]) / g)) + 1):
+            out.extend([F.element(k * g), F.element(-k * g)])
+        return out
+    b1, b2 = (F.element(*L.rows[0]), F.element(*L.rows[1]))
+    e1, e2 = b1.embeddings(), b2.embeddings()
+    det = abs(e1[0] * e2[1] - e1[1] * e2[0])
+    umax = int(math.floor((bounds[0] * abs(e2[1]) + bounds[1] * abs(e2[0])) / det + 1e-9))
+    vmax = int(math.floor((bounds[0] * abs(e1[1]) + bounds[1] * abs(e1[0])) / det + 1e-9))
+    out = []
+    for u in range(-umax, umax + 1):
+        for v in range(-vmax, vmax + 1):
+            if u == 0 and v == 0:
+                continue
+            s0 = u * e1[0] + v * e2[0]
+            s1 = u * e1[1] + v * e2[1]
+            if abs(s0) <= bounds[0] + 1e-12 and abs(s1) <= bounds[1] + 1e-12:
+                out.append(u * b1 + v * b2)
+    return out
+
+
+def rationals(bound=30, den=12):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, den))
+
+
+def elements(F, coord, nonzero=False):
+    """x + y w with coordinates drawn from coord (y = 0 over Q)."""
+    xs = st.builds(F.element, coord, coord if F.d == 2 else st.just(0))
+    return xs.filter(lambda c: not c.is_zero()) if nonzero else xs
+
+
+@st.composite
+def phase_cases(draw):
+    """(F, r, r', c): integral c != 0 of either sign of norm, r and r' with
+    denominators."""
+    F = draw(st.sampled_from(FIELDS))
+    c = draw(elements(F, st.integers(-40, 40), nonzero=True))
+    r, rp = (draw(elements(F, rationals())) for _ in range(2))
+    return F, r, rp, c
+
+
+class TestPhaseCoefficients:
+    @settings(max_examples=300)
+    @given(phase_cases())
+    # c = 1 + w has norm -1 in Q(sqrt 2), c = -3 is negative over Q
+    @example((F2, F2.element(Fraction(1, 4), Fraction(-3, 8)),
+              F2.element(Fraction(5, 6), 1), F2.element(1, 1)))
+    @example((Q, Q.element(Fraction(7, 10)), Q.element(Fraction(-1, 3)),
+              Q.element(-3)))
+    @example((F2, F2.element(0), F2.element(0), F2.element(3, -2)))
+    def test_equal_to_fraction_traces(self, case):
+        F, r, rp, c = case
+        assert _phase_coefficients(F, r, rp, c) == \
+            fraction_phase_coefficients(F, r, rp, c)
+
+
+class TestPrincipalRows:
+    @settings(max_examples=300)
+    @given(st.sampled_from(FIELDS).flatmap(
+        lambda F: elements(F, rationals(60, 6), nonzero=True)))
+    @example(F2.element(1, 1))
+    @example(F2.element(-7, 5))
+    def test_equal_to_fraction_hnf(self, c):
+        assert IdealLattice.principal(c).rows == fraction_principal_rows(c)
+
+
+class TestLatticePointsInBox:
+    @settings(max_examples=150)
+    @given(st.sampled_from(FIELDS).flatmap(
+               lambda F: elements(F, rationals(12, 4), nonzero=True)),
+           st.floats(0.5, 25.0), st.floats(0.5, 25.0))
+    @example(F2.element(1, 1), 7.0, 3.5)
+    def test_equal_to_fraction_sums_in_order(self, c, T1, T2):
+        L = IdealLattice.principal(c)
+        bounds = [T1, T2][:c.field.d]
+        assert L.lattice_points_in_box(bounds) == fraction_lattice_points(L, bounds)

@@ -1,5 +1,7 @@
-"""The Kloosterman and measure layers are closed forms: importing them
-loads no scipy module, so commands that use only them skip its import."""
+"""The Kloosterman, measure and test-function layers are closed forms:
+importing them loads no scipy module, so commands that use only them skip
+its import.  The Bessel layer loads scipy.special for rgamma, but no
+scipy.integrate."""
 
 import os
 import subprocess
@@ -9,11 +11,27 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_kloosterman_and_measures_import_no_scipy():
-    code = ("import sys, specsum.kloosterman, specsum.measures\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def loaded_scipy(*modules):
+    """The scipy modules loaded by importing modules in a fresh interpreter."""
+    code = (f"import sys, {', '.join(modules)}\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout == "[]\n"
+    return out.stdout.split()
+
+
+def test_kloosterman_and_measures_import_no_scipy():
+    assert loaded_scipy("specsum.kloosterman", "specsum.measures") == []
+
+
+def test_testfunctions_import_no_scipy():
+    assert loaded_scipy("specsum.testfunctions") == []
+
+
+def test_bessel_layer_imports_no_scipy_integrate():
+    loaded = loaded_scipy("specsum.besseltransform", "specsum.testfunctions",
+                          "specsum.numberfield", "specsum.kloosterman")
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if m.startswith("scipy.integrate")] == []

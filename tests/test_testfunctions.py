@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from specsum.measures import plancherel_density
+from specsum.measures import nu_theta, plancherel_density
 from specsum.testfunctions import (
+    _density_slope_bound,
     gaussian_phi,
     gaussian_tail,
     local_comparison,
@@ -126,6 +127,21 @@ class TestLocalComparison:
             assert I == 0.0
             assert J <= math.exp(-100 * 0.09)
 
+    def test_complementary_against_mpmath(self):
+        # J = int_1^b 2 sqrt(U/pi) e^{U(x^2-t^2)} cos(2Utx) dt, b = 1 + 40/sqrt(U),
+        # by 40-digit quadrature; at larger U the integral is too small for
+        # the quadrature's absolute tolerance
+        for U in (7.5, 25.0):
+            for x in (0.01, 0.05, nu_theta()):
+                _, J = local_comparison(U, (x, "complementary"), 0.4)
+                with mpmath.workdps(40):
+                    pref = 2 * mpmath.sqrt(U / mpmath.pi)
+                    want = mpmath.quad(
+                        lambda t: pref * mpmath.exp(U * (x * x - t * t))
+                        * mpmath.cos(2 * U * t * x),
+                        mpmath.linspace(1, 1 + 40 / mpmath.sqrt(U), 40))
+                assert abs(J - want) <= 1e-14 * abs(want)
+
     def test_small_nu_inner_region(self):
         # nu below i[1+alpha): I = O(1), J still exponentially small
         I, J = local_comparison(100.0, (1.1, "principal"), 0.5)
@@ -171,6 +187,23 @@ class TestSmoothingComparison:
         for U in (1e2, 1e3):
             raw = abs(gaussian_pairing(10.0, U) - 2 * plancherel_density(0, 10.0))
             assert raw <= smoothing_discrepancy_bound(10.0, U)
+
+    def test_slope_bound_is_the_exact_sup(self):
+        # d/dt [t tanh(pi t)] peaks at x*/pi, x* the root of x tanh x = 1,
+        # with value x*; d/dt [t coth(pi t)] rises towards 1
+        def slope(parity, t):
+            f = mpmath.tanh if parity == 0 else mpmath.coth
+            return mpmath.diff(lambda s: s * f(mpmath.pi * s), t)
+
+        with mpmath.workdps(30):
+            x = mpmath.findroot(lambda x: x * mpmath.tanh(x) - 1, 1.2)
+            M0, M1 = _density_slope_bound(0), _density_slope_bound(1)
+            assert x <= M0 <= x + 1e-15
+            assert abs(slope(0, x / mpmath.pi) - x) <= mpmath.mpf(10) ** -25
+            assert M1 == 1
+            for t in mpmath.linspace(0.01, 12, 200):
+                assert slope(0, t) <= M0 and slope(1, t) < M1
+            assert slope(1, 12) > 1 - 1e-12
 
     def test_envelope_preconditions(self):
         with pytest.raises(ValueError):
