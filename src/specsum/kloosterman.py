@@ -155,11 +155,16 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     if any(v == 0 for v in r_emb):
         raise ValueError("r must be nonzero at every place")
     pts = I.lattice_points_in_box([box] * F.d)
+    s, t, wv = F.s, F.t, F.omega_values
     total = 0.0 + 0.0j
     for c in pts:
         S = kloosterman_sum(F, chi, r, r, c)
-        t = tuple(4 * math.pi * rv / cv for rv, cv in zip(r_emb, c.embeddings()))
-        total += S / float(abs(c.norm())) * f(t)
+        # c is integral (kloosterman_sum refuses it otherwise): norm and
+        # embeddings from its integer coordinates
+        x, y = c.x.numerator, c.y.numerator
+        t_c = tuple(4 * math.pi * rv / (x + y * w) for rv, w in zip(r_emb, wv))
+        n = x if F.d == 1 else x * x + s * x * y - t * y * y
+        total += S / float(abs(n)) * f(t_c)
     ints = [_tail_integrals(4 * math.pi * rv, box, tau) for rv in r_emb]
     tail = sum(ta * math.prod(fu for k, (fu, _) in enumerate(ints) if k != j)
                for j, (_, ta) in enumerate(ints))

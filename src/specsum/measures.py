@@ -330,10 +330,12 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
         if hi <= lo:
             raise ValueError("degenerate bounding box")
         vol *= hi - lo
-    rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in bbox])
-    highs = np.array([hi for _, hi in bbox])
-    x = rng.uniform(lows, highs, size=(n_samples, len(bbox)))
+    # the doubles rng.uniform(lows, highs, size) gives, lo + (hi - lo) u in
+    # row order, without its broadcast loop
+    x = np.random.default_rng(seed).random((n_samples, len(bbox)))
+    for col, (lo, hi) in zip(x.T, bbox):
+        col *= hi - lo
+        col += lo
     inside = np.asarray(membership(x), dtype=bool)
     vals = np.where(inside, 1.0 if weight is None else weight(x), 0.0)
     vals *= vol * multiplicity

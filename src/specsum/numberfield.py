@@ -164,26 +164,52 @@ def make_field(m: int) -> QuadField:
 # Lattices (fractional ideals as rank-d Z-modules in HNF over (1, w))
 # --------------------------------------------------------------------------
 
-def _hnf_2x2(rows):
-    """Row HNF of a 2x2 rational matrix of rank 2: rows [[a, b], [0, d]]
-    with a > 0, d > 0 and 0 <= b < d.  Entries are ints or Fractions."""
-    # clear denominators
-    den = math.lcm(*(v.denominator for r in rows for v in r))
-    (a1, b1), (a2, b2) = ([v.numerator * (den // v.denominator) for v in r]
-                          for r in rows)
-    # make second row of form (0, d): euclid on the first column
+def _hnf_2x2_int(a1, b1, a2, b2):
+    """Row HNF (a, b, d) of the integer matrix [[a1, b1], [a2, b2]] of rank
+    2: rows [[a, b], [0, d]] with a > 0, d > 0 and 0 <= b < d."""
+    # make the second row of form (0, d): euclid on the first column
     while a2 != 0:
         q = a1 // a2
         a1, b1, a2, b2 = a2, b2, a1 - q * a2, b1 - q * b2
-    # now rows are (a1, b1), (0, b2)
     if a1 < 0:
         a1, b1 = -a1, -b1
     if b2 < 0:
         b2 = -b2
     if a1 == 0 or b2 == 0:
         raise ValueError("matrix not of full rank")
-    b1 %= b2
-    return [[Fraction(a1, den), Fraction(b1, den)], [Fraction(0), Fraction(b2, den)]]
+    return a1, b1 % b2, b2
+
+
+def _hnf_2x2(rows):
+    """Row HNF of a 2x2 rational matrix of rank 2: rows [[a, b], [0, d]]
+    with a > 0, d > 0 and 0 <= b < d.  Entries are ints or Fractions."""
+    den = math.lcm(*(v.denominator for r in rows for v in r))
+    a, b, d = _hnf_2x2_int(*(v.numerator * (den // v.denominator)
+                             for r in rows for v in r))
+    return [[Fraction(a, den), Fraction(b, den)], [Fraction(0), Fraction(d, den)]]
+
+
+def _principal_hnf(c: FieldElement):
+    """(a, b, d, e) in ints: the ideal (c) of c != 0 has HNF rows
+    [[a, b], [0, d]] / e ([[a]] / e over Q, with b = 0 and d = 1), e the
+    common denominator of c's coordinates.  The rows of e c and
+    e c w = t y + (x + s y) w go through _hnf_2x2_int, and the index a d is
+    checked against |N(e c)|."""
+    F = c.field
+    (x, xd), (y, yd) = c.x.as_integer_ratio(), c.y.as_integer_ratio()
+    e = math.lcm(xd, yd)
+    x, y = x * (e // xd), y * (e // yd)
+    if x == 0 and y == 0:
+        raise ValueError("zero generator")
+    if F.d == 1:
+        return abs(x), 0, 1, e
+    s, t = F.s, F.t
+    a, b, d = _hnf_2x2_int(x, y, t * y, x + s * y)
+    n = abs(x * x + s * x * y - t * y * y)
+    if a * d != n:
+        raise RuntimeError(f"HNF of ({c!r}) has index {Fraction(a * d, e * e)}, "
+                           f"not |N(c)| = {Fraction(n, e * e)}")
+    return a, b, d, e
 
 
 class IdealLattice:
@@ -212,18 +238,10 @@ class IdealLattice:
 
     @classmethod
     def principal(cls, c: FieldElement):
-        F = c.field
-        if c.is_zero():
-            raise ValueError("zero generator")
-        if F.d == 1:
-            return cls(F, [[abs(c.x)]])
-        # rows c and c*w = t y + (x + s y) w
-        x, y = c.x, c.y
-        L = cls(F, [[x, y], [F.t * y, x + F.s * y]])
-        if L.norm_index() != abs(c.norm()):
-            raise RuntimeError(f"HNF of ({c!r}) has index {L.norm_index()}, "
-                               f"not |N(c)| = {abs(c.norm())}")
-        return L
+        a, b, d, e = _principal_hnf(c)
+        if c.field.d == 1:
+            return cls(c.field, [[Fraction(a, e)]])
+        return cls(c.field, [[Fraction(a, e), Fraction(b, e)], [0, Fraction(d, e)]])
 
     def basis_elements(self):
         F = self.field
@@ -285,6 +303,8 @@ class IdealLattice:
                 out.extend([F.element(k * g), F.element(-k * g)])
             return out
         (a, b), (_, d) = self.rows
+        if a.denominator == b.denominator == d.denominator == 1:
+            a, b, d = a.numerator, b.numerator, d.numerator  # points from ints
         e1, e2 = (g.embeddings() for g in self.basis_elements())
         # loop bounds from Cramer: |u| <= (T1|e2_2| + T2|e2_1|)/|det| etc.
         det = abs(e1[0] * e2[1] - e1[1] * e2[0])
@@ -316,20 +336,29 @@ class ResidueRing:
     rows [[a, b], [0, d]] ([[a]] over Q); there are a*d = N(I) of them.  The
     integer pair (i, j) is the key of a residue.  The unit keys and their
     inverses are tabulated on the first query, in O(N(I)) integer steps.
+    residue_ring makes one per ideal, on a cache miss; the check that I is
+    an ideal of O (closed under multiplication by w) is done on the
+    integer rows.
     """
 
     def __init__(self, I: IdealLattice):
         F = I.field
         if any(v.denominator != 1 for row in I.rows for v in row):
             raise ValueError("modulus must be integral")
-        if not all(I.contains(g * F.omega()) for g in I.basis_elements()):
-            raise ValueError("modulus lattice is not an ideal of O")
+        if F.d == 1:
+            a, b, d = int(I.rows[0][0]), 0, 1
+        else:
+            (a, b), (_, d) = ([int(v) for v in row] for row in I.rows)
+            # x + y w lies in I iff a | x and d | y - (x/a) b; test the
+            # products (a + b w) w = t b + (a + s b) w and (d w) w = t d + s d w
+            s, t = F.s, F.t
+            for x, y in ((t * b, a + s * b), (t * d, s * d)):
+                if x % a or (y - x // a * b) % d:
+                    raise ValueError("modulus lattice is not an ideal of O")
         self.field = F
         self.lattice = I
-        self._a = int(I.rows[0][0])
-        self._b, self._d = (0, 1) if F.d == 1 else (int(I.rows[0][1]),
-                                                     int(I.rows[1][1]))
-        self.size = self._a * self._d
+        self._a, self._b, self._d = a, b, d
+        self.size = a * d
         self._inv = None
 
     def reduce_pair(self, i: int, j: int):
@@ -398,18 +427,33 @@ class ResidueRing:
 
 
 @lru_cache(maxsize=4096)
-def _residue_ring_cached(I: IdealLattice) -> ResidueRing:
-    return ResidueRing(I)
+def _residue_ring_cached(F: QuadField, a: int, b: int, d: int) -> ResidueRing:
+    return ResidueRing(IdealLattice(F, [[a]] if F.d == 1 else [[a, b], [0, d]]))
 
 
 def residue_ring(F: QuadField, c) -> ResidueRing:
     """O/I for an integral ideal I, or for I = (c) when c is an element or an
-    int.  Rings are cached by the ideal, so associate moduli share one."""
-    if not isinstance(c, IdealLattice):
+    int.
+
+    The ring is looked up by the integer HNF rows (a, b, d) of I, found
+    with no rational arithmetic for an integral element, so associate
+    moduli and the lattice of (c) share one ring.  A norm above MAX_NORM,
+    and then a modulus that is not integral, are refused before any ring
+    is built; the IdealLattice and the ring are made on a cache miss only.
+    """
+    if isinstance(c, IdealLattice):
+        F = c.field
+        rows = c.rows[0] + (c.rows[1][1:] if F.d == 2 else [0, 1])
+        e = math.lcm(*(v.denominator for v in rows))
+        a, b, d = (v.numerator * (e // v.denominator) for v in rows)
+    else:
         if not isinstance(c, FieldElement):
             c = F.element(c)
-        c = IdealLattice.principal(c)
-    if c.norm_index() > MAX_NORM:
-        raise ValueError(f"modulus norm {c.norm_index()} is above {MAX_NORM}, "
-                         "too large to tabulate")
-    return _residue_ring_cached(c)
+        F = c.field
+        a, b, d, e = _principal_hnf(c)
+    if a * d > MAX_NORM * e * e:
+        raise ValueError(f"modulus norm {Fraction(a * d, e * e)} is above "
+                         f"{MAX_NORM}, too large to tabulate")
+    if e != 1:
+        raise ValueError("modulus must be integral")
+    return _residue_ring_cached(F, a, b, d)

@@ -195,7 +195,7 @@ class RegionInstance:
     def weight(self, x):
         if self.space == "nu":
             return np.prod(np.maximum(np.abs(x), 1.0), axis=-1)
-        return np.full(x.shape[0], 0.5 ** x.shape[1])  # lambda >= 5/4 assumed
+        return 0.5 ** x.shape[1]  # lambda >= 5/4 assumed
 
     def mc_nv1(self, n_samples=10 ** 5, seed=0) -> MeasureResult:
         if self.membership is None:

@@ -248,6 +248,25 @@ class TestExitCodes:
         assert "too large" in err
         assert _residue_ring_cached.cache_info().misses == before
 
+    def test_quadratic_modulus_norm_above_limit(self, capsys):
+        # N(1001 + sqrt2) = 1001^2 - 2 = 1001999: refused from the integer
+        # HNF, before any residue ring is built
+        before = _residue_ring_cached.cache_info().misses
+        rc, out, err = run(capsys, "kloosterman", "--field", "Q(sqrt2)",
+                           "--c=1001,1", "--r", "1")
+        assert_rejected(rc, out, err)
+        assert "too large" in err
+        assert _residue_ring_cached.cache_info().misses == before
+
+    @pytest.mark.parametrize("field, c", [("Q", "1/2"), ("Q(sqrt2)", "3/2,1")])
+    def test_non_integral_modulus(self, capsys, field, c):
+        before = _residue_ring_cached.cache_info().misses
+        rc, out, err = run(capsys, "kloosterman", "--field", field, f"--c={c}",
+                           "--r", "1")
+        assert_rejected(rc, out, err)
+        assert "modulus must be integral" in err
+        assert _residue_ring_cached.cache_info().misses == before
+
     def test_unknown_family_row(self, capsys):
         rc, _, _ = run(capsys, "families", "--rows", "torus")
         assert rc == 2

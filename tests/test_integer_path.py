@@ -1,9 +1,11 @@
 """The Kloosterman path works in Python integers where it once worked in
 Fractions: the four phase coefficients of kloosterman_sum, the HNF of a
-principal ideal and the points of a lattice in a box.  Each is checked for
-equality with the Fraction formula it replaced, written out below, over Q,
-Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) and Q(sqrt 13), for signed generators
-(negative norms included) and for r, r' with denominators."""
+principal ideal, the points of a lattice in a box, and the residue-ring
+lookup.  Each is checked for equality with the Fraction formula it
+replaced, written out below, over Q, Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) and
+Q(sqrt 13), for signed generators (negative norms included) and for r, r'
+with denominators.  The ring lookup is checked to give one ring per ideal:
+for c, for the lattice of (c) and for every associate of c."""
 
 import math
 from fractions import Fraction
@@ -12,7 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specsum.kloosterman import _phase_coefficients
-from specsum.numberfield import IdealLattice, make_field
+from specsum.numberfield import (
+    IdealLattice,
+    _principal_hnf,
+    make_field,
+    residue_ring,
+)
 
 FIELDS = [make_field(m) for m in (1, 2, 3, 5, 13)]
 Q, F2 = FIELDS[0], FIELDS[1]
@@ -134,3 +141,54 @@ class TestLatticePointsInBox:
         L = IdealLattice.principal(c)
         bounds = [T1, T2][:c.field.d]
         assert L.lattice_points_in_box(bounds) == fraction_lattice_points(L, bounds)
+
+
+# a fundamental unit x + y w of each quadratic field
+UNITS = {2: (1, 1), 3: (2, 1), 5: (0, 1), 13: (1, 1)}
+
+
+@st.composite
+def ring_moduli(draw):
+    """(F, c): integral c != 0 with |N(c)| <= 10^4, of either sign of norm."""
+    F = draw(st.sampled_from(FIELDS))
+    coord = st.integers(-10 ** 4, 10 ** 4) if F.d == 1 else st.integers(-70, 70)
+    c = draw(elements(F, coord, nonzero=True).filter(
+        lambda c: abs(c.norm()) <= 10 ** 4))
+    return F, c
+
+
+class TestResidueRingLookup:
+    @settings(max_examples=300)
+    @given(ring_moduli())
+    @example((F2, F2.element(1, 1)))
+    @example((F2, F2.element(-7, 5)))
+    def test_integer_hnf_is_the_fraction_hnf(self, case):
+        F, c = case
+        a, b, d, e = _principal_hnf(c)
+        rows = [[a]] if F.d == 1 else [[a, b], [0, d]]
+        assert e == 1
+        assert rows == fraction_principal_rows(c)
+        assert rows == IdealLattice.principal(c).rows
+
+    @settings(max_examples=200)
+    @given(ring_moduli())
+    @example((Q, Q.element(-12)))
+    @example((F2, F2.element(3, -2)))
+    def test_element_and_lattice_share_one_ring(self, case):
+        F, c = case
+        R = residue_ring(F, c)
+        assert R is residue_ring(F, IdealLattice.principal(c))
+        assert R.lattice == IdealLattice.principal(c)
+        assert R.size == abs(c.norm())
+
+    @settings(max_examples=200)
+    @given(ring_moduli(), st.integers(-3, 3), st.sampled_from((1, -1)))
+    @example((F2, F2.element(9, 1)), 1, 1)
+    def test_associates_share_one_ring(self, case, k, sign):
+        F, c = case
+        u = F.element(*UNITS[F.m]) if F.d == 2 else F.one()
+        uk = u.inverse() if k < 0 else u
+        assoc = c * sign
+        for _ in range(abs(k)):
+            assoc = assoc * uk
+        assert residue_ring(F, assoc) is residue_ring(F, c)

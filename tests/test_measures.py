@@ -291,6 +291,26 @@ class TestMonteCarlo:
         assert res.detail == 1000
         assert res.error >= 0
 
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
+                    min_size=1, max_size=3),
+           st.integers(2, 300), st.integers(0, 2 ** 32))
+    def test_draw_is_the_uniform_formula(self, boxes, n, seed):
+        """The samples are, bit for bit, the doubles rng.uniform(lows, highs,
+        size) gives: lo + (hi - lo) u, u drawn in row order."""
+        bbox = [(lo, lo + width) for lo, width in boxes]
+        seen = []
+
+        def membership(x):
+            seen.append(x.copy())
+            return np.ones(len(x), dtype=bool)
+
+        monte_carlo_measure(bbox, membership, None, n, seed)
+        lows, highs = (np.array(v) for v in zip(*bbox))
+        want = np.random.default_rng(seed).uniform(lows, highs,
+                                                   size=(n, len(bbox)))
+        assert seen[0].tobytes() == want.tobytes()
+
 
 class TestDiscreteSeries:
     def test_walk_starts_at_two_plus_parity(self):
