@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy.integrate import quad
 
 from .measures import (
+    _BLOCK,
     npl,
     nv_b,
     pl_lambda,
@@ -197,7 +200,15 @@ def hypercube_budget_sweep(F: QuadField, t_grid, sigma: float = 40.0):
     slowly (shrinking the U^{-1/2} piece while U eps^2 still grows), and
     eps = 0.082 - 0.0008k shrinks slowly (shrinking the boundary shell),
     at the k-th grid point.
+
+    A t at which the double side (t + sigma) - t is off from sigma by more
+    than 1e-3 of it is refused: the box there is not the one asked for.
     """
+    for t in t_grid:
+        side = (t + sigma) - t
+        if not abs(side - sigma) <= 1e-3 * abs(sigma):
+            raise ValueError(f"t={t:.6g} too large for side {sigma:g}: "
+                             f"t + sigma - t is {side:g} in doubles")
     params = AnalysisParams(t0=0.005)
     fam = HypercubeFamily([lambda t: t] * F.d, sigma)
     return [error_budget(fam.instance(t).product, None, params,
@@ -369,13 +380,13 @@ class SyntheticSpectrum:
 
 
 MAX_SYNTH_POINTS = 10 ** 6  # regions expecting more points are refused
-_BLOCK = 1 << 16  # doubles drawn at a time by the sampler
 
 
 def _doubles(gen):
-    """The doubles of gen.random(), drawn _BLOCK at a time."""
+    """The doubles of gen.random() in blocks of 2 _BLOCK (measures' block
+    size): the (u1, u2) pairs of _BLOCK trials."""
     while True:
-        yield from gen.random(_BLOCK).tolist()
+        yield gen.random(2 * _BLOCK)
 
 
 def synth_spectrum(F: QuadField, region, seed: int = 0,
@@ -383,6 +394,23 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
     """Poisson point process on a product of imaginary intervals with
     intensity equal to the main-term density (field prefactor times the
     Plancherel density, doubled per place for the two signs).
+
+    Each coordinate is rejection-sampled against the flat majorant dmax of
+    the density on its interval [a, b]: a trial takes two doubles u1, u2 and
+    accepts y = a + (b - a) u1 when dmax u2 <= density(y), the arithmetic of
+    rng.uniform(a, b) and rng.uniform(0, dmax).  The trials fill the places
+    of a point in turn, so the place of a trial depends on the rejections
+    before it.
+
+    The trials of a block are decided in numpy by a squeeze (Devroye,
+    Non-Uniform Random Variate Generation, II.3): the density increases on
+    [0, inf) and a >= 0, so density(y) >= density(a) for every y in [a, b],
+    and a trial with dmax u2 <= density(a) (1 - 1e-12) is accepted without
+    evaluating the density; the 1e-12 margin covers the few-ulp rounding of
+    the density, which may break monotonicity between nearby points.  The
+    other trials are decided exactly, in order, by plancherel_density, each
+    rejection shifting the places of the trials after it.  The accepted y
+    and the number of doubles used are those of the trial-by-trial loop.
 
     weight_law: "unit" (all weights 1) or "lognormal" (mean-1 multiplicative
     noise), seeded and deterministic.
@@ -402,44 +430,73 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
                          f"{MAX_SYNTH_POINTS}")
     rng = np.random.default_rng(seed)
     n = rng.poisson(expected)
-    # Rejection sampling of each coordinate against the flat majorant of the
-    # (monotone) density on [a, b].  A trial takes two doubles u1, u2 and
-    # accepts y = a + (b - a) u1 when dmax u2 <= density(y): the arithmetic of
-    # rng.uniform(a, b) and rng.uniform(0, dmax).  The doubles come in blocks
-    # from a copy of the generator, which is then advanced past the ones
-    # used, so the weights below are drawn from the same stream.
-    places = [(a, b - a, max(plancherel_density(par, a),
-                             plancherel_density(par, b)), par)
-              for (a, b), par in zip(intervals, parities)]
-    u = _doubles(copy.deepcopy(rng)).__next__
-    pts, trials = [], 0
-    for _ in range(n):
-        coord = []
-        for a, width, dmax, par in places:
-            while True:
-                trials += 1
-                y = a + width * u()
-                if dmax * u() <= plancherel_density(par, y):
-                    coord.append(y)
-                    break
-        pts.append(tuple(coord))
+    # The doubles come in blocks from a copy of the generator, which is then
+    # advanced past the ones used, so the weights below are drawn from the
+    # same stream.
+    d = len(intervals)
+    lows = np.array([[a] for a, _ in intervals])
+    widths = np.array([[b - a] for a, b in intervals])
+    dmax = np.array([[max(plancherel_density(par, a), plancherel_density(par, b))]
+                     for (a, b), par in zip(intervals, parities)])
+    floor = np.array([[plancherel_density(par, a) * (1 - 1e-12)]
+                      for (a, _), par in zip(intervals, parities)])
+    draw = _doubles(copy.deepcopy(rng))
+    accepted, trials, left = [], 0, n * d
+    while left:
+        u = next(draw)
+        size = len(u) // 2
+        y = lows + widths * u[0::2]  # y and dmax u2 of each trial at each place
+        du = dmax * u[1::2]
+        over = du > floor
+        # with no rejection, trial k is at place (k + shift) % d; per shift,
+        # the trials the squeeze leaves open
+        open_ = []
+        for shift in range(d):
+            mask = np.empty(size, dtype=bool)
+            for q in range(d):
+                mask[(q - shift) % d::d] = over[q, (q - shift) % d::d]
+            open_.append(np.flatnonzero(mask).tolist())
+        first = shift = (n * d - left) % d
+        k, rejected = 0, []
+        while left and k < size:
+            # the trials k, ..., j - 1 are accepted; j is open, or the end
+            todo = open_[shift]
+            i = bisect_left(todo, k)
+            j = min(todo[i] if i < len(todo) else size, k + left)
+            left -= j - k
+            k = j
+            if not left or j == size:
+                break
+            q = (j + shift) % d
+            if du.item(q, j) <= plancherel_density(parities[q], y.item(q, j)):
+                left -= 1
+            else:
+                rejected.append(j)
+                shift = (shift - 1) % d
+            k = j + 1
+        trials += k
+        keep = np.delete(np.arange(k), rejected)
+        accepted.append(y[(first + np.arange(len(keep))) % d, keep])
     rng.bit_generator.advance(2 * trials)
+    ys = np.concatenate(accepted) if accepted else np.empty(0)
+    pts = tuple(zip(*(ys[q::d].tolist() for q in range(d))))
     if weight_law == "unit":
-        weights = tuple(1.0 for _ in range(n))
+        weights = (1.0,) * int(n)
     elif weight_law == "lognormal":
         s = 0.5
         weights = tuple(rng.lognormal(mean=-s * s / 2, sigma=s, size=n))
     else:
         raise ValueError(f"unknown weight law {weight_law!r}")
-    return SyntheticSpectrum(tuple(pts), weights, tuple(parities))
+    return SyntheticSpectrum(pts, weights, tuple(parities))
 
 
 def count(spectrum: SyntheticSpectrum, region) -> float:
     """Weighted count of the spectrum points inside a region: a point is
     inside when each coordinate lies in some interval of its factor (to
     1e-12).  The weights are added in order."""
-    pts = np.array(spectrum.points, dtype=float).reshape(
-        len(spectrum), len(spectrum.parities))
+    d = len(spectrum.parities)
+    pts = np.fromiter(chain.from_iterable(spectrum.points), dtype=float,
+                      count=len(spectrum) * d).reshape(len(spectrum), d)
     inside = np.ones(len(spectrum), dtype=bool)
     for y, factor in zip(pts.T, region.factors):
         hit = np.zeros(len(spectrum), dtype=bool)

@@ -314,13 +314,27 @@ def V_b_lambda_factor(b: float, intervals) -> MeasureResult:
 # Monte-Carlo oracle
 # --------------------------------------------------------------------------
 
+# sample rows drawn at a time by the Monte Carlo oracle, and trials by the
+# synthetic-spectrum sampler
+_BLOCK = 1 << 16
+
+
 def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
                         seed: int = 0, multiplicity: float = 1.0) -> MeasureResult:
     """Unbiased MC estimate of integral of weight over the region.
 
     bbox: list of (lo, hi) per coordinate; membership: vectorized predicate
     on an (n, d) array; weight: vectorized function on the same array (1 if
-    None).  Deterministic per seed; error is 3 times the standard error.
+    None).  Both must act row by row.  Deterministic per seed; error is 3
+    times the standard error.
+
+    The samples are drawn _BLOCK rows at a time: consecutive blocks of
+    gen.random((k, d)) are the doubles of one (n, d) draw in the same row
+    order, each scaled to lo + (hi - lo) u as rng.uniform(lows, highs, size)
+    does.  Each block's weighted indicator is written into one array of n
+    doubles, the only full-size array, and the mean and the standard
+    deviation are numpy's reductions of that array: the same doubles and
+    the same sums as vals.mean() and vals.std(ddof=1).
     """
     if n_samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
@@ -330,15 +344,20 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
         if hi <= lo:
             raise ValueError("degenerate bounding box")
         vol *= hi - lo
-    # the doubles rng.uniform(lows, highs, size) gives, lo + (hi - lo) u in
-    # row order, without its broadcast loop
-    x = np.random.default_rng(seed).random((n_samples, len(bbox)))
-    for col, (lo, hi) in zip(x.T, bbox):
-        col *= hi - lo
-        col += lo
-    inside = np.asarray(membership(x), dtype=bool)
-    vals = np.where(inside, 1.0 if weight is None else weight(x), 0.0)
-    vals *= vol * multiplicity
+    gen = np.random.default_rng(seed)
+    vals = np.empty(n_samples)
+    for start in range(0, n_samples, _BLOCK):
+        x = gen.random((min(_BLOCK, n_samples - start), len(bbox)))
+        for col, (lo, hi) in zip(x.T, bbox):
+            col *= hi - lo
+            col += lo
+        inside = np.asarray(membership(x), dtype=bool)
+        np.multiply(np.where(inside, 1.0 if weight is None else weight(x), 0.0),
+                    vol * multiplicity, out=vals[start:start + len(x)])
     mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(n_samples))
+    # vals.std(ddof=1) in place: the deviations from the mean, squared and
+    # summed pairwise, over n - 1
+    vals -= mean
+    np.square(vals, out=vals)
+    stderr = math.sqrt(vals.sum() / (n_samples - 1)) / math.sqrt(n_samples)
     return MeasureResult(mean, 3 * stderr, "monte-carlo", n_samples)

@@ -130,6 +130,14 @@ class TestErrorBudget:
         assert np.all(ratios[-1] < 0.1)
         assert np.all(np.diff(ratios, axis=0) < 0)
 
+    def test_side_lost_to_rounding_refused(self):
+        # in doubles 1e17 + 40 is 1e17 + 32, and 1e18 + 40 is 1e18
+        for t in (1e17, 1e18):
+            with pytest.raises(ValueError, match="too large for side 40"):
+                hypercube_budget_sweep(FQ, [3e12, t])
+        # the README grid's largest t keeps its side to 1.3e-5
+        assert hypercube_budget_sweep(FQ, [3e12])[0].main_term > 0
+
     def test_budget_fields(self):
         b = hypercube_budget_sweep(F5, [1e9])[0]
         assert isinstance(b, ErrorBudget)
@@ -286,6 +294,15 @@ class TestBlockSampler:
             assert synth_spectrum(F2, reg, seed=5, weight_law=law) == \
                 _scalar_synth_spectrum(F2, reg, 5, law)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_places_with_different_intervals_across_blocks(self, block):
+        # blocks of 1 and 7 trials start mid-point, and after a rejection
+        # has shifted the places
+        reg = imaginary_box([(0.0, 3.0), (40.0, 40.5)], [1, 0])
+        with mock.patch.object(asymptotics, "_BLOCK", block):
+            got = synth_spectrum(F2, reg, seed=5)
+        assert got == _scalar_synth_spectrum(F2, reg, 5, "unit")
+
     def test_count_matches_scalar_loop(self):
         reg = imaginary_box([(60.0, 61.0), (60.0, 61.0)])
         spec = synth_spectrum(F5, reg, seed=2, weight_law="lognormal")
@@ -304,6 +321,17 @@ class TestBlockSampler:
         ]
         for r in regions:
             assert count(spec, region=r) == _scalar_count(spec, r)
+
+    def test_squeeze_spares_density_calls(self):
+        """Far from 0 the squeeze settles nearly every trial: the density is
+        evaluated for under 1% of them (there are at least n d trials)."""
+        reg = family("hypercube", a=[lambda t: t] * 2,
+                     sigma=0.3).instance(1019.7).product
+        with mock.patch.object(asymptotics, "plancherel_density",
+                               wraps=plancherel_density) as density:
+            spec = synth_spectrum(F5, reg, seed=7)
+        assert len(spec) > 40000
+        assert density.call_count <= 0.01 * 2 * len(spec)
 
     def test_oversized_region_rejected_before_sampling(self):
         reg = imaginary_box([(1e5, 1e5 + 0.3)] * 2)

@@ -369,6 +369,8 @@ class TestBadInput:
           "1", "--t", "1", "--formula", "contour"], "more than 32768"),
         (["bessel", "--phi", "gaussian:q=70i,U=25", "--parity", "0", "--eta",
           "1", "--t", "0.5", "--formula", "both"], "too near the order window"),
+        (["budget", "--field", "Q", "--t-grid", "1e17:1e18:2"],
+         "too large for side 40"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

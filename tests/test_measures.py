@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specsum import measures
 from specsum.measures import (
     LAMBDA_STAR_DEFAULT,
     V_b_lambda_factor,
@@ -19,7 +22,7 @@ from specsum.measures import (
     pl_lambda,
     plancherel_density,
 )
-from specsum.regions import PlaceFactor, ProductRegion, imaginary_box
+from specsum.regions import PlaceFactor, ProductRegion, family, imaginary_box
 
 
 def _midpoint(f, a, b, n=200000):
@@ -294,10 +297,12 @@ class TestMonteCarlo:
     @settings(max_examples=60)
     @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)),
                     min_size=1, max_size=3),
-           st.integers(2, 300), st.integers(0, 2 ** 32))
-    def test_draw_is_the_uniform_formula(self, boxes, n, seed):
-        """The samples are, bit for bit, the doubles rng.uniform(lows, highs,
-        size) gives: lo + (hi - lo) u, u drawn in row order."""
+           st.integers(2, 300), st.integers(0, 2 ** 32),
+           st.sampled_from([1, 7, measures._BLOCK]))
+    def test_draw_is_the_uniform_formula(self, boxes, n, seed, block):
+        """The samples, over all blocks, are bit for bit the doubles
+        rng.uniform(lows, highs, size) gives: lo + (hi - lo) u, u drawn in
+        row order."""
         bbox = [(lo, lo + width) for lo, width in boxes]
         seen = []
 
@@ -305,11 +310,52 @@ class TestMonteCarlo:
             seen.append(x.copy())
             return np.ones(len(x), dtype=bool)
 
-        monte_carlo_measure(bbox, membership, None, n, seed)
+        with mock.patch.object(measures, "_BLOCK", block):
+            monte_carlo_measure(bbox, membership, None, n, seed)
         lows, highs = (np.array(v) for v in zip(*bbox))
         want = np.random.default_rng(seed).uniform(lows, highs,
                                                    size=(n, len(bbox)))
-        assert seen[0].tobytes() == want.tobytes()
+        assert len(seen) == -(-n // block)
+        assert np.concatenate(seen).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 7, measures._BLOCK])
+    @pytest.mark.parametrize("case", ["unweighted", "lambda", "nu"])
+    def test_value_is_the_single_array_formula(self, block, case):
+        """(value, error) across blocks is the mean and 3 standard errors of
+        the weighted indicator written out over one full draw."""
+        if case == "unweighted":
+            bbox, mult, weight = [(-1.0, 2.0), (0.5, 3.0)], 1.0, None
+
+            def member(x):
+                return x[:, 0] ** 2 + x[:, 1] <= 2.5
+        else:
+            inst = (family("simplex", n=2).instance(4.5) if case == "lambda"
+                    else family("sphere", m=[3.0, 5.0], r=1.2).instance())
+            bbox, member, weight, mult = (inst.bbox, inst.membership,
+                                          inst.weight, inst.multiplicity)
+        n, seed = 3001, 11
+        with mock.patch.object(measures, "_BLOCK", block):
+            res = monte_carlo_measure(bbox, member, weight, n, seed, mult)
+        lows, highs = (np.array(v) for v in zip(*bbox))
+        x = np.random.default_rng(seed).uniform(lows, highs, size=(n, 2))
+        vol = math.prod(hi - lo for lo, hi in bbox)
+        w = 1.0 if weight is None else weight(x)
+        vals = np.where(member(x), w, 0.0) * (vol * mult)
+        assert (res.value, res.error) == (
+            float(vals.mean()), 3 * float(vals.std(ddof=1) / math.sqrt(n)))
+        assert res.detail == n
+
+    def test_one_full_size_array(self):
+        """At 2 x 10^6 samples the only n-sized array is the n doubles of
+        the values (16 MB): no (n, d) draw, mask or copy of them."""
+        inst = family("simplex", n=2).instance(4.5)
+        tracemalloc.start()
+        try:
+            inst.mc_nv1(2 * 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20e6
 
 
 class TestDiscreteSeries:
