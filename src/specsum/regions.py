@@ -240,16 +240,23 @@ class BoxFamily(RegionFamily):
         return nv_b(1.0, self.instance(t).product)
 
 
+def _side_end(a, sigma):
+    """a + sigma, refusing an a at which the double side (a + sigma) - a is
+    off from sigma by more than 1e-3 of it: the box there is not the one
+    asked for (at a = 1e17 the side 40 rounds to 32, from 1e18 on to 0)."""
+    b = a + sigma
+    if not abs((b - a) - sigma) <= 1e-3 * abs(sigma):
+        raise ValueError(f"a={a:.6g} too large for side {sigma:g}: "
+                         f"a + sigma - a is {b - a:g} in doubles")
+    return b
+
+
 class HypercubeFamily(BoxFamily):
-    """prod_j i[a_j(t), a_j(t) + sigma]."""
+    """prod_j i[a_j(t), a_j(t) + sigma], each side checked by _side_end."""
 
     def __init__(self, a, sigma, parities=None):
-        b = []
-        for f in a:
-            if callable(f):
-                b.append(lambda t, f=f: f(t) + sigma)
-            else:
-                b.append(f + sigma)
+        b = [(lambda t, f=f: _side_end(f(t), sigma)) if callable(f)
+             else _side_end(f, sigma) for f in a]
         super().__init__(a, b, parities)
 
 

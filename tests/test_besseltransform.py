@@ -1,6 +1,8 @@
+import cmath
 import json
 import math
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -78,6 +80,9 @@ class TestBesselJ:
         orders = [0.6 + 2j * y for y in (0, 0.1, 0.5, 2, 5, 6.62, 10, 20,
                                          40, 65)]
         orders += [complex(n) for n in range(21)]
+        # user orders that take the log-gamma's reflection (Re mu < -1/2)
+        # and a large non-integer real part
+        orders += [-50.5, -3.5 + 2j, 60.25]
         atols = [1e-10 * math.cosh(math.pi * mu.imag / 2) if case else 1e-10
                  for mu in orders]
         for x in (1e-4, 1e-3, 1e-2, 0.1, 0.3, 1.0, 3.0, 8.0, 15.0, 30.0):
@@ -105,11 +110,99 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(0, -1.0)
 
+    def test_leading_term_beyond_double_range(self):
+        # (x/2)^mu and 1/Gamma(mu+1) over- and underflow apart, not together
+        assert bessel_j_err(5000, 100.0) == (0j, 0.0)
+        with pytest.raises(ValueError, match="beyond the range"):
+            bessel_j_err(-300.5, 1.0)
+
     def test_fails_loudly_on_cancellation(self, fallback_calls):
         # beyond the doubled budget of the extended-precision series
         with pytest.raises(PrecisionError, match="doubled budget"):
             bessel_j(0, 200.0)
         assert fallback_calls == [(0j, 200.0)]
+
+
+def _lead_points(seed=20):
+    """(mu, x) for the leading term (x/2)^mu / Gamma(mu+1), seeded: the
+    transforms' orders 2iy (axis) and 2 tau + 2ix (contour) up to the
+    imaginary window 260, the discrete series' integer orders, negative
+    non-integer real parts (the reflection), small orders (the shift) and
+    large real parts; x
+    log-uniform over the supported (1e-4, 1e3), or over (mu/2, 1e3) for
+    the large real parts, whose term underflows at smaller x."""
+    rng = random.Random(seed)
+    im = 2 * besseltransform._IM_CAP
+
+    def x():
+        return 10 ** rng.uniform(-4, 3)
+
+    points = [(complex(0, rng.uniform(0, im)), x()) for _ in range(1500)]
+    points += [(complex(rng.uniform(0.5, 1), rng.uniform(0, im)), x())
+               for _ in range(1500)]
+    points += [(complex(n), x()) for n in range(1, 62) for _ in range(25)]
+    points += [(complex(-rng.uniform(0, 60), rng.uniform(-20, 20) * (i % 2)),
+                x()) for i in range(1000)]
+    points += [(complex(rng.uniform(-0.5, 10), rng.uniform(-9, 9) * (i % 2)),
+                x()) for i in range(500)]
+    for i in range(1000):  # x from mu/2 on, where the term is not all 0
+        re = rng.uniform(60, 1800)
+        points.append((complex(re, rng.uniform(-im, im) * (i % 2)),
+                       re / 2 * (2e3 / re) ** rng.random()))
+    return points
+
+
+@pytest.fixture(scope="module")
+def lead_refs():
+    """Each point with its leading term at 40 digits."""
+    refs = []
+    with mpmath.workdps(40):
+        for mu, x in _lead_points():
+            m = mpmath.mpc(mu)
+            refs.append((mu, x, (mpmath.mpf(x) / 2) ** m * mpmath.rgamma(m + 1)))
+    return refs
+
+
+class TestLogGamma:
+    """The leading term exp(mu log(x/2) - ln Gamma(mu+1)) of both series
+    against mpmath: within half of the relative error _declared_error allows
+    it, plus one subnormal ulp where it underflows."""
+
+    @staticmethod
+    def check(mu, x, got, ref):
+        rel = besseltransform._lead_rel(mu, math.log(x / 2))
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpc(got) - ref) <= rel / 2 * abs(ref) + 5e-324, \
+                (mu, x)
+
+    def test_scalar(self, lead_refs):
+        assert len(lead_refs) >= 6000
+        beyond = 0
+        for mu, x, ref in lead_refs:
+            lead = mu * math.log(x / 2) - besseltransform._log_gamma(mu + 1)
+            if abs(ref) > sys.float_info.max:
+                beyond += 1
+                assert lead.real > besseltransform._LOG_MAX, (mu, x)
+                with pytest.raises(ValueError, match="beyond the range"):
+                    bessel_j_err(mu, x)
+                continue
+            self.check(mu, x, cmath.exp(lead), ref)
+        assert 0 < beyond < 100
+
+    def test_array(self, lead_refs):
+        rows = [r for r in lead_refs if abs(r[2]) <= sys.float_info.max]
+        mu = np.array([r[0] for r in rows])
+        log_half = np.log(np.array([r[1] for r in rows]) / 2)
+        got = np.exp(mu * log_half - besseltransform._log_gamma_nodes(mu + 1))
+        for (m, x, ref), g in zip(rows, got):
+            self.check(m, x, complex(g), ref)
+
+    def test_reflection_past_sin_overflow(self):
+        # sin(pi z) overflows a double beyond |Im z| of about 226
+        for mu in (-3.5 + 250j, -3.5 - 250j, -0.7 + 240j, -20.25 + 230j):
+            got = cmath.exp(-besseltransform._log_gamma(mu + 1))
+            with mpmath.workdps(40):
+                self.check(mu, 2.0, got, mpmath.rgamma(mpmath.mpc(mu) + 1))
 
 
 @pytest.fixture(scope="module")

@@ -371,6 +371,12 @@ class TestBadInput:
           "1", "--t", "0.5", "--formula", "both"], "too near the order window"),
         (["budget", "--field", "Q", "--t-grid", "1e17:1e18:2"],
          "too large for side 40"),
+        (["region-volume", "--family", "hypercube", "--a-list", "1e17",
+          "--sigma", "40", "--method", "closed"], "too large for side 40"),
+        (["region-volume", "--family", "hypercube", "--a-list", "1e18",
+          "--sigma", "40", "--method", "closed"], "too large for side 40"),
+        (["bessel", "--order=-300.5", "--x", "1"],
+         "beyond the range of a double"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
