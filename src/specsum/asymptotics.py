@@ -6,6 +6,11 @@ product region C = C+ x C- is approximated by the main term
 (2 sqrt|D_F| / (2 pi)^d) * pl(C): the error splits into a Kloosterman piece,
 a test-function-tail (smoothing) piece, a boundary-shell piece, and a
 Plancherel-smoothing piece of size U^{-1/2}.
+
+The families table integrates the Plancherel density over each family's
+region by the fixed rules of specsum.quadrature, each with a declared
+error (_weyl2_value, _slant_value, _sphere_value and the sector's
+quadrature_vc).
 """
 
 from __future__ import annotations
@@ -14,10 +19,9 @@ import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.random import default_rng
 
 from .measures import (
     _BLOCK,
@@ -28,6 +32,7 @@ from .measures import (
     plancherel_mass,
 )
 from .numberfield import QuadField
+from .quadrature import gauss_legendre, trapezoid
 from .regions import (
     HypercubeFamily,
     ProductRegion,
@@ -232,44 +237,69 @@ def _weyl1_value(F, t):
 
 
 def _weyl2_value(F, t):
-    # Plancherel mass of the simplex {lambda_j >= 0, sum <= t}.  The last
-    # place is a closed form; over Q(sqrt m) the first place integrates it
-    # over lambda = 1/4 + u^2 (d lambda = 2u du), plus its one discrete
-    # point, b = 2 at lambda = 0, of weight 1
-    def last(remaining):
-        return pl_lambda(0, 0.0, remaining).value
+    """(value, error) of the main term of the simplex {lambda_j >= 0,
+    sum <= t}.  The last place's mass M(r) = pl_lambda(0, 0, r) is a closed
+    form; over Q(sqrt m) the first place integrates it over
+    lambda = 1/4 + u^2 (d lambda = 2u du), plus its one discrete point,
+    b = 2 at lambda = 0, of weight 1.
 
-    def first(u):
-        return 2 * plancherel_density(0, u) * last(t - (0.25 + u * u))
-
+    Above u = k = sqrt(t - 1/2) the rest r = t - 1/4 - u^2 is at most 1/4
+    and M(r) = 1, so that piece is pl_lambda(0, t - 1/4, t).  Below it,
+    u = k sin(theta) turns the edge (k^2 - u^2)^(3/2) of M into
+    1 + 2P(k cos(theta)), P(w) the mass of [0, w], smooth in theta.  Near
+    either end tanh(pi u) or the exponential part of P bends on a scale
+    1/k, which theta = (pi/4)(1 + tanh((pi/2) sinh(s))) spreads out
+    (Takahasi & Mori, 1974): the trapezoidal rule in s on [-3, 3], which
+    leaves out the last 4e-14 of theta at either end, where the
+    integrand vanishes.
+    """
+    last = pl_lambda(0, 0.0, t)
     if F.d == 1:
-        return field_prefactor(F) * last(t)
-    v, _ = quad(first, 0.0, math.sqrt(t - 0.25), limit=200)
-    return field_prefactor(F) * (v + last(t))
+        return field_prefactor(F) * last.value, field_prefactor(F) * last.error
+    top = pl_lambda(0, max(t - 0.25, 0.25), t)
+    k = math.sqrt(max(t - 0.5, 0.0))
+    s = np.linspace(-3.0, 3.0, 193)
+    sh = np.pi / 2 * np.sinh(s)
+    theta = (np.pi / 4 * (1 + np.tanh(sh))).tolist()
+    dtheta = np.pi ** 2 / 8 * np.cosh(s) / np.cosh(sh) ** 2
+    g = [2 * plancherel_density(0, k * math.sin(x))
+         * (1 + 2 * plancherel_mass(0, 0.0, k * math.cos(x))[0])
+         * k * math.cos(x) for x in theta]
+    v, e = trapezoid(s, np.array(g) * dtheta)
+    return field_prefactor(F) * (v + top.value + last.value), \
+        field_prefactor(F) * (e + top.error + last.error)
 
 
 def _slant_value(F, t):
-    # strip between the lines y = x and y = x + 1 over x in [t, 2t]
+    """(value, error) of the main term of the strip between the lines
+    y = x and y = x + 1 over x in [t, 2t], by 4-point Gauss-Legendre
+    against 2-point (both exact where the density is x to double
+    precision, x >= 6)."""
     def inner(x):
         return plancherel_density(0, x) * plancherel_mass(0, x, x + 1.0)[0]
 
-    v, _ = quad(inner, t, 2 * t, limit=200)
-    return field_prefactor(F) * 4 * v
+    v, e = gauss_legendre(inner, t, 2 * t, 4)
+    return field_prefactor(F) * 4 * v, field_prefactor(F) * 4 * e
 
 
 def _sphere_value(F, t):
-    # unit ball around (t, 2t), counted with multiplicity 2 per place and
-    # the sign choices 2^d
+    """(value, error) of the main term of the unit ball around (t, 2t),
+    counted with multiplicity 2 per place and the sign choices 2^d: in
+    polar coordinates (s, theta) the trapezoidal rule of 16 steps over the
+    period in theta, of 4-point Gauss-Legendre in s against 2-point, whose
+    errors add to the trapezoidal rule's."""
     m1, m2 = t, 2 * t
 
-    def integrand(s, theta):
-        x = m1 + s * math.cos(theta)
-        y = m2 + s * math.sin(theta)
-        return plancherel_density(0, x) * plancherel_density(0, y) * s
+    def ray(th):
+        c, d = math.cos(th), math.sin(th)
+        return gauss_legendre(lambda s: plancherel_density(0, m1 + s * c)
+                              * plancherel_density(0, m2 + s * d) * s,
+                              0.0, 1.0, 4)
 
-    v, _ = quad(lambda s: quad(lambda th: integrand(s, th),
-                               0, 2 * math.pi, limit=100)[0], 0, 1.0, limit=100)
-    return field_prefactor(F) * 2 ** F.d * 2 * v
+    theta = np.linspace(0.0, 2 * math.pi, 17)
+    v, e = trapezoid(theta, *np.array([ray(th) for th in theta.tolist()]).T)
+    scale = field_prefactor(F) * 2 ** F.d * 2
+    return scale * v, scale * e
 
 
 # rows whose regions have two places (the quadratic case): they need F.d == 2
@@ -307,14 +337,14 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
         vals = [_weyl1_value(F, t) for t in t_grid]
         target_c, target_e = 2 * sqD / math.pi ** d, float(d)
     elif name == "weyl2":
-        vals = [_weyl2_value(F, t) for t in t_grid]
+        vals = [_weyl2_value(F, t)[0] for t in t_grid]
         target_c = 2 * sqD / (math.factorial(d) * (2 * math.pi) ** d)
         target_e = float(d)
     elif name == "slant":
-        vals = [_slant_value(F, t) for t in t_grid]
+        vals = [_slant_value(F, t)[0] for t in t_grid]
         target_c, target_e = 14 / (3 * math.pi ** 2) * sqD, 3.0
     elif name == "sphere":
-        vals = [_sphere_value(F, t) for t in t_grid]
+        vals = [_sphere_value(F, t)[0] for t in t_grid]
         # m = (t, 2t): prod m_j = 2 t^2
         target_c = 4 * sqD * unit_ball_volume(d) * (1 / math.pi) ** d * 2
         target_e = float(d)
@@ -360,18 +390,34 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
 # synthetic spectrum
 # --------------------------------------------------------------------------
 
-@dataclass
 class SyntheticSpectrum:
     """Poisson-sampled stand-in for the cuspidal spectrum: points are
     per-place spectral parameters on the positive imaginary axis, weights
-    are the |c^r|^2 surrogates."""
+    are the |c^r|^2 surrogates.
 
-    points: tuple  # tuple of d-tuples of floats (|nu_j| on the axis)
-    weights: tuple
-    parities: tuple
+    The points are kept as one (n, d) array, coords; `points` gives them as
+    a tuple of d-tuples of floats (|nu_j| on the axis).  A tuple per point
+    would be a tracked object each, and tens of thousands of them set off
+    a full collection of the garbage collector.
+    """
+
+    def __init__(self, points, weights, parities):
+        self.coords = np.array(points, dtype=float).reshape(len(points),
+                                                            len(parities))
+        self.weights, self.parities = tuple(weights), tuple(parities)
+
+    @property
+    def points(self):
+        return tuple(zip(*self.coords.T.tolist()))
 
     def __len__(self):
-        return len(self.points)
+        return len(self.coords)
+
+    def __eq__(self, other):
+        return isinstance(other, SyntheticSpectrum) \
+            and np.array_equal(self.coords, other.coords) \
+            and self.weights == other.weights \
+            and self.parities == other.parities
 
 
 MAX_SYNTH_POINTS = 10 ** 6  # regions expecting more points are refused
@@ -423,7 +469,7 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
     if expected > MAX_SYNTH_POINTS:
         raise ValueError(f"region expects {expected:.4g} points, above "
                          f"{MAX_SYNTH_POINTS}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     n = rng.poisson(expected)
     # The doubles come in blocks from a copy of the generator, which is then
     # advanced past the ones used, so the weights below are drawn from the
@@ -474,7 +520,6 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
         accepted.append(y[(first + np.arange(len(keep))) % d, keep])
     rng.bit_generator.advance(2 * trials)
     ys = np.concatenate(accepted) if accepted else np.empty(0)
-    pts = tuple(zip(*(ys[q::d].tolist() for q in range(d))))
     if weight_law == "unit":
         weights = (1.0,) * int(n)
     elif weight_law == "lognormal":
@@ -482,18 +527,15 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
         weights = tuple(rng.lognormal(mean=-s * s / 2, sigma=s, size=n))
     else:
         raise ValueError(f"unknown weight law {weight_law!r}")
-    return SyntheticSpectrum(pts, weights, tuple(parities))
+    return SyntheticSpectrum(ys.reshape(-1, d), weights, parities)
 
 
 def count(spectrum: SyntheticSpectrum, region) -> float:
     """Weighted count of the spectrum points inside a region: a point is
     inside when each coordinate lies in some interval of its factor (to
     1e-12).  The weights are added in order."""
-    d = len(spectrum.parities)
-    pts = np.fromiter(chain.from_iterable(spectrum.points), dtype=float,
-                      count=len(spectrum) * d).reshape(len(spectrum), d)
     inside = np.ones(len(spectrum), dtype=bool)
-    for y, factor in zip(pts.T, region.factors):
+    for y, factor in zip(spectrum.coords.T, region.factors):
         hit = np.zeros(len(spectrum), dtype=bool)
         for lo, hi in factor.im:
             hit |= (lo - 1e-12 <= y) & (y <= hi + 1e-12)

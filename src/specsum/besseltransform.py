@@ -21,10 +21,10 @@ preferred for small |t|.  Both integrands are even and analytic in a strip
 about the line of integration, where the trapezoidal rule converges
 geometrically in 1/h (Trefethen & Weideman, SIAM Review 56, 2014), so each
 transform is one trapezoidal rule on [lo, H] with half weights at both ends
-(_nodes, _trapezoid).  Its step shrinks as the line of integration nears
-a singularity of the integrand, and a rule that would need more than
-_MAX_STEPS steps is rejected.  Its nodes are known at once, and J is
-evaluated at all of them as one numpy array (_bessel_j_nodes).  The
+(_nodes, quadrature.trapezoid).  Its step shrinks as the line of
+integration nears a singularity of the integrand, and a rule that would
+need more than _MAX_STEPS steps is rejected.  Its nodes are known at once,
+and J is evaluated at all of them as one numpy array (_bessel_j_nodes).  The
 declared error is |T_h - T_2h| + 1e-15 sum w|g| (rounding and
 cancellation) + sum w|c| e (the nodes' Bessel errors e, times the factor c
 the integrand multiplies J by) + the tail beyond H.  Point values
@@ -48,6 +48,7 @@ import mpmath
 import numpy as np
 
 from .measures import MeasureResult, check_parity
+from .quadrature import trapezoid
 from .testfunctions import LocalTestFunction
 
 
@@ -462,7 +463,7 @@ def _nodes(phi: LocalTestFunction, parity: int, shift: float):
     Re nu = (1 + parity)/2 (the zeros at nu = 0 are cancelled by the factor
     y or nu), or phi_p's branch point at nu = p, both level with the node 0.
     The rule's error falls like e^{-2 pi d / h}, and that of the rule on
-    every other node, which _trapezoid declares, like e^{-pi d / h}.
+    every other node, which trapezoid declares, like e^{-pi d / h}.
     Within that, h = 0.15 / sqrt(U) for a gaussian and 0.05 for any other
     phi.
 
@@ -487,22 +488,6 @@ def _nodes(phi: LocalTestFunction, parity: int, shift: float):
     return np.linspace(lo, H, steps + 1)
 
 
-def _trapezoid(nodes, g, bessel_err):
-    """(T_h, declared error) of the integrand values g at the nodes, with
-    half weights at both ends.  The error is |T_h - T_2h| (the rule on every
-    other node, which needs no further evaluation) + 1e-15 sum w|g| (the
-    rounding of the values and their cancellation) + sum w bessel_err (each
-    node's Bessel error, times the factor the integrand multiplies J by)."""
-    h = (nodes[-1] - nodes[0]) / (len(nodes) - 1)
-
-    def rule(f, step):  # exactly rounded sums, so the same bytes everywhere
-        return step * (math.fsum(f[::step].tolist()) - (f[0] + f[-1]) / 2)
-
-    value = rule(g, 1) * h
-    return value, abs(value - rule(g, 2) * h) \
-        + h * (1e-15 * rule(np.abs(g), 1) + rule(bessel_err, 1))
-
-
 def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
                    t: float) -> MeasureResult:
     """Transform by integration along the spectral axis plus the discrete sum.
@@ -520,7 +505,7 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
     e^{pi y} and the cosh/sinh denominator cancels that growth, so each J
     is asked for atol = 1e-10 cosh(pi y) (or sinh; at y = 0 the default):
     its error in the integrand is then 1e-10 times 2 y |phi(iy)|.  The
-    declared error is _trapezoid's plus the tail beyond H.  The discrete
+    declared error is trapezoid's plus the tail beyond H.  The discrete
     sum uses the default atol.
     """
     _check_parity_eta(parity, eta)
@@ -548,7 +533,7 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
         coef = 2 * np.where(at0, 1 / np.pi, y / denom) * values
     J, J_err = _bessel_j_nodes(2j * y, t_abs, _ATOL * denom)
     g = coef * (J.imag if parity == 0 else J.real)
-    v, e = _trapezoid(y, g, np.abs(coef) * J_err)
+    v, e = trapezoid(y, g, np.abs(coef) * J_err)
     value = v + _discrete_sum(phi, parity, t_abs)
     if parity == 1:
         value *= -1j * eta * math.copysign(1.0, t)
@@ -573,10 +558,10 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
     quadrature of the defining axis integrals.
 
     The integrand is even in x, so the same trapezoidal rule as on the axis
-    applies (_nodes, _trapezoid).  |J_{2 nu}| grows like e^{pi x} and
+    applies (_nodes, trapezoid).  |J_{2 nu}| grows like e^{pi x} and
     |cos(pi(nu - parity/2))| like e^{pi x} / 2, so each J is asked for
     atol = 1e-10 |cos(...)|: its error in the integrand is then 1e-10 times
-    |phi(nu) nu|.  The declared error is twice _trapezoid's plus twice the
+    |phi(nu) nu|.  The declared error is twice trapezoid's plus twice the
     tail beyond H.  The discrete sum uses the default atol.
     """
     _check_parity_eta(parity, eta)
@@ -593,7 +578,7 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
     denom = np.cos(np.pi * (nu - parity / 2.0))
     coef = np.array([phi(v) for v in nu]) * nu / denom
     J, J_err = _bessel_j_nodes(2 * nu, t_abs, _ATOL * np.abs(denom))
-    v, e = _trapezoid(x, (coef * J).real, np.abs(coef) * J_err)
+    v, e = trapezoid(x, (coef * J).real, np.abs(coef) * J_err)
     tail = 0.0
     if phi.provenance != "gaussian":
         # tail bound: decay of phi against the polynomially-bounded remainder

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .measures import (
     MeasureResult,
@@ -25,6 +24,7 @@ from .measures import (
     nv_b,
     power_integral,
 )
+from .quadrature import gauss_legendre, trapezoid
 
 
 # --------------------------------------------------------------------------
@@ -182,8 +182,10 @@ class RegionInstance:
 
     space: 'nu' (coordinates are the imaginary parts t_j >= 0) or 'lambda'.
     product: ProductRegion when the region factorizes, else None.
-    membership/bbox/weight/multiplicity drive quadrature and Monte Carlo;
-    weight is the reference-measure density in the given coordinates.
+    membership/bbox/weight/multiplicity drive Monte Carlo; weight is the
+    reference-measure density in the given coordinates.  The families'
+    quadrature methods integrate in their own coordinates instead, by the
+    fixed rules of specsum.quadrature.
     """
 
     space: str
@@ -310,6 +312,16 @@ class SphereFamily(RegionFamily):
         return MeasureResult(v, 0.0, "closed-form")
 
     def quadrature_nv1(self, t=None) -> MeasureResult:
+        """The doubled integral of t1 t2 over the ball, for d <= 2.
+
+        Under t1 = m1 + r sin(theta) the chord over t1 has half-length
+        h = r cos(theta), t2 integrates over it to 2 m2 h, and dt1 is
+        h dtheta.  One period of theta sweeps the disc twice, which is the
+        multiplicity 2.  The integrand 2 m2 h^2 (m1 + r sin(theta)) is a
+        trigonometric polynomial of degree 3, on which the trapezoidal rule
+        of 8 steps, and that of 4, is exact: the error is the rounding,
+        with 2^-50 of each value for its own.
+        """
         m, r = self.m, self.r
         if len(m) == 1:
             v = ((m[0] + r) ** 2 - (m[0] - r) ** 2) / 2.0
@@ -317,14 +329,11 @@ class SphereFamily(RegionFamily):
         if len(m) != 2:
             raise ValueError("quadrature implemented for d <= 2")
         m1, m2 = m
-
-        def integrand(t1):
-            h = math.sqrt(max(r * r - (t1 - m1) ** 2, 0.0))
-            lo, hi = m2 - h, m2 + h
-            return t1 * (hi * hi - lo * lo) / 2.0
-
-        v, e = quad(integrand, m1 - r, m1 + r, limit=400)
-        return MeasureResult(2 * v, 2 * e, "quadrature")
+        theta = np.linspace(0.0, 2 * math.pi, 9)
+        h = r * np.cos(theta)
+        g = 2 * m2 * h * h * (m1 + r * np.sin(theta))
+        v, e = trapezoid(theta, g, 2.0 ** -50 * np.abs(g))
+        return MeasureResult(v, e, "quadrature")
 
     def shells(self, c: float) -> ShellSet:
         """Radial shells: C+(c) = ball(r+c), C+(-c) = ball(r-c)."""
@@ -403,7 +412,11 @@ class SectorFamily(RegionFamily):
 
     def quadrature_vc(self, c: float, t: float) -> MeasureResult:
         """The reference volume with weight (1/2)(l - 1/4)^{(c-1)/2} per
-        place: the l2 integral in closed form, l1 by quadrature."""
+        place: the l2 integral in closed form, l1 by 16-point
+        Gauss-Legendre against 8-point.  The integrand is singular at
+        l1 = 1/4 and 1/(4p) only, which _resolve keeps at least 2.6 of the
+        interval's half-lengths from its centre, so the n-point rule's
+        error falls like 5^(-2n) at least."""
         p, q, expo = self.p, self.q, (c - 1) / 2.0
 
         def inner(l1):
@@ -411,7 +424,7 @@ class SectorFamily(RegionFamily):
             v = 0.5 * power_integral(p * l1 - 0.25, q * l1 - 0.25, expo)
             return 0.5 * (l1 - 0.25) ** expo * v
 
-        v, e = quad(inner, *self._resolve(t), limit=200)
+        v, e = gauss_legendre(inner, *self._resolve(t), 16)
         return MeasureResult(v, e, "quadrature")
 
 
@@ -452,6 +465,8 @@ class SlantedStripFamily(RegionFamily):
                              "leading term")
 
     def quadrature_nv1(self, t) -> MeasureResult:
+        """The volume by 4-point Gauss-Legendre against 2-point, both
+        exact on the quadratic integrand: the error is the rounding."""
         a, b, c = self.a, self.b, self.c
 
         def integrand(x):
@@ -459,7 +474,7 @@ class SlantedStripFamily(RegionFamily):
             # large squares cancel
             return x * (c - b) * (2 * a * x + b + c) / 2.0
 
-        v, e = quad(integrand, *self._resolve(t), limit=200)
+        v, e = gauss_legendre(integrand, *self._resolve(t), 4)
         return MeasureResult(v, e, "quadrature")
 
 

@@ -218,6 +218,16 @@ class TestSynthetic:
         b = synth_spectrum(F5, reg, seed=3)
         assert a.points == b.points and a.weights == b.weights
 
+    def test_points_kept_as_one_array(self, setup):
+        # the tuples are built only when asked for, and give back the array
+        _, spec = setup
+        assert spec.coords.shape == (len(spec), 2)
+        assert spec.points == tuple(map(tuple, spec.coords.tolist()))
+        assert SyntheticSpectrum(spec.points, spec.weights, spec.parities) \
+            == spec
+        empty = SyntheticSpectrum((), (), (0, 0))
+        assert len(empty) == 0 and empty.points == () and empty != spec
+
     def test_empty_spectrum_counts_zero(self, setup):
         reg, spec = setup
         off = imaginary_box([(10, 11), (10, 11)])

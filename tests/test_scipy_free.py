@@ -1,6 +1,9 @@
-"""The Kloosterman, measure, test-function and Bessel layers load no scipy
-module, so commands that use only them skip its import: the first three
-are closed forms, and the Bessel layer has its own log-gamma."""
+"""No module of specsum loads scipy, so no command pays for its import.
+The Kloosterman, measure and test-function layers are closed forms, the
+Bessel layer has its own log-gamma, and the region volumes and the
+families table use the fixed rules of specsum.quadrature.  scipy is a test
+dependency only: the tests keep scipy.special.jv and scipy.integrate.quad
+as oracles."""
 
 import os
 import subprocess
@@ -38,3 +41,9 @@ def test_bessel_layer_imports_no_scipy_integrate():
     # its library workloads
     assert loaded_scipy("specsum.besseltransform", "specsum.testfunctions",
                         "specsum.numberfield", "specsum.kloosterman") == []
+
+
+def test_cli_asymptotics_and_regions_import_no_scipy():
+    # each in its own interpreter, so that none hides another's import
+    for module in ("specsum.cli", "specsum.asymptotics", "specsum.regions"):
+        assert loaded_scipy(module) == [], module
