@@ -533,14 +533,13 @@ def synth_spectrum(F: QuadField, region, seed: int = 0,
 def count(spectrum: SyntheticSpectrum, region) -> float:
     """Weighted count of the spectrum points inside a region: a point is
     inside when each coordinate lies in some interval of its factor (to
-    1e-12).  The weights are added in order."""
+    1e-12).  The weights are added strictly in order (np.add.accumulate;
+    np.sum would add pairwise)."""
     inside = np.ones(len(spectrum), dtype=bool)
     for y, factor in zip(spectrum.coords.T, region.factors):
         hit = np.zeros(len(spectrum), dtype=bool)
         for lo, hi in factor.im:
             hit |= (lo - 1e-12 <= y) & (y <= hi + 1e-12)
         inside &= hit
-    total = 0.0
-    for w in np.array(spectrum.weights, dtype=float)[inside].tolist():
-        total += w
-    return total
+    w = np.array(spectrum.weights, dtype=float)[inside]
+    return float(np.add.accumulate(w)[-1]) if len(w) else 0.0

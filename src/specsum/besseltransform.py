@@ -14,25 +14,25 @@ absolute tolerance `atol` (1e-10 by default): its leading term is a 50-digit
 mpmath number and its ratios to that term are summed in fixed point on
 Python integers.
 
-Transforms are computed two ways: integrating along the spectral axis
-(plus the discrete-series sum), and integrating along the shifted contour
-Re nu = tau.  The contour form scales explicitly like |t|^{2 tau} and is
-preferred for small |t|.  Both integrands are even and analytic in a strip
-about the line of integration, where the trapezoidal rule converges
-geometrically in 1/h (Trefethen & Weideman, SIAM Review 56, 2014), so each
-transform is one trapezoidal rule on [lo, H] with half weights at both ends
-(_nodes, quadrature.trapezoid).  Its step shrinks as the line of
-integration nears a singularity of the integrand, and a rule that would
-need more than _MAX_STEPS steps is rejected.  Its nodes are known at once,
-and J is evaluated at all of them as one numpy array (_bessel_j_nodes).  The
-declared error is |T_h - T_2h| + 1e-15 sum w|g| (rounding and
-cancellation) + sum w|c| e (the nodes' Bessel errors e, times the factor c
-the integrand multiplies J by) + the tail beyond H.  Point values
-(bessel_j_err, and the discrete sum) stay on the scalar series: for one
-order the array machinery costs about 16 times as much.
+Both transforms are one rule on the line Re nu = shift (_transform):
+shift 0 is the spectral axis (plus the discrete-series sum) and shift tau
+the shifted contour, whose form scales explicitly like |t|^{2 tau} and is
+preferred for small |t|.  The integrand is even and analytic in a strip
+about the line, where the trapezoidal rule converges geometrically in 1/h
+(Trefethen & Weideman, SIAM Review 56, 2014), so each transform is one
+trapezoidal rule on [lo, H] with half weights at both ends (_nodes,
+quadrature.trapezoid).  Its step shrinks as the line nears a singularity
+of the integrand, and a rule that would need more than _MAX_STEPS steps is
+rejected.  Its nodes are known at once, and J is evaluated at all of them
+as one numpy array (_bessel_j_nodes).  The declared error is
+|T_h - T_2h| + 1e-15 sum w|g| (rounding and cancellation) + sum w|c| e
+(the nodes' Bessel errors e, times the factor c the integrand multiplies J
+by) + the tail beyond H, which each formula bounds its own way.  Point
+values (bessel_j_err, and the discrete sum) stay on the scalar series: for
+one order the array machinery costs about 16 times as much.
 
-On both paths |J_{2 nu}(t)| grows like e^{pi |Im nu|} and the integrand
-divides that growth out again by cosh, sinh or cos; each node asks for
+|J_{2 nu}(t)| grows like e^{pi |Im nu|} and the integrand divides that
+growth out again by cos(pi(nu - parity/2)); each node asks for
 atol = 1e-10 times that divisor, so the error J adds to the integrand is
 about 1e-10 times the factor J is multiplied by there, and the series stays
 in double precision wherever it can deliver that.
@@ -411,13 +411,6 @@ def bessel_j(mu: complex, x: float, *, atol: float = _ATOL) -> complex:
 # transforms
 # --------------------------------------------------------------------------
 
-def _check_parity_eta(parity: int, eta: int) -> None:
-    """Reject a parity outside {0, 1} or a sign eta outside {1, -1}."""
-    check_parity(parity)
-    if eta not in (1, -1):
-        raise ValueError("eta must be 1 or -1")
-
-
 def _discrete_sum(phi: LocalTestFunction, parity: int, t_abs: float) -> complex:
     """sum over the discrete series b = 2 + parity, 4 + parity, ..., 60 of
     (-1)^{floor(b/2)} (b-1) phi((b-1)/2) J_{b-1}."""
@@ -460,8 +453,8 @@ def _nodes(phi: LocalTestFunction, parity: int, shift: float):
 
     h is at most an eighth of the distance d from the line to the nearest
     singularity of the integrand: a zero of the denominator at
-    Re nu = (1 + parity)/2 (the zeros at nu = 0 are cancelled by the factor
-    y or nu), or phi_p's branch point at nu = p, both level with the node 0.
+    Re nu = (1 + parity)/2 (the zero at nu = 0 is cancelled by the factor
+    nu), or phi_p's branch point at nu = p, both level with the node 0.
     The rule's error falls like e^{-2 pi d / h}, and that of the rule on
     every other node, which trapezoid declares, like e^{-pi d / h}.
     Within that, h = 0.15 / sqrt(U) for a gaussian and 0.05 for any other
@@ -488,6 +481,39 @@ def _nodes(phi: LocalTestFunction, parity: int, shift: float):
     return np.linspace(lo, H, steps + 1)
 
 
+def _transform(phi: LocalTestFunction, parity: int, eta: int, t: float,
+               shift: float):
+    """(value, error) of both transforms on the line Re nu = shift:
+
+        (-i eta sign t)^parity [ 2 int_lo^H Re[ phi(nu) nu J_{2nu}(|t|)
+                                    / cos(pi(nu - parity/2)) ] dx + discrete ],
+
+    nu = shift + ix, by the trapezoidal rule of _nodes, each J asked for
+    atol = 1e-10 |cos(...)|.  At nu = 0 (parity 1 on the axis only),
+    nu / cos(pi(nu - 1/2)) = nu / sin(pi nu) takes its limit 1/pi and J_0
+    the default atol.  The error is twice trapezoid's; the tail beyond H is
+    left to each formula.
+    """
+    check_parity(parity)
+    if eta not in (1, -1):
+        raise ValueError("eta must be 1 or -1")
+    if t == 0:
+        raise ValueError("t must be nonzero")
+    t_abs = abs(t)
+    x = _nodes(phi, parity, shift)
+    nu = shift + 1j * x
+    denom = np.cos(np.pi * (nu - parity / 2.0))
+    # phi takes Python complexes faster than numpy scalars
+    coef = np.array([phi(v) for v in nu.tolist()]) * nu / denom
+    atol = _ATOL * np.abs(denom)
+    if parity and nu[0] == 0:
+        coef[0], atol[0] = phi(0) / np.pi, _ATOL
+    J, J_err = _bessel_j_nodes(2 * nu, t_abs, atol)
+    v, e = trapezoid(x, (coef * J).real, np.abs(coef) * J_err)
+    pref = (-1j * eta * math.copysign(1.0, t)) ** parity
+    return pref * (2 * v + _discrete_sum(phi, parity, t_abs)), 2 * e
+
+
 def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
                    t: float) -> MeasureResult:
     """Transform by integration along the spectral axis plus the discrete sum.
@@ -496,48 +522,22 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
     parity 1:  -i eta sign(t) [ int_0^inf 2 y phi(iy) Re J_{2iy}(|t|)/sinh(pi y) dy
                                 + discrete ],
     the real reductions of the contour-free defining formulas (the y -> -y
-    halves combine by evenness; all denominators are zero-free on the axis,
-    the y=0 limit of the parity-1 integrand being 2 phi(0) J_0(|t|)/pi).
-
-    Both integrands are even in y and analytic in a strip about the axis,
-    so the trapezoidal rule of _nodes over [0, H] converges geometrically
-    in 1/h; J is evaluated at all nodes at once.  J_{2iy} grows like
-    e^{pi y} and the cosh/sinh denominator cancels that growth, so each J
-    is asked for atol = 1e-10 cosh(pi y) (or sinh; at y = 0 the default):
-    its error in the integrand is then 1e-10 times 2 y |phi(iy)|.  The
-    declared error is trapezoid's plus the tail beyond H.  The discrete
-    sum uses the default atol.
+    halves combine by evenness; the y=0 limit of the parity-1 integrand is
+    2 phi(0) J_0(|t|)/pi): _transform on the line Re nu = 0, where phi is
+    real.  Any phi is accepted.  The declared error is _transform's plus
+    the tail beyond H.
     """
-    _check_parity_eta(parity, eta)
-    if t == 0:
-        raise ValueError("t must be nonzero")
-    t_abs = abs(t)
-    H = _window(phi)[1]
+    value, err = _transform(phi, parity, eta, t, 0.0)
     tail = 1e-14
     if phi.provenance != "gaussian":
         # the integrand is bounded by 2|phi(iy)| y (the Bessel growth e^{pi y}
         # is cancelled by the cosh/sinh denominator), so the tail beyond H is
         # at most 2K (1+H)^{2-a}/(a-2) with K the decay constant
+        H = _window(phi)[1]
         K = max(abs(phi(1j * y)) * (1 + y) ** phi.a
                 for y in np.geomspace(1, 60, 40))
         tail = 2 * K * (1 + H) ** (2 - phi.a) / (phi.a - 2)
-    y = _nodes(phi, parity, 0.0)
-    values = np.array([phi(1j * v).real for v in y])
-    if parity == 0:
-        denom = np.cosh(np.pi * y)
-        coef = -2 * y * values / denom
-    else:
-        denom = np.sinh(np.pi * y)
-        at0 = y == 0
-        denom[at0] = 1.0  # 2y / sinh(pi y) -> 2 / pi
-        coef = 2 * np.where(at0, 1 / np.pi, y / denom) * values
-    J, J_err = _bessel_j_nodes(2j * y, t_abs, _ATOL * denom)
-    g = coef * (J.imag if parity == 0 else J.real)
-    v, e = trapezoid(y, g, np.abs(coef) * J_err)
-    value = v + _discrete_sum(phi, parity, t_abs)
-    if parity == 1:
-        value *= -1j * eta * math.copysign(1.0, t)
-    return MeasureResult(value, e + tail, "axis")
+    return MeasureResult(value, err + tail, "axis")
 
 
 _HOLOMORPHIC_TAGS = {"gaussian", "phi_p"}
@@ -545,48 +545,29 @@ _HOLOMORPHIC_TAGS = {"gaussian", "phi_p"}
 
 def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
                       t: float) -> MeasureResult:
-    """Transform via the shifted contour Re nu = tau:
-
-        (-i eta sign t)^parity [ 2 int_0^H Re[ phi(nu) nu J_{2nu}(|t|)
-                                    / cos(pi(nu - parity/2)) ] dx + discrete ],
-
-    nu = tau + ix, using the reflection symmetry of the full contour for
+    """Transform via the shifted contour Re nu = tau: _transform on that
+    line, using the reflection symmetry of the full contour for
     real-symmetric phi; the contour stays left of the poles at
     nu = (b-1)/2, so the discrete-series sum is added separately.  The
     integrand carries the explicit factor |t|^{2 tau}, which makes this
     form accurate for small |t|.  Checked against direct complex
     quadrature of the defining axis integrals.
 
-    The integrand is even in x, so the same trapezoidal rule as on the axis
-    applies (_nodes, trapezoid).  |J_{2 nu}| grows like e^{pi x} and
-    |cos(pi(nu - parity/2))| like e^{pi x} / 2, so each J is asked for
-    atol = 1e-10 |cos(...)|: its error in the integrand is then 1e-10 times
-    |phi(nu) nu|.  The declared error is twice trapezoid's plus twice the
-    tail beyond H.  The discrete sum uses the default atol.
+    Needs a construction-tagged holomorphic phi.  The declared error is
+    _transform's plus twice the tail beyond H.
     """
-    _check_parity_eta(parity, eta)
-    if t == 0:
-        raise ValueError("t must be nonzero")
     if phi.provenance not in _HOLOMORPHIC_TAGS:
         raise ValueError("contour formula needs a construction-tagged "
                          "holomorphic test function")
     tau = phi.tau
-    t_abs = abs(t)
-    H = _window(phi)[1]
-    x = _nodes(phi, parity, tau)
-    nu = tau + 1j * x
-    denom = np.cos(np.pi * (nu - parity / 2.0))
-    coef = np.array([phi(v) for v in nu]) * nu / denom
-    J, J_err = _bessel_j_nodes(2 * nu, t_abs, _ATOL * np.abs(denom))
-    v, e = trapezoid(x, (coef * J).real, np.abs(coef) * J_err)
+    value, err = _transform(phi, parity, eta, t, tau)
     tail = 0.0
     if phi.provenance != "gaussian":
         # tail bound: decay of phi against the polynomially-bounded remainder
         # of J/cos after the exponential factors cancel
+        H = _window(phi)[1]
         K = max(abs(phi(tau + 1j * x)) * (1 + x) ** phi.a
                 for x in np.geomspace(1, H, 40))
         net = phi.a - 1.5 + 2 * tau  # integrand ~ x^{1 - a - 2 tau - 1/2}
-        tail = 2 * t_abs ** (2 * tau) * K * H ** (1 - net) / max(net - 1, 0.1)
-    pref = (-1j * eta * math.copysign(1.0, t)) ** parity
-    value = pref * (2 * v + _discrete_sum(phi, parity, t_abs))
-    return MeasureResult(value, 2 * (e + tail), "contour")
+        tail = 2 * abs(t) ** (2 * tau) * K * H ** (1 - net) / max(net - 1, 0.1)
+    return MeasureResult(value, err + 2 * tail, "contour")

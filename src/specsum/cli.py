@@ -320,8 +320,6 @@ def cmd_families(args) -> int:
 
 def cmd_synth_count(args) -> int:
     F = parse_field(args.field)
-    if args.family != "hypercube":
-        raise ValueError("synthetic counting supports the hypercube family")
     fam = family("hypercube", a=[lambda t: t] * F.d, sigma=args.sigma)
     region = fam.instance(args.a).product
     spec = synth_spectrum(F, region, seed=args.seed,
@@ -472,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("synth-count")
     sc.add_argument("--field", default="Q(sqrt5)")
-    sc.add_argument("--family", default="hypercube")
     sc.add_argument("--a", type=float, default=500.0)
     sc.add_argument("--sigma", type=float, default=0.3)
     sc.add_argument("--weight-law", dest="weight_law", default="unit")

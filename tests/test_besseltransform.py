@@ -348,15 +348,19 @@ def _error_cases():
     """gaussians on a default and on a near-edge strip (tau = 0.49, 0.01
     from the parity-0 contour's pole), the ill-conditioned gaussian contour
     at U = 400 (|phi| reaches e^{U tau^2} = e^{36} there, so the value is a
-    cancellation of integrand values near 1e17), and phi_p(2, a=8); t is
-    drawn log-uniformly from [0.1, 5], seeded."""
+    cancellation of integrand values near 1e17), and phi_p(2, a=8), each
+    formula at both parities somewhere (the gaussian axis at parity 1 has
+    the node nu = 0, where the integrand takes its limit); t is drawn
+    log-uniformly from [0.1, 5], seeded."""
     rng = random.Random(16)
     cases = [("U90", gaussian_phi(2.5, 90.0), "contour", 1),
              ("U90-tau0.49", gaussian_phi(2.5, 90.0, tau=0.49), "axis", 0),
              ("U90-tau0.49", gaussian_phi(2.5, 90.0, tau=0.49), "contour", 0),
              ("U400", gaussian_phi(2.5, 400.0), "contour", 0),
              ("phi_p", phi_p(2.0, a=8.0), "axis", 1),
-             ("phi_p", phi_p(2.0, a=8.0), "contour", 1)]
+             ("phi_p", phi_p(2.0, a=8.0), "contour", 1),
+             ("U90", gaussian_phi(2.5, 90.0), "axis", 1),
+             ("phi_p", phi_p(2.0, a=8.0), "axis", 0)]
     return [pytest.param(phi, formula, parity, 0.1 * 50 ** rng.random(),
                          id=f"{name}-{formula}-{parity}")
             for name, phi, formula, parity in cases]

@@ -377,6 +377,8 @@ class TestBadInput:
           "--sigma", "40", "--method", "closed"], "too large for side 40"),
         (["bessel", "--order=-300.5", "--x", "1"],
          "beyond the range of a double"),
+        (["synth-count", "--family", "box"],
+         "unrecognized arguments: --family box"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

@@ -1,9 +1,12 @@
 """Every module-level import in src/specsum and in the test files is used
-in its module.
+in its module, and every top-level private function of src/specsum is
+read somewhere in src/specsum.
 
 Neither ruff nor pyflakes is a dependency, so this reads each module's
 syntax tree with the standard library: a name bound by a top-level import
-must be read somewhere in the module (annotations count)."""
+must be read somewhere in the module (annotations count), and a top-level
+`def _name` must be read somewhere in the package outside its own body
+(a helper whose last caller went, or that only calls itself, fails)."""
 
 import ast
 from pathlib import Path
@@ -11,8 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted((ROOT / "src" / "specsum").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "specsum").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -30,6 +33,25 @@ def unused_imports(source: str):
                   if name not in used)
 
 
+def reads(tree):
+    """Every name a syntax tree reads, bare or as an attribute (an import
+    counts through the names that use it)."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def unread_private_functions(sources):
+    """(module, name) of each top-level `def _name` in the sources (module
+    name -> text) that no module reads outside that function's own body."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    everywhere = [r for tree in trees.values() for r in reads(tree)]
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+        and everywhere.count(node.name) <= reads(node).count(node.name))
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == [(1, "os")]
 
@@ -39,3 +61,16 @@ def test_detects_an_unused_import():
     ids=lambda p: p.name if p.parent.name == "specsum" else f"tests/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_an_unread_private_function():
+    sources = {"a": "def _used():\n    pass\n\n\ndef _self(n):\n"
+                    "    return _self(n - 1)\n\n\ndef _dead():\n    pass\n",
+               "b": "from .a import _used\n_used()\n"}
+    assert unread_private_functions(sources) == [("a", "_dead"),
+                                                 ("a", "_self")]
+
+
+def test_every_private_function_is_read():
+    assert unread_private_functions(
+        {p.stem: p.read_text() for p in PACKAGE}) == []
