@@ -8,11 +8,13 @@ mu log(x/2) - ln Gamma(mu+1), so neither factor can overflow on its own;
 ln Gamma is the module's own (_log_gamma): Stirling's series with eight
 terms and a remainder below 6e-16 (DLMF 5.11(ii)), after the recurrence
 to |z| >= 10 and the reflection for Re z < 1/2, so the module imports no
-scipy.  The series is summed in double precision and falls back to a
-50-digit series when the declared double-precision error exceeds an
-absolute tolerance `atol` (1e-10 by default): its leading term is a 50-digit
-mpmath number and its ratios to that term are summed in fixed point on
-Python integers.
+scipy.  The series is summed in double precision and falls back to an
+extended-precision series when the declared double-precision error exceeds
+an absolute tolerance `atol` (1e-10 by default), whether the terms cancel
+or only the double leading term's rounding times a large |J| misses it:
+there the leading term is e^A with A from mpmath.loggamma at 30 digits,
+and its ratios to that term are summed exactly in fixed point on Python
+integers, so the value is J correctly rounded.
 
 Both transforms are one rule on the line Re nu = shift (_transform):
 shift 0 is the spectral axis (plus the discrete-series sum) and shift tau
@@ -49,7 +51,7 @@ import numpy as np
 
 from .measures import MeasureResult, check_parity
 from .quadrature import trapezoid
-from .testfunctions import LocalTestFunction
+from .testfunctions import CONSTRUCTIONS, LocalTestFunction
 
 
 class PrecisionError(ArithmeticError):
@@ -160,98 +162,101 @@ def _log_gamma_nodes(z):
 
 def _lead_rel(mu, log_half):
     """Relative error declared for the leading term (x/2)^mu / Gamma(mu+1),
-    which both series form as exp(mu log(x/2) - _log_gamma(mu + 1)).  The
-    argument of that exp carries about |mu log(x/2)| ulps from its first
+    which the double series forms as exp(mu log(x/2) - _log_gamma(mu + 1)).
+    The argument of that exp carries about |mu log(x/2)| ulps from its first
     part and a few ulps of |ln Gamma(mu + 1)|, about |mu log mu|, from the
     second; Stirling's remainder adds below 6e-16.  Against 40-digit mpmath
     the term is within 0.46 of this bound on 20,000 orders mu = 2iy and
-    2 tau + 2iy with |mu| from 100 to 260, the worst case (scipy's rgamma
-    reached 0.47 there), and within half of it on every point of
-    tests/test_besseltransform.py's sweep."""
+    2 tau + 2iy with |mu| from 100 to 260, the worst case (scipy's
+    reciprocal gamma reached 0.47 there), and within half of it on every
+    point of tests/test_besseltransform.py's sweep."""
     return 1e-16 * (40 * (1 + abs(mu + 1)) + 5 * abs(mu * log_half))
 
 
 def _series_extended(mu: complex, x: float):
-    """The same ascending series to 50 digits, for the cancellation regime
-    x beyond roughly 15: the leading term L = (x/2)^mu / Gamma(mu+1) in
-    50-digit mpmath, the rest in fixed point on Python integers (the method
-    of mpmath's hypsum; Brent & Zimmermann, Modern Computer Arithmetic, ch.
-    4).
+    """The same ascending series to about 30 digits, for the cancellation
+    regime x beyond roughly 15 and for the large |J| whose double leading
+    term's rounding alone misses atol: the leading term
+    L = (x/2)^mu / Gamma(mu+1) is e^A, A = mu log(x/2) - ln Gamma(mu+1) at
+    30 digits (mpmath.loggamma, whose branch does not matter to e^A), and
+    the ratios to it are summed exactly in fixed point on Python integers
+    (the method of mpmath's hypsum; Brent & Zimmermann, Modern Computer
+    Arithmetic, ch. 4).
 
     Each ratio s_k = term_k / L is held as (a + ib) / 2^scale, s_0 = 1, and
     s_{k+1} = -s_k h^2 / ((k+1)(mu+k+1)) is formed exactly from mu and
     h^2 = x^2/4 as rationals (a double is one), with one floor division per
-    component.  The sum stops at the first k > x whose next term is below
-    10^-dps max(|total|, 1).  It raises PrecisionError after 2,000 terms,
-    and where max_mag / |total| exceeds the doubled cancellation budget,
-    max_mag being the largest |term|.  The declared error is
-    max_mag 10^(16-dps) + 1e-15 |total|.
+    component.  The sum S stops at the first k > x whose next ratio is below
+    1e-30 |S|.  It raises PrecisionError after 2,000 terms, and where
+    max_mag / |total| exceeds the doubled cancellation budget, max_mag being
+    the largest |term|.  The declared error is max_mag 1e-34 + 1e-15 |total|.
 
-    Why that error covers the fixed-point arithmetic: before each division
-    the numerators are shifted left, and scale raised with them, until the
-    quotient keeps at least _SERIES_BITS bits, so each step rounds s_{k+1}
-    by at most 2^(2 - _SERIES_BITS) relative to itself.  Later ratios are
-    exact, so they carry that rounding forward unchanged in relative size,
-    and after at most 2,000 steps each s_k is within 2,000 *
-    2^(2 - _SERIES_BITS), about 5e-57, of its exact value relative to
-    itself.  The sum of at most 2,000 terms is then within 1e-53 max_mag of
-    exact, and the final products with L, rounded to 50 digits, add a few
-    2^-169 of |total| <= 2,000 max_mag, below 1e-47 max_mag: all far below
-    the max_mag 1e-34 declared for the 50-digit rounding of L itself.
+    Why that error covers it: before each division the numerators are
+    shifted left, and scale raised with them, until the quotient keeps at
+    least _SERIES_BITS bits, so each step rounds s_{k+1} by at most
+    2^(2 - _SERIES_BITS) relative to itself.  Later ratios are exact, so
+    they carry that rounding forward unchanged in relative size, and after
+    at most 2,000 steps each s_k is within 2,000 * 2^(2 - _SERIES_BITS),
+    about 5e-57, of its exact value relative to itself.  The sum of at most
+    2,000 terms is then within 1e-53 max_mag of exact: inside max_mag 1e-34.
+    Past k > x the ratios shrink at least geometrically, so the terms left
+    out add about 1e-30 |total|.  A is within 1e-25 of exact (both of its
+    parts are below 2e4 wherever L is a double), and the products with L
+    are rounded to 30 digits: together below 1e-24 |total|.  The result is
+    J correctly rounded but for that 1e-24, and the final rounding to a
+    double, half an ulp per part, is inside 1e-15 |total|.
     """
-    dps = 50
-    with mpmath.workdps(dps):
-        m = mpmath.mpc(mu)
-        lead = (mpmath.mpf(x) / 2) ** m * mpmath.rgamma(m + 1)
-        size = abs(lead)
-        norm = size * size
-        # mu = (p + iq) / den and h^2 = num / (den hden) exactly, so that
-        # s_{k+1} = -s_k num (p_k - iq) / ((k+1)(p_k^2 + q^2) hden) with
-        # p_k = p + (k+1) den
-        p, pden = mu.real.as_integer_ratio()
-        q, qden = mu.imag.as_integer_ratio()
-        den = max(pden, qden)  # both powers of two
-        p, q = p * (den // pden), q * (den // qden)
-        xnum, xden = x.as_integer_ratio()
-        num, hden = xnum * xnum * den, 4 * xden * xden
-        tol = 10 ** (2 * dps)
-        scale = _SERIES_BITS
-        a, b = 1 << scale, 0  # s_k
-        sa = sb = 0  # s_0 + ... + s_k
-        mag2, peak = a * a, 0  # |s_k|^2, max |s_j|^2 over j < k
-        for k in range(2000):
-            sa += a
-            sb += b
-            peak = max(peak, mag2)
-            pk = p + (k + 1) * den
-            d = (k + 1) * (pk * pk + q * q) * hden
-            ra, rb = -(a * pk + b * q) * num, (a * q - b * pk) * num
-            shift = _SERIES_BITS + d.bit_length() \
-                - max(ra.bit_length(), rb.bit_length())
-            if shift > 0:
-                ra, rb, sa, sb = ra << shift, rb << shift, sa << shift, \
-                    sb << shift
-                peak <<= 2 * shift
-                scale += shift
-            a, b = ra // d, rb // d
-            mag2 = a * a + b * b
-            # |L s_{k+1}| < 10^-dps max(|L S|, 1), squared and in units of
-            # |L|^2 / 4^scale; unit is the 1 in those units, rounded up
-            if k > x:
-                e = 2 * scale - norm.exp
-                unit = -(-(1 << e) // norm.man) if e >= 0 else 1
-                if tol * mag2 < max(sa * sa + sb * sb, unit):
-                    break
-        else:
-            raise PrecisionError("extended-precision series did not converge")
-        # max_mag / |total| = sqrt(peak) / |S|, the leading term cancelling
-        if peak > int(_CANCELLATION_BUDGET ** 2) ** 2 * (sa * sa + sb * sb) \
-                and (sa or sb):
-            raise PrecisionError("cancellation exceeds doubled budget")
-        total = complex(lead * mpmath.mpc(mpmath.mpf((sa, -scale)),
-                                          mpmath.mpf((sb, -scale))))
-        max_mag = size * mpmath.sqrt(mpmath.mpf((peak, -2 * scale)))
-        return total, float(max_mag) * 10.0 ** (16 - dps) + 1e-15 * abs(total)
+    # mu = (p + iq) / den and h^2 = num / (den hden) exactly, so that
+    # s_{k+1} = -s_k num (p_k - iq) / ((k+1)(p_k^2 + q^2) hden) with
+    # p_k = p + (k+1) den
+    p, pden = mu.real.as_integer_ratio()
+    q, qden = mu.imag.as_integer_ratio()
+    den = max(pden, qden)  # both powers of two
+    p, q = p * (den // pden), q * (den // qden)
+    xnum, xden = x.as_integer_ratio()
+    num, hden = xnum * xnum * den, 4 * xden * xden
+    tol = 10 ** 60  # |s_{k+1}| < 1e-30 |S|, squared
+    scale = _SERIES_BITS
+    a, b = 1 << scale, 0  # s_k
+    sa = sb = 0  # s_0 + ... + s_k
+    mag2, peak = a * a, 0  # |s_k|^2, max |s_j|^2 over j < k
+    for k in range(2000):
+        sa += a
+        sb += b
+        peak = max(peak, mag2)
+        pk = p + (k + 1) * den
+        d = (k + 1) * (pk * pk + q * q) * hden
+        ra, rb = -(a * pk + b * q) * num, (a * q - b * pk) * num
+        shift = _SERIES_BITS + d.bit_length() \
+            - max(ra.bit_length(), rb.bit_length())
+        if shift > 0:
+            ra, rb, sa, sb = ra << shift, rb << shift, sa << shift, \
+                sb << shift
+            peak <<= 2 * shift
+            scale += shift
+        a, b = ra // d, rb // d
+        mag2 = a * a + b * b
+        if k > x and tol * mag2 < sa * sa + sb * sb:
+            break
+    else:
+        raise PrecisionError("extended-precision series did not converge")
+    # max_mag / |total| = sqrt(peak) / |S|, the leading term cancelling
+    if peak > int(_CANCELLATION_BUDGET ** 2) ** 2 * (sa * sa + sb * sb) \
+            and (sa or sb):
+        raise PrecisionError("cancellation exceeds doubled budget")
+    with mpmath.workdps(30):
+        log_gamma = mpmath.loggamma(mpmath.mpc(mpmath.mpf(mu.real) + 1,
+                                               mu.imag))
+        log_half = mpmath.log(x / 2)
+        size = mpmath.exp(mu.real * log_half - log_gamma.real)  # |L|
+        arg = mu.imag * log_half - log_gamma.imag
+        lr = size * mpmath.cos(arg)
+        # a real order's arg is a multiple of pi: L is real
+        li = size * mpmath.sin(arg) if mu.imag else 0
+        sr, si = mpmath.mpf((sa, -scale)), mpmath.mpf((sb, -scale))
+        total = complex(float(lr * sr - li * si), float(lr * si + li * sr))
+        max_mag = float(size * mpmath.sqrt(mpmath.mpf((peak, -2 * scale))))
+    return total, max_mag * 1e-34 + 1e-15 * abs(total)
 
 
 def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
@@ -260,7 +265,8 @@ def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
     Returns (value, error).  Falls back to the extended-precision series
     when the declared error of the double-precision sum exceeds `atol`, so
     the error is at most `atol` (or, where |J| is too large for a double to
-    hold it to `atol`, about 1e-15 |J|).  The declared error covers the
+    hold it to `atol`, about 1e-15 |J|, the value being J correctly rounded
+    but for 1e-24 |J|).  The declared error covers the
     truncated tail, the rounding of the summation and of the recurrence,
     and the relative rounding of the leading term (x/2)^mu / Gamma(mu+1),
     which every later term inherits.  Raises PrecisionError when even the
@@ -415,8 +421,8 @@ def _discrete_sum(phi: LocalTestFunction, parity: int, t_abs: float) -> complex:
     """sum over the discrete series b = 2 + parity, 4 + parity, ..., 60 of
     (-1)^{floor(b/2)} (b-1) phi((b-1)/2) J_{b-1}."""
     total = 0.0j
-    for b in range(2 + parity, 61, 2):
-        val = phi((b - 1) / 2.0 + 0j)
+    bs = np.arange(2 + parity, 61, 2)
+    for b, val in zip(bs.tolist(), phi((bs - 1) / 2.0).tolist()):
         if val != 0:
             total += (-1) ** (b // 2) * (b - 1) * val * bessel_j(b - 1, t_abs)
     return total
@@ -503,8 +509,7 @@ def _transform(phi: LocalTestFunction, parity: int, eta: int, t: float,
     x = _nodes(phi, parity, shift)
     nu = shift + 1j * x
     denom = np.cos(np.pi * (nu - parity / 2.0))
-    # phi takes Python complexes faster than numpy scalars
-    coef = np.array([phi(v) for v in nu.tolist()]) * nu / denom
+    coef = phi(nu) * nu / denom
     atol = _ATOL * np.abs(denom)
     if parity and nu[0] == 0:
         coef[0], atol[0] = phi(0) / np.pi, _ATOL
@@ -534,13 +539,10 @@ def transform_axis(phi: LocalTestFunction, parity: int, eta: int,
         # is cancelled by the cosh/sinh denominator), so the tail beyond H is
         # at most 2K (1+H)^{2-a}/(a-2) with K the decay constant
         H = _window(phi)[1]
-        K = max(abs(phi(1j * y)) * (1 + y) ** phi.a
-                for y in np.geomspace(1, 60, 40))
+        y = np.geomspace(1, 60, 40)
+        K = np.max(np.abs(phi(1j * y)) * (1 + y) ** phi.a)
         tail = 2 * K * (1 + H) ** (2 - phi.a) / (phi.a - 2)
     return MeasureResult(value, err + tail, "axis")
-
-
-_HOLOMORPHIC_TAGS = {"gaussian", "phi_p"}
 
 
 def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
@@ -556,7 +558,7 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
     Needs a construction-tagged holomorphic phi.  The declared error is
     _transform's plus twice the tail beyond H.
     """
-    if phi.provenance not in _HOLOMORPHIC_TAGS:
+    if phi.provenance not in CONSTRUCTIONS:
         raise ValueError("contour formula needs a construction-tagged "
                          "holomorphic test function")
     tau = phi.tau
@@ -566,8 +568,8 @@ def transform_contour(phi: LocalTestFunction, parity: int, eta: int,
         # tail bound: decay of phi against the polynomially-bounded remainder
         # of J/cos after the exponential factors cancel
         H = _window(phi)[1]
-        K = max(abs(phi(tau + 1j * x)) * (1 + x) ** phi.a
-                for x in np.geomspace(1, H, 40))
+        x = np.geomspace(1, H, 40)
+        K = np.max(np.abs(phi(tau + 1j * x)) * (1 + x) ** phi.a)
         net = phi.a - 1.5 + 2 * tau  # integrand ~ x^{1 - a - 2 tau - 1/2}
         tail = 2 * abs(t) ** (2 * tau) * K * H ** (1 - net) / max(net - 1, 0.1)
     return MeasureResult(value, err + 2 * tail, "contour")

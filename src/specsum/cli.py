@@ -135,8 +135,15 @@ def _json_default(obj):
 
 
 def emit(obj, stream=None):
-    print(json.dumps(obj, sort_keys=True, default=_json_default),
-          file=stream or sys.stdout)
+    """Print obj as JSON without NaN or Infinity (RFC 8259).  measure_dict
+    rejects out-of-window input first, so such a number is an internal
+    fault: RuntimeError, which dispatch does not turn into exit 2."""
+    try:
+        text = json.dumps(obj, sort_keys=True, default=_json_default,
+                          allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"non-finite number in output: {exc}") from exc
+    print(text, file=stream or sys.stdout)
 
 
 _BEYOND_DOUBLE = "result beyond the range of a double"

@@ -38,31 +38,38 @@ def trivial_character(F: QuadField, I: IdealLattice) -> CharacterModI:
 # the sums
 # --------------------------------------------------------------------------
 
-def _phase_coefficients(F: QuadField, r: FieldElement, rp: FieldElement,
-                        c: FieldElement):
-    """(p1, p2, p3, p4, den): Tr(r/c), Tr(r w/c), Tr(r'/c), Tr(r' w/c) as
-    integers over their least common denominator den > 0, for integral c.
-
-    All in Python integers: with e the common denominator of r and r' and
-    g c~ = (u + v w)/e for g in (r, r'), g/c = (u + v w)/(e N(c)), where
-    Tr(u + v w) = 2u + s v and Tr((u + v w) w) = 2t v + s(u + s v).  Over Q,
-    w folds to 1 and g/c = u/(e c) with u = e g, so both traces are u.
-    """
-    cx, cy = c.x.numerator, c.y.numerator
+def _dual_numerators(r: FieldElement, rp: FieldElement):
+    """(e, ((g1, g2), (h1, h2))): the least common denominator e of the
+    coordinates of r and r', and the integer numerators of r = (g1 + g2 w)/e
+    and r' = (h1 + h2 w)/e.  It does not depend on the modulus, so a sum
+    over many moduli forms it once."""
     e = math.lcm(r.x.denominator, r.y.denominator,
                  rp.x.denominator, rp.y.denominator)
+    return e, tuple((g.x.numerator * (e // g.x.denominator),
+                     g.y.numerator * (e // g.y.denominator)) for g in (r, rp))
+
+
+def _phase_coefficients(F: QuadField, dual, c: FieldElement):
+    """(p1, p2, p3, p4, den): Tr(r/c), Tr(r w/c), Tr(r'/c), Tr(r' w/c) as
+    integers over their least common denominator den > 0, for integral c
+    and dual = _dual_numerators(r, r').
+
+    All in Python integers: with g c~ = (u + v w)/e for g in (r, r'),
+    g/c = (u + v w)/(e N(c)), where Tr(u + v w) = 2u + s v and
+    Tr((u + v w) w) = 2t v + s(u + s v).  Over Q, w folds to 1 and
+    g/c = g1/(e c), so both traces are g1.
+    """
+    e, gs = dual
+    cx, cy = c.x.numerator, c.y.numerator
     nums = []
     if F.d == 1:
         D = e * cx
-        for g in (r, rp):
-            u = g.x.numerator * (e // g.x.denominator)
-            nums += [u, u]
+        for g1, _ in gs:
+            nums += [g1, g1]
     else:
         s, t = F.s, F.t
         D = e * (cx * cx + s * cx * cy - t * cy * cy)
-        for g in (r, rp):
-            g1 = g.x.numerator * (e // g.x.denominator)
-            g2 = g.y.numerator * (e // g.y.denominator)
+        for g1, g2 in gs:
             # (g1 + g2 w)(cx + s cy - cy w) with w^2 = s w + t
             u = g1 * (cx + s * cy) - t * g2 * cy
             v = g2 * cx - g1 * cy
@@ -74,14 +81,15 @@ def _phase_coefficients(F: QuadField, r: FieldElement, rp: FieldElement,
 
 
 def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
-                    c: FieldElement) -> complex:
+                    c: FieldElement, *, dual=None) -> complex:
     """S_chi(r, r'; c) with exact rational phases.
 
     Only the trivial character is supported: chi is None or a
     trivial_character, whose level ideal c must lie in; it weighs every
     unit by 1.  c must be nonzero.  The four phase coefficients are formed
     from the integer numerators of r c~ and r' c~ over den(r, r') N(c),
-    with no rational arithmetic.
+    with no rational arithmetic.  A caller summing over many moduli passes
+    dual = _dual_numerators(r, r') in; by default it is formed here.
     """
     if c.is_zero():
         raise ValueError("c must be nonzero")
@@ -95,7 +103,8 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
     # Tr(r a / c) + Tr(r' a~ / c) is linear in the keys (i, j) of a and
     # (i~, j~) of a~: k/den with k = i p1 + j p2 + i~ p3 + j~ p4 mod den,
     # p1..p4 = Tr(r/c), Tr(r w/c), Tr(r'/c), Tr(r' w/c) over den
-    p1, p2, p3, p4, den = _phase_coefficients(F, r, rp, c)
+    p1, p2, p3, p4, den = _phase_coefficients(
+        F, dual or _dual_numerators(r, rp), c)
     total = 0.0 + 0.0j
     for (i, j), (it, jt) in R.unit_inverses().items():
         k = (i * p1 + j * p2 + it * p3 + jt * p4) % den
@@ -157,8 +166,9 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     pts = I.lattice_points_in_box([box] * F.d)
     s, t, wv = F.s, F.t, F.omega_values
     total = 0.0 + 0.0j
+    dual = _dual_numerators(r, r)
     for c in pts:
-        S = kloosterman_sum(F, chi, r, r, c)
+        S = kloosterman_sum(F, chi, r, r, c, dual=dual)
         # c is integral (kloosterman_sum refuses it otherwise): norm and
         # embeddings from its integer coordinates
         x, y = c.x.numerator, c.y.numerator

@@ -9,13 +9,17 @@ imaginary point q and an inverse-power window.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import mpmath
+import numpy as np
 
 from .measures import check_parity, nu_theta, plancherel_density
+
+
+# the constructions' tags: holomorphic, with evaluators that take arrays
+CONSTRUCTIONS = ("gaussian", "phi_p")
 
 
 @dataclass
@@ -23,10 +27,18 @@ class LocalTestFunction:
     evaluator: object
     tau: float
     a: float
-    provenance: str  # gaussian | phi_p; any other tag has no contour form
+    provenance: str  # a construction's tag; any other tag has no contour form
     params: dict = field(default_factory=dict)
 
     def __call__(self, nu):
+        """phi at a complex number, or elementwise at a numpy array: one
+        call of a construction's evaluator, any other's once per entry."""
+        if self.provenance in CONSTRUCTIONS:
+            values = self.evaluator(np.asarray(nu, complex))
+            return values if np.ndim(nu) else complex(values)
+        if np.ndim(nu):
+            return np.array([self.evaluator(v)
+                             for v in np.asarray(nu, complex).tolist()], complex)
         return self.evaluator(complex(nu))
 
     def __post_init__(self):
@@ -36,8 +48,15 @@ class LocalTestFunction:
             raise ValueError("decay exponent a must exceed 2")
 
 
-def _on_strip(nu: complex, tau: float) -> bool:
-    return abs(nu.real) <= tau + 1e-12
+def _on_strip(nu, tau: float):
+    return np.abs(nu.real) <= tau + 1e-12
+
+
+def _square(z):
+    """z^2 from the parts of z, as Python's complex z ** 2 forms it: numpy's
+    complex square can round an entry of a long array differently from the
+    same value alone."""
+    return z.real * z.real - z.imag * z.imag + 2j * (z.real * z.imag)
 
 
 def gaussian_phi(q_abs: float, U: float, tau: float = 0.3,
@@ -58,10 +77,11 @@ def gaussian_phi(q_abs: float, U: float, tau: float = 0.3,
     q = 1j * q_abs
     pref = math.sqrt(U / math.pi)
 
-    def ev(nu: complex) -> complex:
-        if not _on_strip(nu, tau):
-            return 0.0
-        return pref * (cmath.exp(U * (q - nu) ** 2) + cmath.exp(U * (q + nu) ** 2))
+    def ev(nu):
+        on = _on_strip(nu, tau)
+        nu = np.where(on, nu, 0)  # off the strip exp could overflow
+        return np.where(on, pref * (np.exp(U * _square(q - nu))
+                                    + np.exp(U * _square(q + nu))), 0.0)
 
     return LocalTestFunction(ev, tau, a, "gaussian", {"q": q_abs, "U": U})
 
@@ -71,10 +91,10 @@ def phi_p(p: float, a: float = 3.0, tau: float = 0.3) -> LocalTestFunction:
     if p <= tau:
         raise ValueError("need p > tau so the strip factor stays positive")
 
-    def ev(nu: complex) -> complex:
-        if _on_strip(nu, tau):
-            return (p * p - nu * nu) ** (-a / 2.0)
-        return (p * p + nu * nu) ** (-a / 2.0)
+    def ev(nu):
+        sq = _square(nu)
+        return np.where(_on_strip(nu, tau), p * p - sq, p * p + sq) \
+            ** (-a / 2.0)
 
     return LocalTestFunction(ev, tau, a, "phi_p", {"p": p})
 

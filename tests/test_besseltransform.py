@@ -520,7 +520,98 @@ class TestExtendedSeries:
             assert float(abs(mpmath.mpc(v) - ref)) <= e
 
 
+def sweep_points(seed=23):
+    """Seeded (mu, x) over bessel_j_err's use: the workload's orders
+    0.6 + 2iy with y in [0.25, 30] at x in [0.01, 30], integer orders 0-9 at
+    x up to 25, non-integer orders below -1 (real and complex), and
+    |Im mu| up to 260 at small x, where |J| reaches 1e174."""
+    rng = random.Random(seed)
+    pts = [(complex(0.6, 2 * rng.uniform(0.25, 30.0)), rng.uniform(0.01, 30.0))
+           for _ in range(2500)]
+    pts += [(complex(rng.randrange(10)), rng.uniform(0.05, 25.0))
+            for _ in range(1000)]
+    pts += [(complex(-rng.uniform(1.0, 12.0), rng.uniform(-5, 5) * (i % 2)),
+             rng.uniform(0.05, 25.0)) for i in range(1000)]
+    pts += [(complex(rng.uniform(0, 1), rng.uniform(-260, 260)),
+             10 ** rng.uniform(-4, 0)) for _ in range(1500)]
+    return pts
+
+
+class TestSweep:
+    """bessel_j_err against mpmath.besselj at 60 digits on sweep_points, on
+    both paths: the double-precision series and the extended one, whose
+    value is J correctly rounded."""
+
+    def test_error_covers_mpmath(self, fallback_calls):
+        pts = sweep_points()
+        assert len(pts) >= 6000
+        extended = 0
+        for mu, x in pts:
+            fallback_calls.clear()
+            v, e = bessel_j_err(mu, x)
+            with mpmath.workdps(60):
+                ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
+                assert float(abs(mpmath.mpc(v) - ref)) <= e, (mu, x)
+            if fallback_calls:
+                extended += 1
+                assert v == complex(ref), (mu, x)
+        assert extended > 1000 and len(pts) - extended > 500
+
+    def test_leading_term_branch_does_not_matter(self, fallback_calls):
+        # _log_gamma and mpmath.loggamma differ by -4 pi i at mu + 1 here:
+        # the extended series takes only e^A from the latter
+        mu, x = -5.5 + 0.3j, 19.0
+        with mpmath.workdps(30):
+            gap = complex(mpmath.loggamma(mpmath.mpc(mu) + 1)) \
+                - besseltransform._log_gamma(mu + 1)
+        assert round(gap.imag / (2 * math.pi)) == -2
+        v, _ = bessel_j_err(mu, x)
+        assert fallback_calls == [(mu, x)]
+        with mpmath.workdps(60):
+            assert v == complex(mpmath.besselj(mpmath.mpc(mu), x))
+
+
+class TestArrayPhi:
+    """The constructions' evaluators take numpy arrays: an array call equals
+    the scalar calls bit for bit, across the strip's edge |Re nu| = tau
+    (tau + 1e-12 is still on it) and at nu = 0."""
+
+    @pytest.mark.parametrize("phi", [gaussian_phi(2.5, 90.0), phi_p(2.0, a=8.0)],
+                             ids=["gaussian", "phi_p"])
+    def test_array_equals_scalar(self, phi):
+        tau = phi.tau
+        nus = [0j] + [complex(sign * (tau + d), y) for sign in (1, -1)
+                      for d in (-1e-12, 0.0, 1e-12, 3e-12) for y in (0, 2.5, 3)]
+        values = phi(np.array(nus))
+        assert values.dtype == complex and values.shape == (len(nus),)
+        assert values.tolist() == [phi(nu) for nu in nus]
+        for nu, val in zip(nus, values.tolist()):
+            if abs(nu.real) > tau + 1e-12 and phi.provenance == "gaussian":
+                assert val == 0
+            else:
+                assert val != 0
+
+    def test_gaussian_matches_its_scalar_formula(self):
+        # the numpy evaluator reproduces the cmath one, so no gaussian
+        # transform moved when the transforms began to call it on arrays
+        q, U = 2.5, 90.0
+        phi = gaussian_phi(q, U)
+        rng = random.Random(4)
+        nus = [complex(rng.uniform(-0.3, 0.3), rng.uniform(0, 10))
+               for _ in range(2000)]
+        pref = math.sqrt(U / math.pi)
+        want = [pref * (cmath.exp(U * (1j * q - nu) ** 2)
+                        + cmath.exp(U * (1j * q + nu) ** 2)) for nu in nus]
+        assert phi(np.array(nus)).tolist() == want
+
+
 if __name__ == "__main__":
+    from moved import report
+
+    def decoded(row):
+        return {"value": [float(v) for v in row["value"]],
+                "error": float(row["error"])}
+
     rows = []
     with pytest.MonkeyPatch.context() as mp:
         calls = _record_calls(mp)
@@ -529,4 +620,12 @@ if __name__ == "__main__":
             v, e = bessel_j_err(mu, x)
             if calls:
                 rows.append(_row(mu, x, v, e))
+    old = {(tuple(r["order"]), r["x"]): r for r in ROWS}
+    for row in rows:
+        key = (tuple(row["order"]), row["x"])
+        if key in old:
+            report(f"J_{complex(*map(float, row['order']))}({row['x']})",
+                   decoded(old[key]), decoded(row))
+        else:
+            print(f"new row: {row}")
     FALLBACK.write_text(json.dumps(rows, indent=1) + "\n")

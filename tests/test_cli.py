@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -437,6 +440,28 @@ class TestBadInput:
         monkeypatch.setattr(specsum.cli, "kloosterman_sum", broken)
         with pytest.raises(TypeError, match="internal bug"):
             dispatch(["kloosterman", "--c", "3", "--r", "1"])
+
+    def test_non_finite_output_is_an_internal_fault(self, monkeypatch,
+                                                    capsys):
+        # emit refuses NaN (allow_nan=False): a bug, not bad input
+        monkeypatch.setattr(specsum.cli, "kloosterman_sum",
+                            lambda *args: complex("nan"))
+        with pytest.raises(RuntimeError, match="non-finite"):
+            dispatch(["kloosterman", "--c", "3", "--r", "1"])
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_output_exits_one_with_a_traceback(self):
+        # the same fault through the program's entry point
+        code = ("import specsum.cli as cli\n"
+                "cli.kloosterman_sum = lambda *args: complex('nan')\n"
+                "cli.main(['kloosterman', '--c', '3', '--r', '1'])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path})
+        assert out.returncode == 1 and out.stdout == ""
+        assert "Traceback" in out.stderr and "non-finite" in out.stderr
+        assert "input rejected" not in out.stderr
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -136,6 +136,21 @@ def test_json_outputs_hold_no_nan_or_infinity():
         json.loads(out, parse_constant=_reject_constant)
 
 
+def _decoded(record):
+    try:
+        return json.loads(record["stdout"])
+    except ValueError:  # a csv report, or an error on stderr
+        return record
+
+
 if __name__ == "__main__":
+    from moved import report
+
+    new = [run(a) for a in commands()]
+    old = {shlex.join(r["argv"]): r for r in PINNED}
+    for record in new:
+        label = shlex.join(record["argv"])
+        if label in old and old[label] != record:
+            report(label, _decoded(old[label]), _decoded(record))
     DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps([run(a) for a in commands()], indent=1) + "\n")
+    DATA.write_text(json.dumps(new, indent=1) + "\n")

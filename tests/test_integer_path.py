@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specsum.kloosterman import _phase_coefficients
+from specsum.kloosterman import _dual_numerators, _phase_coefficients
 from specsum.numberfield import (
     IdealLattice,
     _principal_hnf,
@@ -117,7 +117,7 @@ class TestPhaseCoefficients:
     @example((F2, F2.element(0), F2.element(0), F2.element(3, -2)))
     def test_equal_to_fraction_traces(self, case):
         F, r, rp, c = case
-        assert _phase_coefficients(F, r, rp, c) == \
+        assert _phase_coefficients(F, _dual_numerators(r, rp), c) == \
             fraction_phase_coefficients(F, r, rp, c)
 
 
