@@ -7,14 +7,17 @@ produces.  Its leading term (x/2)^mu / Gamma(mu+1) is one exp of
 mu log(x/2) - ln Gamma(mu+1), so neither factor can overflow on its own;
 ln Gamma is the module's own (_log_gamma): Stirling's series with eight
 terms and a remainder below 6e-16 (DLMF 5.11(ii)), after the recurrence
-to |z| >= 10 and the reflection for Re z < 1/2, so the module imports no
-scipy.  The series is summed in double precision and falls back to an
-extended-precision series when the declared double-precision error exceeds
-an absolute tolerance `atol` (1e-10 by default), whether the terms cancel
-or only the double leading term's rounding times a large |J| misses it:
-there the leading term is e^A with A from mpmath.loggamma at 30 digits,
-and its ratios to that term are summed exactly in fixed point on Python
-integers, so the value is J correctly rounded.
+to |z| >= 10 and the reflection for Re z < 1/2.  The series is summed in
+double precision and falls back to an extended-precision series when the
+declared double-precision error exceeds an absolute tolerance `atol`
+(1e-10 by default), whether the terms cancel or only the double leading
+term's rounding times a large |J| misses it.  There everything is fixed
+point on Python integers (Brent & Zimmermann, Modern Computer Arithmetic,
+ch. 4): the leading term (_leading, to 4e-36 relative) by the same
+recurrence, reflection and Stirling's series, with twenty terms at
+|w| >= 24, and its ratios to that term summed exactly; their product is
+rounded once, so the value is J correctly rounded.  The module imports
+neither scipy nor mpmath.
 
 Both transforms are one rule on the line Re nu = shift (_transform):
 shift 0 is the spectral axis (plus the discrete-series sum) and shift tau
@@ -45,8 +48,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .measures import MeasureResult, check_parity
@@ -67,10 +70,17 @@ _SERIES_BITS = 200  # least bits of each term of the extended-precision series
 
 
 # ln Gamma by Stirling's series (DLMF 5.11.1): the coefficients
-# B_2k / (2k (2k - 1)) of w^(1 - 2k), k = 1, ..., 8
-_B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8 = (
-    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
-    -3617 / 122400)
+# B_2k / (2k (2k - 1)) of w^(1 - 2k), k = 1, ..., 20, exactly; the double
+# series takes the first eight, the fixed-point one all twenty
+_STIRLING = tuple(Fraction(n, d) for n, d in (
+    (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
+    (1, 156), (-3617, 122400), (43867, 244188), (-174611, 125400),
+    (77683, 5796), (-236364091, 1506960), (657931, 300),
+    (-3392780147, 93960), (1723168255201, 2492028),
+    (-7709321041217, 505920), (151628697551, 396),
+    (-26315271553053477373, 2418179400), (154210205991661, 444),
+    (-261082718496449122051, 21106800)))
+_B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8 = map(float, _STIRLING[:8])
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 _LOG_PI = math.log(math.pi)
 _SHIFT = 10  # |z| below which z is shifted to z + _SHIFT first
@@ -173,15 +183,207 @@ def _lead_rel(mu, log_half):
     return 1e-16 * (40 * (1 + abs(mu + 1)) + 5 * abs(mu * log_half))
 
 
+# --------------------------------------------------------------------------
+# the extended series' leading term, in fixed point on Python integers
+# --------------------------------------------------------------------------
+
+_BITS = 136  # fraction bits of the fixed-point leading term
+_SQUARINGS = 10  # _exp divides its reduced argument by 2^10
+_W_MIN = 24  # Stirling's series at |w| >= 24, after the recurrence
+# ln 2, pi and ln(2 pi)/2 rounded to _CONST_BITS fraction bits
+_CONST_BITS = 192
+_LN2_192 = 0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62e
+_PI_192 = 0x3243f6a8885a308d313198a2e03707344a4093822299f31d0
+_HALF_LOG_2PI_192 = 0xeb3f8e4325f5a53494bc900144192023cfb08f8d13458b4e
+_HALF_LOG_2PI_FIX = _HALF_LOG_2PI_192 >> (_CONST_BITS - _BITS)
+_LOG_PI_FIX = (2 * _HALF_LOG_2PI_192 - _LN2_192) >> (_CONST_BITS - _BITS)
+_STIRLING_FIX = tuple(round(c * 2 ** _BITS) for c in _STIRLING)
+
+
+def _scale(v: int, c: int) -> int:
+    """v / 2^c, rounded down where c > 0."""
+    return v >> c if c >= 0 else v << -c
+
+
+def _cmul(ar: int, ai: int, br: int, bi: int):
+    """(ar + i ai)(br + i bi), exactly."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _exp(ar: int, ai: int, bits: int):
+    """e^a for a = (ar + i ai) / 2^bits, as (er, ei, e) with
+    e^a = (er + i ei) 2^e and |er + i ei| within a factor 2^(1/2) of
+    2^(bits + 10).
+
+    a is reduced by n ln 2 and m 2 pi (the constants at 192 bits, so the
+    reduction errs by below 2^-180 for |a| < 2^12), the rest divided by
+    2^10 and summed by Taylor's series until a term is below
+    2^-(bits + 10), and the sum squared 10 times, all at bits + 10
+    fraction bits.  Each step floors once there, and the squarings
+    multiply the sum's relative error by 2^10, so e^a is within about
+    2^(6 - bits) of itself, relative.
+    """
+    one = 1 << bits
+    n, m = round(ar / one / math.log(2)), round(ai / one / math.tau)
+    c = _CONST_BITS - bits
+    r, th = ar - _scale(n * _LN2_192, c), ai - _scale(m * _PI_192, c - 1)
+    p = bits + _SQUARINGS  # (r + i th) / 2^p is the reduced a / 2^10
+    er, ei = (1 << p) + r, th
+    tr, ti, k = r, th, 2
+    while not (-2 < tr < 2 and -2 < ti < 2):
+        tr, ti = ((tr * r - ti * th) >> p) // k, ((tr * th + ti * r) >> p) // k
+        er += tr
+        ei += ti
+        k += 1
+    for _ in range(_SQUARINGS):
+        er, ei = ((er + ei) * (er - ei)) >> p, (er * ei) >> (p - 1)
+    return er, ei, n - p
+
+
+def _log(wr: int, wi: int, bits: int):
+    """The principal log w of w = (wr + i wi) / 2^bits != 0, at bits
+    fraction bits: the double estimate l = cmath.log(w) corrected by
+    log(1 + eps) = eps - eps^2/2, eps = w e^-l - 1.  |eps| is a few ulps
+    of |l|, below 2^-45 for |w| < 2^12, so eps^3 is below 2^-135."""
+    one = 1 << bits
+    est = cmath.log(complex(wr / one, wi / one))
+    lr, li = int(math.ldexp(est.real, bits)), int(math.ldexp(est.imag, bits))
+    er, ei, e = _exp(-lr, -li, bits)
+    sr, si = _cmul(wr, wi, er, ei)
+    sr, si = _scale(sr, -e) - one, _scale(si, -e)  # eps
+    return (lr + sr - ((sr * sr - si * si) >> (bits + 1)),
+            li + si - ((sr * si) >> bits))
+
+
+def _log_gamma_fix(wr: int, wi: int):
+    """ln Gamma(w), up to a multiple of 2 pi i, for w = (wr + i wi) / 2^136
+    with Re w >= 1/2 and |w| >= _W_MIN, at 136 fraction bits, by
+    Stirling's series (DLMF 5.11.1):
+
+        (w - 1/2) log w - w + ln(2 pi)/2
+            + sum_{k <= 20} B_2k / (2k (2k - 1) w^(2k - 1)).
+
+    The remainder is at most sec^42(ph(w)/2) <= 2^21 times the first
+    neglected term, B_42 / (42 * 41 w^41) (DLMF 5.11(ii)): below 3e-36 at
+    |w| = 24 on the imaginary axis.  The products round by a few units of
+    2^-136 times |w| < 2^10, below 2^-120 in all.
+    """
+    F = _BITS
+    lr, li = _log(wr, wi, F)
+    norm = wr * wr + wi * wi
+    rr, ri = (wr << 2 * F) // norm, (-wi << 2 * F) // norm  # 1/w
+    qr, qi = (rr * rr - ri * ri) >> F, (rr * ri) >> (F - 1)  # 1/w^2
+    sr, si = _STIRLING_FIX[-1], 0
+    for c in reversed(_STIRLING_FIX[:-1]):
+        sr, si = ((sr * qr - si * qi) >> F) + c, (sr * qi + si * qr) >> F
+    sr, si = _cmul(sr, si, rr, ri)
+    hr, hi = _cmul(wr - (1 << (F - 1)), wi, lr, li)  # (w - 1/2) log w
+    return ((hr + sr) >> F) - wr + _HALF_LOG_2PI_FIX, ((hi + si) >> F) - wi
+
+
+def _sin_pi(tr: int, ti: int, d: int):
+    """sin(pi t) for t = (tr + i ti) / 2^d != 0 with |Re t| <= 1/2, as
+    (ar, ai, gr, gi, e): sin(pi t) = e^a (gr + i gi) 2^e, a at 136
+    fraction bits, from
+
+        sin(pi t) = sigma e^(-i sigma pi t) (e^u - 1) / (2i),
+        u = 2 i sigma pi t,
+
+    sigma the sign of Im t (+1 at 0), so that |e^u| <= 1: a is
+    -i sigma pi t, and e^u - 1 is formed at log2(1/|t|) more fraction
+    bits than a, which its cancellation costs, so it is within about
+    2^-130 of itself, relative."""
+    sigma = 1 if ti >= 0 else -1
+    fs = _BITS + max(0, -math.frexp(abs(complex(tr / (1 << d),
+                                                ti / (1 << d))))[1])
+    c = d + _CONST_BITS - fs
+    spi = sigma * _PI_192
+    xr, xi = _scale(spi * tr, c), _scale(spi * ti, c)  # sigma pi t
+    er, ei, e = _exp(-2 * xi, 2 * xr, fs)  # e^u, u = 2i (xr + i xi)
+    gr, gi = _scale(er, -e - fs) - (1 << fs), _scale(ei, -e - fs)
+    c = fs - _BITS
+    return _scale(xi, c), -_scale(xr, c), sigma * gi, -sigma * gr, -fs - 1
+
+
+def _leading(p: int, q: int, d: int, x: float):
+    """The leading term L = (x/2)^mu / Gamma(mu+1) for mu = (p + iq) / 2^d
+    and x > 0, as (a, b, e, den) with L = (a + ib) 2^e / den: a, b and den
+    integers, den > 0.  L is within 4e-36 of itself, relative.
+
+    z = mu + 1 is formed exactly.  Where Re z >= 1/2, the recurrence
+    Gamma(w) = Gamma(z) prod_{k < s} (z + k) (DLMF 5.5.1), w = z + s, with
+    s the least shift to Re w >= _W_MIN where |z| < _W_MIN, gives
+
+        L = e^A prod_{k < s} (z + k),  A = mu log(x/2) - ln Gamma(w),
+
+    the product exact.  Where Re z < 1/2, the reflection
+    1/Gamma(z) = (-1)^n sin(pi t) Gamma(1 - z) / pi (DLMF 5.5.3), with n
+    the integer nearest Re z and t = z - n exact, gives L from Gamma(1 - z)
+    by the same recurrence, the product now dividing, and sin(pi t) from
+    _sin_pi, whose exponent joins A.  log(x/2) is the double estimate
+    corrected as in _log, and e^A is one _exp; so A errs by below 2^-120
+    and Stirling's remainder, and e^A by about 2^-130 more.  A real order
+    has a real L: the imaginary part, rounding only, is dropped.
+    """
+    F = _BITS
+    one = 1 << d
+    zr, zi = p + one, q  # z = mu + 1 = (zr + i zi) / 2^d
+    m, k = math.frexp(x / 2)
+    lx = _log(int(math.ldexp(m, F)), 0, F)[0] \
+        + ((k * _LN2_192) >> (_CONST_BITS - F))  # log(x/2)
+    ar, ai = (_scale(p, d - F) * lx) >> F, (_scale(q, d - F) * lx) >> F
+    reflect = 2 * zr < one
+    gr, gi, e = 1, 0, 0  # the factor of L besides e^A and the product
+    if reflect:
+        n = (zr + (one >> 1)) >> d
+        sr, si, gr, gi, e = _sin_pi(zr - (n << d), zi, d)
+        if n % 2:
+            gr, gi = -gr, -gi
+        ar, ai = ar + sr - _LOG_PI_FIX, ai + si
+        zr, zi = one - zr, -zi
+    s = 0
+    if zr * zr + zi * zi < (_W_MIN * one) ** 2:
+        s = -((zr - _W_MIN * one) >> d)  # ceil(_W_MIN - Re z)
+    pr, pi = 1, 0  # prod_{k < s} (z + k), times 2^(d s)
+    for j in range(s):
+        pr, pi = _cmul(pr, pi, zr + j * one, zi)
+    lr, li = _log_gamma_fix(_scale(zr + s * one, d - F), _scale(zi, d - F))
+    if reflect:
+        er, ei, ee = _exp(ar + lr, ai + li, F)
+        pi, e, den = -pi, e + d * s, pr * pr + pi * pi
+    else:
+        er, ei, ee = _exp(ar - lr, ai - li, F)
+        e, den = e - d * s, 1
+    a, b = _cmul(*_cmul(er, ei, gr, gi), pr, pi)
+    return a, b if q else 0, e + ee, den
+
+
+def _dyadic(mu: complex):
+    """(p, q, d) with mu = (p + iq) / 2^d exactly."""
+    p, pden = mu.real.as_integer_ratio()
+    q, qden = mu.imag.as_integer_ratio()
+    den = max(pden, qden)  # both powers of two
+    return p * (den // pden), q * (den // qden), den.bit_length() - 1
+
+
+def _quotient(num: int, e: int, den: int) -> float:
+    """num 2^e / den, correctly rounded to a double (int / int is).
+    Raises ValueError beyond the range of a double."""
+    try:
+        return (num << e) / den if e >= 0 else num / (den << -e)
+    except OverflowError:
+        raise ValueError("J or its error beyond the range of a double") \
+            from None
+
+
 def _series_extended(mu: complex, x: float):
     """The same ascending series to about 30 digits, for the cancellation
     regime x beyond roughly 15 and for the large |J| whose double leading
     term's rounding alone misses atol: the leading term
-    L = (x/2)^mu / Gamma(mu+1) is e^A, A = mu log(x/2) - ln Gamma(mu+1) at
-    30 digits (mpmath.loggamma, whose branch does not matter to e^A), and
-    the ratios to it are summed exactly in fixed point on Python integers
-    (the method of mpmath's hypsum; Brent & Zimmermann, Modern Computer
-    Arithmetic, ch. 4).
+    L = (x/2)^mu / Gamma(mu+1) comes from _leading, and the ratios to it
+    are summed exactly in fixed point on Python integers (the method of
+    mpmath's hypsum; Brent & Zimmermann, Modern Computer Arithmetic,
+    ch. 4).
 
     Each ratio s_k = term_k / L is held as (a + ib) / 2^scale, s_0 = 1, and
     s_{k+1} = -s_k h^2 / ((k+1)(mu+k+1)) is formed exactly from mu and
@@ -200,19 +402,19 @@ def _series_extended(mu: complex, x: float):
     about 5e-57, of its exact value relative to itself.  The sum of at most
     2,000 terms is then within 1e-53 max_mag of exact: inside max_mag 1e-34.
     Past k > x the ratios shrink at least geometrically, so the terms left
-    out add about 1e-30 |total|.  A is within 1e-25 of exact (both of its
-    parts are below 2e4 wherever L is a double), and the products with L
-    are rounded to 30 digits: together below 1e-24 |total|.  The result is
-    J correctly rounded but for that 1e-24, and the final rounding to a
-    double, half an ulp per part, is inside 1e-15 |total|.
+    out add about 1e-30 |total|.  L is within 4e-36 of itself, relative,
+    and L S is formed exactly on integers and rounded once to a double per
+    part (int / int rounds correctly), as is max_mag.  So the result is J
+    correctly rounded but for max_mag 1e-53 + 1e-30 |total|, at most
+    1e-27 |total| at the doubled budget, and that rounding, half an ulp per
+    part, is inside 1e-15 |total|.  A J or max_mag beyond the range of a
+    double raises ValueError.
     """
     # mu = (p + iq) / den and h^2 = num / (den hden) exactly, so that
     # s_{k+1} = -s_k num (p_k - iq) / ((k+1)(p_k^2 + q^2) hden) with
     # p_k = p + (k+1) den
-    p, pden = mu.real.as_integer_ratio()
-    q, qden = mu.imag.as_integer_ratio()
-    den = max(pden, qden)  # both powers of two
-    p, q = p * (den // pden), q * (den // qden)
+    p, q, exp2 = _dyadic(mu)
+    den = 1 << exp2
     xnum, xden = x.as_integer_ratio()
     num, hden = xnum * xnum * den, 4 * xden * xden
     tol = 10 ** 60  # |s_{k+1}| < 1e-30 |S|, squared
@@ -244,18 +446,11 @@ def _series_extended(mu: complex, x: float):
     if peak > int(_CANCELLATION_BUDGET ** 2) ** 2 * (sa * sa + sb * sb) \
             and (sa or sb):
         raise PrecisionError("cancellation exceeds doubled budget")
-    with mpmath.workdps(30):
-        log_gamma = mpmath.loggamma(mpmath.mpc(mpmath.mpf(mu.real) + 1,
-                                               mu.imag))
-        log_half = mpmath.log(x / 2)
-        size = mpmath.exp(mu.real * log_half - log_gamma.real)  # |L|
-        arg = mu.imag * log_half - log_gamma.imag
-        lr = size * mpmath.cos(arg)
-        # a real order's arg is a multiple of pi: L is real
-        li = size * mpmath.sin(arg) if mu.imag else 0
-        sr, si = mpmath.mpf((sa, -scale)), mpmath.mpf((sb, -scale))
-        total = complex(float(lr * sr - li * si), float(lr * si + li * sr))
-        max_mag = float(size * mpmath.sqrt(mpmath.mpf((peak, -2 * scale))))
+    lr, li, e, lden = _leading(p, q, exp2, x)
+    e -= scale
+    total = complex(_quotient(lr * sa - li * sb, e, lden),
+                    _quotient(lr * sb + li * sa, e, lden))
+    max_mag = _quotient(math.isqrt((lr * lr + li * li) * peak), e, lden)
     return total, max_mag * 1e-34 + 1e-15 * abs(total)
 
 
@@ -266,13 +461,14 @@ def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
     when the declared error of the double-precision sum exceeds `atol`, so
     the error is at most `atol` (or, where |J| is too large for a double to
     hold it to `atol`, about 1e-15 |J|, the value being J correctly rounded
-    but for 1e-24 |J|).  The declared error covers the
+    but for 1e-27 |J|).  The declared error covers the
     truncated tail, the rounding of the summation and of the recurrence,
     and the relative rounding of the leading term (x/2)^mu / Gamma(mu+1),
     which every later term inherits.  Raises PrecisionError when even the
     doubled cancellation budget is exceeded, and rejects (ValueError)
     arguments outside the supported window rather than extrapolating, and
-    orders whose leading term is beyond the range of a double.
+    orders whose leading term, J or error is beyond the range of a
+    double.
     """
     mu = complex(mu)
     if mu.imag == 0 and mu.real < 0 and mu.real == int(mu.real):
@@ -428,14 +624,16 @@ def _discrete_sum(phi: LocalTestFunction, parity: int, t_abs: float) -> complex:
     return total
 
 
-def _window(phi: LocalTestFunction):
+def _window(phi: LocalTestFunction, shift: float = 0.0):
     """(lo, H): the range [lo, H] of both transform integrals.  A gaussian's
     is its bump at q plus and minus 40 / sqrt(U), cut below at 0 and above
     at the cap that keeps the Bessel order 2 nu in the supported window;
     any other phi's is [0, cap].
 
     Raises ValueError for a gaussian with q + 6 / sqrt(U) past the cap,
-    which would cut its bump where it is still above e^{-36} of its peak.
+    which would cut its bump where it is still above e^{-36} of its peak,
+    and for one whose peak on the line Re nu = shift, about
+    sqrt(U/pi) e^{U shift^2}, is beyond the range of a double.
     """
     cap = _IM_CAP / 2
     if phi.provenance != "gaussian":
@@ -444,6 +642,10 @@ def _window(phi: LocalTestFunction):
     if q + 6 / math.sqrt(U) > cap:
         raise ValueError(f"gaussian centre |q| = {q} is too near the order "
                          f"window: needs |q| + 6/sqrt(U) <= {cap}")
+    if U * shift * shift + 0.5 * math.log(U / math.pi) > _LOG_MAX:
+        raise ValueError(f"gaussian peak sqrt(U/pi) e^(U tau^2) on the line "
+                         f"Re nu = {shift:g} beyond the range of a double: "
+                         f"needs U tau^2 + log sqrt(U/pi) <= {_LOG_MAX:.2f}")
     reach = 40 / math.sqrt(U)
     H = min(q + reach, cap)
     return min(max(0.0, q - reach), H), H
@@ -472,7 +674,7 @@ def _nodes(phi: LocalTestFunction, parity: int, shift: float):
     phi_p(0.32, tau=0.3) takes 26,000 steps, a gaussian at tau = 0.49 and
     U = 90 about 6,700.
     """
-    lo, H = _window(phi)
+    lo, H = _window(phi, shift)
     d = min((1 + parity) / 2, phi.params.get("p", math.inf)) - shift
     if phi.provenance == "gaussian":
         step = min(0.15 / math.sqrt(phi.params["U"]), d / 8)

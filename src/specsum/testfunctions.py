@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .measures import check_parity, nu_theta, plancherel_density
@@ -160,6 +159,8 @@ def local_comparison(U: float, nu, alpha: float):
         # J = int_1^b 2 sqrt(U/pi) e^{U(x^2-t^2)} cos(2Utx) dt, b = 1 + 40/sqrt(U);
         # the integrand is 2 sqrt(U/pi) Re e^{-U(t-ix)^2}, so in closed form
         # J = Re[erfc(sqrt(U)(1-ix)) - erfc(sqrt(U)(b-ix))]
+        import mpmath  # here, so that no import of specsum loads it
+
         s = math.sqrt(U)
         b = 1.0 + 40 / s
         J = mpmath.erfc(mpmath.mpc(s, -s * x)) - mpmath.erfc(mpmath.mpc(s * b, -s * x))

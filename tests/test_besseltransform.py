@@ -116,6 +116,12 @@ class TestBesselJ:
         with pytest.raises(ValueError, match="beyond the range"):
             bessel_j_err(-300.5, 1.0)
 
+    def test_j_beyond_double_range(self, fallback_calls):
+        # L just inside the range of a double, but L S, S > 1, beyond it
+        with pytest.raises(ValueError, match="J or its error beyond"):
+            bessel_j_err(-170.5, 1.9204487796839393)
+        assert fallback_calls == [(-170.5, 1.9204487796839393)]
+
     def test_fails_loudly_on_cancellation(self, fallback_calls):
         # beyond the doubled budget of the extended-precision series
         with pytest.raises(PrecisionError, match="doubled budget"):
@@ -569,6 +575,66 @@ class TestSweep:
         assert fallback_calls == [(mu, x)]
         with mpmath.workdps(60):
             assert v == complex(mpmath.besselj(mpmath.mpc(mu), x))
+
+
+def lead_points(seed=31):
+    """Seeded (mu, x) for the fixed-point leading term: real orders, the
+    workload's 0.6 + 2iy, complex orders with |Im mu| up to 260, reflected
+    orders (Re mu < -1/2, real and complex, and near the poles, where
+    t = mu + 1 - n is small), with x from 1e-2 to 1e3."""
+    rng = random.Random(seed)
+    orders = [complex(rng.uniform(0.0, 40.0)) for _ in range(60)]
+    orders += [complex(0.6, 2 * rng.uniform(0.25, 30.0)) for _ in range(60)]
+    orders += [complex(rng.uniform(-0.5, 40.0), rng.uniform(-260, 260))
+               for _ in range(80)]
+    orders += [complex(-rng.uniform(0.5, 60.0),
+                       rng.uniform(-260, 260) * (i % 2)) for i in range(120)]
+    orders += [-50.5, -3.5 + 2j, -3 + 1e-30j, -7.0000000001, -2 - 1e-9j,
+               -0.5 + 0j, 0.5 + 24j, -24.5 + 0.25j]
+    return [(complex(mu), 10 ** rng.uniform(-2, 3)) for mu in orders]
+
+
+class TestLeadingTerm:
+    """The extended series' leading term L = (x/2)^mu / Gamma(mu+1), in
+    fixed point on Python integers, against mpmath at 60 digits."""
+
+    def test_constants(self):
+        with mpmath.workdps(60):
+            for value, const in ((mpmath.ln2, besseltransform._LN2_192),
+                                 (mpmath.pi, besseltransform._PI_192),
+                                 (mpmath.log(2 * mpmath.pi) / 2,
+                                  besseltransform._HALF_LOG_2PI_192)):
+                assert abs(value * 2 ** 192 - const) <= 0.5
+
+    def test_stirling_table(self):
+        # B_2k / (2k (2k - 1)) exactly; the double series takes float() of
+        # the first eight
+        table = besseltransform._STIRLING
+        with mpmath.workdps(60):
+            for k, c in enumerate(table, 1):
+                ref = mpmath.bernoulli(2 * k) / (2 * k * (2 * k - 1))
+                assert abs(mpmath.mpf(c.numerator) / c.denominator - ref) \
+                    <= 1e-55 * abs(ref)
+        assert [besseltransform._B1, besseltransform._B2, besseltransform._B3,
+                besseltransform._B4, besseltransform._B5, besseltransform._B6,
+                besseltransform._B7, besseltransform._B8] == \
+            [c.numerator / c.denominator for c in table[:8]]
+
+    def test_against_mpmath(self):
+        # within the 4e-36 that _leading declares
+        pts = lead_points()
+        assert len(pts) >= 320
+        for mu, x in pts:
+            a, b, e, den = besseltransform._leading(
+                *besseltransform._dyadic(mu), x)
+            with mpmath.workdps(60):
+                got = mpmath.mpc(a, b) * mpmath.ldexp(1, e) / den
+                m = mpmath.mpc(mu)
+                ref = (mpmath.mpf(x) / 2) ** m * mpmath.rgamma(m + 1)
+                if not mu.imag:
+                    assert b == 0
+                    ref = ref.real
+                assert abs(got - ref) <= 4e-36 * abs(ref), (mu, x)
 
 
 class TestArrayPhi:

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -382,11 +383,29 @@ class TestBadInput:
          "beyond the range of a double"),
         (["synth-count", "--family", "box"],
          "unrecognized arguments: --family box"),
+        (["bessel", "--phi", "gaussian:q=20i,U=9000", "--parity", "0",
+          "--eta", "1", "--t", "0.5", "--formula", "contour"],
+         "on the line Re nu = 0.3 beyond the range of a double"),
+        (["bessel", "--order=-170.5", "--x", "1.9204487796839393"],
+         "J or its error beyond the range of a double"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
         assert_rejected(rc, out, err)
         assert message in err
+
+    def test_gaussian_contour_overflow_is_refused_before_any_work(
+            self, capsys):
+        # e^{U tau^2} = e^810 on the contour: one message, and no numpy
+        # overflow warning, as none of the transform is computed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "bessel", "--phi",
+                               "gaussian:q=20i,U=9000", "--parity", "0",
+                               "--eta", "1", "--t", "0.5", "--formula",
+                               "contour")
+        assert_rejected(rc, out, err)
+        assert err.count("\n") == 1 and "U tau^2" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["measure", "--kind", "nv"], "--region"),
