@@ -700,7 +700,8 @@ def _transform(phi: LocalTestFunction, parity: int, eta: int, t: float,
     atol = 1e-10 |cos(...)|.  At nu = 0 (parity 1 on the axis only),
     nu / cos(pi(nu - 1/2)) = nu / sin(pi nu) takes its limit 1/pi and J_0
     the default atol.  The error is twice trapezoid's; the tail beyond H is
-    left to each formula.
+    left to each formula.  Raises ValueError where the weight phi(nu) nu /
+    cos(...), formed left to right, leaves the range of a double.
     """
     check_parity(parity)
     if eta not in (1, -1):
@@ -711,10 +712,14 @@ def _transform(phi: LocalTestFunction, parity: int, eta: int, t: float,
     x = _nodes(phi, parity, shift)
     nu = shift + 1j * x
     denom = np.cos(np.pi * (nu - parity / 2.0))
-    coef = phi(nu) * nu / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef = phi(nu) * nu / denom
     atol = _ATOL * np.abs(denom)
     if parity and nu[0] == 0:
         coef[0], atol[0] = phi(0) / np.pi, _ATOL
+    if not np.isfinite(coef).all():
+        raise ValueError(f"phi(nu) nu / cos(pi(nu - parity/2)) on the line "
+                         f"Re nu = {shift:g} beyond the range of a double")
     J, J_err = _bessel_j_nodes(2 * nu, t_abs, atol)
     v, e = trapezoid(x, (coef * J).real, np.abs(coef) * J_err)
     pref = (-1j * eta * math.copysign(1.0, t)) ** parity

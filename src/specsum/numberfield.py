@@ -180,21 +180,12 @@ def _hnf_2x2_int(a1, b1, a2, b2):
     return a1, b1 % b2, b2
 
 
-def _hnf_2x2(rows):
-    """Row HNF of a 2x2 rational matrix of rank 2: rows [[a, b], [0, d]]
-    with a > 0, d > 0 and 0 <= b < d.  Entries are ints or Fractions."""
-    den = math.lcm(*(v.denominator for r in rows for v in r))
-    a, b, d = _hnf_2x2_int(*(v.numerator * (den // v.denominator)
-                             for r in rows for v in r))
-    return [[Fraction(a, den), Fraction(b, den)], [Fraction(0), Fraction(d, den)]]
-
-
 def _principal_hnf(c: FieldElement):
-    """(a, b, d, e) in ints: the ideal (c) of c != 0 has HNF rows
-    [[a, b], [0, d]] / e ([[a]] / e over Q, with b = 0 and d = 1), e the
-    common denominator of c's coordinates.  The rows of e c and
-    e c w = t y + (x + s y) w go through _hnf_2x2_int, and the index a d is
-    checked against |N(e c)|."""
+    """The hnf (a, b, d, e) of the ideal (c), c != 0, reduced as in
+    IdealLattice: e is the common denominator of c's coordinates, and
+    gcd(a, b, d) = gcd(x, y) for e c = x + y w is prime to it.  The rows of
+    e c and e c w = t y + (x + s y) w go through _hnf_2x2_int, and the index
+    a d is checked against |N(e c)|."""
     F = c.field
     (x, xd), (y, yd) = c.x.as_integer_ratio(), c.y.as_integer_ratio()
     e = math.lcm(xd, yd)
@@ -213,56 +204,61 @@ def _principal_hnf(c: FieldElement):
 
 
 class IdealLattice:
-    """A rank-d Z-lattice in the field, stored in HNF over the basis (1, w).
+    """A rank-d Z-lattice in the field, stored as one integer HNF over (1, w).
 
-    For d=1 the lattice is g*Z for a positive rational g.  Integral ideals
-    have integer HNF entries; fractional ideals (e.g. the trace dual of O)
-    have rational entries.
+    hnf = (a, b, d, e) means the rows [[a, b], [0, d]] / e, with a, d, e > 0,
+    0 <= b < d and gcd(a, b, d, e) = 1: one hnf per lattice (Cohen, GTM 138,
+    4.7).  Over Q the lattice is (a/e) Z, with b = 0 and d = 1.  Integral
+    ideals have e = 1, fractional ones (e.g. the trace dual of O) e > 1.
     """
 
     def __init__(self, field: QuadField, basis_rows):
-        self.field = field
+        """The lattice of rational rows over (1, w): [[g]] over Q, else two."""
         if field.d == 1:
             g = abs(Fraction(basis_rows[0][0]))
             if g == 0:
                 raise ValueError("degenerate lattice")
-            self.rows = [[g]]
+            a, b, d, e = g.numerator, 0, 1, g.denominator
         else:
-            self.rows = _hnf_2x2(basis_rows)
+            # the rows times e, the lcm of their denominators, have content
+            # prime to e, and row operations keep it: gcd(a, b, d, e) = 1
+            e = math.lcm(*(v.denominator for r in basis_rows for v in r))
+            a, b, d = _hnf_2x2_int(*(v.numerator * (e // v.denominator)
+                                     for r in basis_rows for v in r))
+        self.field = field
+        self.hnf = (a, b, d, e)
+
+    @classmethod
+    def _of_hnf(cls, field: QuadField, a, b, d, e):
+        """The lattice of an hnf that is already reduced as above."""
+        L = cls.__new__(cls)
+        L.field, L.hnf = field, (a, b, d, e)
+        return L
 
     @classmethod
     def ring_of_integers(cls, field: QuadField):
-        if field.d == 1:
-            return cls(field, [[Fraction(1)]])
-        return cls(field, [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
+        return cls._of_hnf(field, 1, 0, 1, 1)
 
     @classmethod
     def principal(cls, c: FieldElement):
-        a, b, d, e = _principal_hnf(c)
-        if c.field.d == 1:
-            return cls(c.field, [[Fraction(a, e)]])
-        return cls(c.field, [[Fraction(a, e), Fraction(b, e)], [0, Fraction(d, e)]])
+        return cls._of_hnf(c.field, *_principal_hnf(c))
+
+    @property
+    def rows(self):
+        """The HNF rows as Fractions, [[a/e]] over Q (a read-only view)."""
+        a, b, d, e = self.hnf
+        if self.field.d == 1:
+            return [[Fraction(a, e)]]
+        return [[Fraction(a, e), Fraction(b, e)], [Fraction(0), Fraction(d, e)]]
 
     def basis_elements(self):
-        F = self.field
-        if F.d == 1:
-            return (F.element(self.rows[0][0]),)
-        return (F.element(self.rows[0][0], self.rows[0][1]),
-                F.element(self.rows[1][0], self.rows[1][1]))
-
-    def coords_of(self, x: FieldElement):
-        """Coefficients of x over the lattice basis (exact rationals)."""
-        if self.field.d == 1:
-            return (x.x / self.rows[0][0],)
-        a, b = self.rows[0]
-        _, d = self.rows[1]
-        # x = u*(a,b) + v*(0,d)
-        u = x.x / a
-        v = (x.y - u * b) / d
-        return (u, v)
+        return tuple(self.field.element(*r) for r in self.rows)
 
     def contains(self, x: FieldElement) -> bool:
-        return all(c.denominator == 1 for c in self.coords_of(x))
+        """x = u (a + b w)/e + v (d w)/e with u and v integers."""
+        a, b, d, e = self.hnf
+        u = x.x * e / a
+        return u.denominator == 1 and ((x.y * e - u * b) / d).denominator == 1
 
     def covolume(self) -> float:
         """Absolute determinant of the embedding matrix of the basis: for
@@ -271,16 +267,15 @@ class IdealLattice:
 
     def norm_index(self) -> Fraction:
         """Index in O as a (possibly fractional) determinant ratio."""
-        if self.field.d == 1:
-            return self.rows[0][0]
-        return self.rows[0][0] * self.rows[1][1]
+        a, _, d, e = self.hnf
+        return Fraction(a * d, e ** self.field.d)
 
     def __eq__(self, other):
         return (isinstance(other, IdealLattice) and self.field == other.field
-                and self.rows == other.rows)
+                and self.hnf == other.hnf)
 
     def __hash__(self):
-        return hash((self.field, tuple(tuple(r) for r in self.rows)))
+        return hash((self.field, self.hnf))
 
     def __repr__(self):
         return f"IdealLattice({self.field}, {self.rows})"
@@ -296,15 +291,14 @@ class IdealLattice:
         if any(T <= 0 for T in bounds):
             raise ValueError("box bounds must be positive")
         out = []
+        a, b, d, e = self.hnf
         if F.d == 1:
-            g = self.rows[0][0]
-            kmax = int(math.floor(Fraction(bounds[0]) / g)) if g != 0 else 0
-            for k in range(1, kmax + 1):
+            g = Fraction(a, e)
+            for k in range(1, math.floor(Fraction(bounds[0]) / g) + 1):
                 out.extend([F.element(k * g), F.element(-k * g)])
             return out
-        (a, b), (_, d) = self.rows
-        if a.denominator == b.denominator == d.denominator == 1:
-            a, b, d = a.numerator, b.numerator, d.numerator  # points from ints
+        if e != 1:  # points from ints unless the lattice is fractional
+            a, b, d = Fraction(a, e), Fraction(b, e), Fraction(d, e)
         e1, e2 = (g.embeddings() for g in self.basis_elements())
         # loop bounds from Cramer: |u| <= (T1|e2_2| + T2|e2_1|)/|det| etc.
         det = abs(e1[0] * e2[1] - e1[1] * e2[0])
@@ -332,30 +326,27 @@ MAX_NORM = 10 ** 6  # residue rings are tabulated, so larger norms are refused
 class ResidueRing:
     """The finite ring O/I of an integral ideal I, with explicit representatives.
 
-    Representatives are i + j*w with 0 <= i < a, 0 <= j < d where I has HNF
-    rows [[a, b], [0, d]] ([[a]] over Q); there are a*d = N(I) of them.  The
-    integer pair (i, j) is the key of a residue.  The unit keys and their
-    inverses are tabulated on the first query, in O(N(I)) integer steps.
-    residue_ring makes one per ideal, on a cache miss; the check that I is
-    an ideal of O (closed under multiplication by w) is done on the
-    integer rows.
+    Representatives are i + j*w with 0 <= i < a, 0 <= j < d where I has the
+    integer HNF (a, b, d, 1), rows [[a, b], [0, d]] (b = 0 and d = 1 over
+    Q); there are a*d = N(I) of them.  The integer pair (i, j) is the key of
+    a residue.  The unit keys and their inverses are tabulated on the first
+    query, in O(N(I)) integer steps.  residue_ring makes one per ideal, on a
+    cache miss; the check that I is an ideal of O (closed under
+    multiplication by w) is done on the integer HNF.
     """
 
     def __init__(self, I: IdealLattice):
-        F = I.field
-        if any(v.denominator != 1 for row in I.rows for v in row):
+        a, b, d, e = I.hnf
+        if e != 1:
             raise ValueError("modulus must be integral")
-        if F.d == 1:
-            a, b, d = int(I.rows[0][0]), 0, 1
-        else:
-            (a, b), (_, d) = ([int(v) for v in row] for row in I.rows)
-            # x + y w lies in I iff a | x and d | y - (x/a) b; test the
-            # products (a + b w) w = t b + (a + s b) w and (d w) w = t d + s d w
-            s, t = F.s, F.t
-            for x, y in ((t * b, a + s * b), (t * d, s * d)):
-                if x % a or (y - x // a * b) % d:
-                    raise ValueError("modulus lattice is not an ideal of O")
-        self.field = F
+        # x + y w lies in I iff a | x and d | y - (x/a) b; test the products
+        # (a + b w) w = t b + (a + s b) w and (d w) w = t d + s d w (over Q,
+        # s = t = 0 and d = 1 pass)
+        s, t = I.field.s, I.field.t
+        for x, y in ((t * b, a + s * b), (t * d, s * d)):
+            if x % a or (y - x // a * b) % d:
+                raise ValueError("modulus lattice is not an ideal of O")
+        self.field = I.field
         self.lattice = I
         self._a, self._b, self._d = a, b, d
         self.size = a * d
@@ -428,31 +419,28 @@ class ResidueRing:
 
 @lru_cache(maxsize=4096)
 def _residue_ring_cached(F: QuadField, a: int, b: int, d: int) -> ResidueRing:
-    return ResidueRing(IdealLattice(F, [[a]] if F.d == 1 else [[a, b], [0, d]]))
+    return ResidueRing(IdealLattice._of_hnf(F, a, b, d, 1))
 
 
 def residue_ring(F: QuadField, c) -> ResidueRing:
     """O/I for an integral ideal I, or for I = (c) when c is an element or an
     int.
 
-    The ring is looked up by the integer HNF rows (a, b, d) of I, found
-    with no rational arithmetic for an integral element, so associate
-    moduli and the lattice of (c) share one ring.  A norm above MAX_NORM,
-    and then a modulus that is not integral, are refused before any ring
-    is built; the IdealLattice and the ring are made on a cache miss only.
+    The ring is looked up by the integer HNF (a, b, d) of I: the lattice's
+    own, or found with no rational arithmetic for an integral element, so
+    associate moduli and the lattice of (c) share one ring.  A norm above
+    MAX_NORM, and then a modulus that is not integral, are refused before
+    any ring is built; the ring is made on a cache miss only.
     """
     if isinstance(c, IdealLattice):
-        F = c.field
-        rows = c.rows[0] + (c.rows[1][1:] if F.d == 2 else [0, 1])
-        e = math.lcm(*(v.denominator for v in rows))
-        a, b, d = (v.numerator * (e // v.denominator) for v in rows)
+        a, b, d, e = c.hnf
     else:
         if not isinstance(c, FieldElement):
             c = F.element(c)
-        F = c.field
         a, b, d, e = _principal_hnf(c)
-    if a * d > MAX_NORM * e * e:
-        raise ValueError(f"modulus norm {Fraction(a * d, e * e)} is above "
+    F = c.field
+    if a * d > MAX_NORM * e ** F.d:
+        raise ValueError(f"modulus norm {Fraction(a * d, e ** F.d)} is above "
                          f"{MAX_NORM}, too large to tabulate")
     if e != 1:
         raise ValueError("modulus must be integral")

@@ -388,6 +388,12 @@ class TestBadInput:
          "on the line Re nu = 0.3 beyond the range of a double"),
         (["bessel", "--order=-170.5", "--x", "1.9204487796839393"],
          "J or its error beyond the range of a double"),
+        (["bessel", "--phi", "gaussian:q=20i,U=7830", "--parity", "1",
+          "--eta", "1", "--t", "0.5", "--formula", "contour"],
+         "cos(pi(nu - parity/2)) on the line Re nu = 0.3 beyond the range "
+         "of a double"),
+        (["kloosterman", "--c", "10000000/3", "--r", "1"],
+         "modulus norm 10000000/3 is above 1000000"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
@@ -406,6 +412,19 @@ class TestBadInput:
                                "contour")
         assert_rejected(rc, out, err)
         assert err.count("\n") == 1 and "U tau^2" in err
+
+    def test_contour_weight_overflow_is_one_message(self, capsys):
+        # U tau^2 + log sqrt(U/pi) = 708.6 passes _window's check, but
+        # phi(nu) nu overflows before the division by cos: one message, and
+        # no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "bessel", "--phi",
+                               "gaussian:q=20i,U=7830", "--parity", "1",
+                               "--eta", "1", "--t", "0.5", "--formula",
+                               "contour")
+        assert_rejected(rc, out, err)
+        assert err.count("\n") == 1 and "range of a double" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["measure", "--kind", "nv"], "--region"),

@@ -261,3 +261,77 @@ class TestHNFCanonical:
                 continue
             L = IdealLattice.principal(c)
             assert L.norm_index() == abs(c.norm())
+
+
+def bases_of(c):
+    """Rational bases of the ideal (c) over (1, w), none of them in HNF:
+    the rows c, c w; the two swapped with one negated; and a unimodular mix
+    of them.  Over Q: c and -c."""
+    F = c.field
+    if F.d == 1:
+        return [[[c.x]], [[-c.x]]]
+    cw = c * F.omega()
+    g, gw = [c.x, c.y], [cw.x, cw.y]
+    return [[g, gw], [[-v for v in gw], g],
+            [[2 * u + v for u, v in zip(g, gw)], [u + v for u, v in zip(g, gw)]]]
+
+
+# integral generators, of either sign of norm, over Q, Q(sqrt 2), Q(sqrt 5)
+GENERATORS = [Q.element(6), Q.element(-10), F2.element(3, -2),
+              F2.element(1, 1), F2.element(4, 2), F5.element(2),
+              F5.element(3, 1), F5.element(-1, 4)]
+
+
+class TestOneLatticePerIdeal:
+    """Every basis of a lattice reduces to one stored HNF, so one ideal is
+    one lattice (equal, of equal hash) and has one residue ring."""
+
+    @pytest.mark.parametrize("c", GENERATORS, ids=repr)
+    def test_every_basis_is_the_principal_lattice(self, c):
+        F, P = c.field, IdealLattice.principal(c)
+        for rows in bases_of(c):
+            L = IdealLattice(F, rows)
+            assert L == P and hash(L) == hash(P)
+            assert residue_ring(F, L) is residue_ring(F, c)
+
+    @pytest.mark.parametrize("c", GENERATORS, ids=repr)
+    @pytest.mark.parametrize("k", [2, 3, 12])
+    def test_scaled_basis_is_the_fractional_ideal(self, c, k):
+        P = IdealLattice.principal(c * Fraction(1, k))
+        for rows in bases_of(c):
+            L = IdealLattice(c.field, [[v / k for v in r] for r in rows])
+            assert L == P and hash(L) == hash(P)
+
+    @pytest.mark.parametrize("F", [Q, F2, F5], ids=repr)
+    def test_half_the_ring_of_integers(self, F):
+        half = Fraction(1, 2)
+        L = IdealLattice(F, [[half]] if F.d == 1 else [[half, 0], [0, half]])
+        P = IdealLattice.principal(F.element(half))
+        assert L == P and hash(L) == hash(P)
+        assert L.hnf == (1, 0, 1, 2) and L.rows == P.rows
+        assert L != IdealLattice.ring_of_integers(F)
+        with pytest.raises(ValueError, match="integral"):
+            residue_ring(F, L)
+
+    @pytest.mark.parametrize("F", [F2, F5], ids=repr)
+    def test_rows_not_in_hnf(self, F):
+        # (6, 8) - 3 (2, 4) = (0, -4), and 4 = 0 mod 4: Z 2 + Z 4w
+        L = IdealLattice(F, [[2, 4], [6, 8]])
+        assert L == IdealLattice(F, [[2, 0], [0, 4]])
+        assert hash(L) == hash(IdealLattice(F, [[-2, 0], [2, 4]]))
+        assert L.hnf == (2, 0, 4, 1)
+
+    def test_negative_generator_over_Q(self):
+        L = IdealLattice(Q, [[Fraction(-6)]])
+        assert L == IdealLattice.principal(Q.element(6))
+        assert residue_ring(Q, L) is residue_ring(Q, 6)
+
+    @pytest.mark.parametrize("F, g, norm", [
+        (Q, Fraction(10 ** 7, 3), "10000000/3"),
+        (F2, Fraction(2001, 2), "4004001/4")])
+    def test_norm_check_of_a_fractional_modulus(self, F, g, norm):
+        # N((g)) = (a d) / e^d: g over Q, g^2 over Q(sqrt 2), above MAX_NORM
+        # whether the modulus is a lattice or an element
+        for c in (IdealLattice.principal(F.element(g)), F.element(g)):
+            with pytest.raises(ValueError, match=f"modulus norm {norm} is above"):
+                residue_ring(F, c)
