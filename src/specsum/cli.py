@@ -173,14 +173,12 @@ def cmd_kloosterman(args) -> int:
     chi = trivial_character(F, level)
     S = kloosterman_sum(F, chi, r, rp, c)
     bound = trivial_bound(F, c)
-    # The sum has at most N = |N(c)| terms e(k/den), k and den integers.
-    # k/den is correctly rounded (u = 2^-53 relative), 2 pi rounds by under
-    # u and the product by u, so the angle is off by under 3u 2 pi = 2.1e-15,
-    # and cos and sin add an ulp each: each term is within 2.4e-15 of its
-    # exact value.  The running sum rounds each part by u times the partial
-    # sum, at most k after k terms: sqrt(2) u N^2 / 2 = 7.9e-17 N^2 in all.
-    # 1e-13 N covers N (2.4e-15 + 7.9e-17 N) for N up to 1,235; above it
-    # only the typical rounding, about u N^(3/2) / sqrt(3), is covered.
+    # The sum has at most N = |N(c)| terms cos(2 pi k/den), k and den
+    # integers.  k/den is correctly rounded (u = 2^-53 relative), 2 pi rounds
+    # by under u and the product by u, so the angle is off by under
+    # 3u 2 pi = 2.1e-15, and cos adds an ulp: each term is within 2.3e-15 of
+    # its exact value.  fsum rounds their sum once, by under u N, so the
+    # error is under 2.5e-15 N: 1e-13 N bounds it for every N to MAX_NORM.
     emit({"value": complex(S), "error": 1e-13 * bound,
           "method": "exact-phase brute force", "trivial_bound": bound})
     return 0

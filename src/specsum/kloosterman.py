@@ -4,13 +4,12 @@ S_chi(r, r'; c) = sum over invertible a mod (c) of
     chi(a) * exp(2 pi i Tr((r a + r' a~)/c)),   a a~ = 1 mod (c),
 with r, r' in the trace dual O' and c in the level ideal I.  The phase trace
 is an exact integer numerator k over one common denominator, reduced mod it
-before the single complex exponential, so no floating phase error
-accumulates over the |N(c)| terms.
+before one cosine: a -> -a conjugates each term, so S is real and
+S(r, r'; -c) = S(r, r'; c) (Iwaniec & Kowalski, Analytic Number Theory, 11).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -82,14 +81,15 @@ def _phase_coefficients(F: QuadField, dual, c: FieldElement):
 
 def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
                     c: FieldElement, *, dual=None) -> complex:
-    """S_chi(r, r'; c) with exact rational phases.
+    """S_chi(r, r'; c) with exact rational phases, as complex(S, 0.0).
 
     Only the trivial character is supported: chi is None or a
     trivial_character, whose level ideal c must lie in; it weighs every
-    unit by 1.  c must be nonzero.  The four phase coefficients are formed
-    from the integer numerators of r c~ and r' c~ over den(r, r') N(c),
-    with no rational arithmetic.  A caller summing over many moduli passes
-    dual = _dual_numerators(r, r') in; by default it is formed here.
+    unit by 1, so S is the sum of the cosines of the phases, added by
+    math.fsum, which rounds once.  c must be nonzero.  The four phase coefficients are
+    formed from the integer numerators of r c~ and r' c~ over den(r, r')
+    N(c), with no rational arithmetic.  A caller summing over many moduli
+    passes dual = _dual_numerators(r, r') in; by default it is formed here.
     """
     if c.is_zero():
         raise ValueError("c must be nonzero")
@@ -105,11 +105,9 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
     # p1..p4 = Tr(r/c), Tr(r w/c), Tr(r'/c), Tr(r' w/c) over den
     p1, p2, p3, p4, den = _phase_coefficients(
         F, dual or _dual_numerators(r, rp), c)
-    total = 0.0 + 0.0j
-    for (i, j), (it, jt) in R.unit_inverses().items():
-        k = (i * p1 + j * p2 + it * p3 + jt * p4) % den
-        total += cmath.exp(2j * math.pi * (k / den))
-    return total
+    return complex(math.fsum(
+        math.cos(2 * math.pi * ((i * p1 + j * p2 + it * p3 + jt * p4) % den / den))
+        for (i, j), (it, jt) in R.unit_inverses().items()), 0.0)
 
 
 def trivial_bound(F: QuadField, c: FieldElement) -> float:
@@ -148,6 +146,10 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     """Partial sum of sum_{c in I, c != 0} |N(c)|^{-1} S_chi(r,r;c) f(4 pi |r| / c)
     over the box max_j |sigma_j(c)| <= box, with a tail estimate.
 
+    The box is symmetric and S(r, r; -c) = S(r, r; c), so only the c with
+    coordinates (x, y) > (0, 0) as tuples are summed, each with
+    f(t_c) + f(-t_c): t_{-c} = -t_c exactly, and f need not be even.
+
     The caller certifies |f(t)| <= K_f prod_j min(|t_j|^{2 tau}, 1).  The
     tail uses square-root cancellation in the Kloosterman sum (the shape
     |S| <= |N(c)|^{1/2}, constant 1, times a safety factor 8) because the
@@ -168,13 +170,15 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     total = 0.0 + 0.0j
     dual = _dual_numerators(r, r)
     for c in pts:
-        S = kloosterman_sum(F, chi, r, r, c, dual=dual)
         # c is integral (kloosterman_sum refuses it otherwise): norm and
         # embeddings from its integer coordinates
         x, y = c.x.numerator, c.y.numerator
+        if (x, y) < (0, 0):  # -c is summed with c: S(r, r; -c) = S(r, r; c)
+            continue
+        S = kloosterman_sum(F, chi, r, r, c, dual=dual)
         t_c = tuple(4 * math.pi * rv / (x + y * w) for rv, w in zip(r_emb, wv))
         n = x if F.d == 1 else x * x + s * x * y - t * y * y
-        total += S / float(abs(n)) * f(t_c)
+        total += S / float(abs(n)) * (f(t_c) + f(tuple(-v for v in t_c)))
     ints = [_tail_integrals(4 * math.pi * rv, box, tau) for rv in r_emb]
     tail = sum(ta * math.prod(fu for k, (fu, _) in enumerate(ints) if k != j)
                for j, (_, ta) in enumerate(ints))

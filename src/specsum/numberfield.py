@@ -368,13 +368,17 @@ class ResidueRing:
         coprime.  Its inverse is conj(x) N(x)^-1 mod e, e the least positive
         integer in I, for a shift x by u*(a, b) + v*(0, d), 0 <= u, v < e,
         with N(x) prime to e: one exists by CRT, as I + P = O for each prime
-        P above e that does not divide I."""
+        P above e that does not divide I.  Each inverse found also gives
+        those of x~, -x and -x~ (x~ the inverse), recorded for their turn."""
         a, b, d = self._a, self._b, self._d
         s, t = self.field.s, self.field.t
         e = a * d // math.gcd(b, d)
-        inv = {}
+        inv, ahead = {}, {}
         for i in range(a):
             for j in range(d):
+                if (i, j) in ahead:
+                    inv[(i, j)] = ahead.pop((i, j))
+                    continue
                 n = i * i + s * i * j - t * j * j
                 if math.gcd(n, i * b - j * a, i * d, j * t * b - (i + j * s) * a,
                             j * t * d, a * d) != 1:
@@ -389,7 +393,9 @@ class ResidueRing:
                     raise RuntimeError(f"no representative of unit ({i}, {j}) "
                                        f"has norm prime to {e}")
                 n_inv = pow(n, -1, e)
-                inv[(i, j)] = self.reduce_pair((x + s * y) * n_inv, -y * n_inv)
+                inv[(i, j)] = k = self.reduce_pair((x + s * y) * n_inv, -y * n_inv)
+                m, m_k = self.reduce_pair(-i, -j), self.reduce_pair(-k[0], -k[1])
+                ahead[k], ahead[m], ahead[m_k] = (i, j), m_k, m
         return inv
 
     def unit_inverses(self) -> dict:

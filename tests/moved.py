@@ -7,6 +7,8 @@ a change that moves pins states.  An output that moved without holding a
 (value, error) pair is named as moved.
 """
 
+import math
+
 
 def records(obj, path=""):
     """(path, value, error) of every dict in a decoded JSON output that
@@ -35,6 +37,8 @@ def report(label, old, new):
         return
     for (path, v0, e0), (_, v1, e1) in zip(before, after):
         if (v0, e0) != (v1, e1):
-            ratio = abs(_number(v0) - _number(v1)) / (e0 + e1)
+            moved = abs(_number(v0) - _number(v1))
+            # a zero-error closed form that moves is off by infinitely many bars
+            ratio = moved / (e0 + e1) if e0 + e1 else math.inf
             print(f"{label} {path}: ({v0}, {e0}) -> ({v1}, {e1}); "
                   f"|old - new| / (err_old + err_new) = {ratio:.3g}")

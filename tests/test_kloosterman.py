@@ -105,6 +105,40 @@ class TestBruteForceOracle:
             assert abs(kloosterman_sum(F, chi, r, rp, c) - S) <= 1e-9
 
 
+def integral_ideals(F, nmax):
+    """The residue ring of every integral ideal of norm <= nmax: each HNF
+    (a, b, d) with a d <= nmax, 0 <= b < d, that is an ideal of O."""
+    rings = []
+    for a in range(1, nmax + 1):
+        for d in range(1, (nmax // a if F.d == 2 else 1) + 1):
+            for b in range(d):
+                L = IdealLattice(F, [[a]] if F.d == 1 else [[a, b], [0, d]])
+                try:
+                    rings.append(residue_ring(F, L))
+                except ValueError:  # not closed under multiplication by w
+                    pass
+    return rings
+
+
+class TestRingTableOrder:
+    """The table's order is the summation order, which sets the output
+    bytes; dict == ignores it."""
+
+    @pytest.mark.parametrize("F", [Q, F2, F5])
+    def test_every_ideal_up_to_norm_200(self, F):
+        rings = integral_ideals(F, 200)
+        for R in rings:
+            want = sorted(brute_unit_inverses(F, R.lattice).items())
+            assert list(R.unit_inverses().items()) == want, R.lattice
+        # c | 2, where -a = a, and units that are their own inverse but
+        # not +-1 are among them
+        two = [R for R in rings if R.size > 1 and R.lattice.contains(F.element(2))]
+        assert two and all(R.reduce_pair(-i, -j) == (i, j) for R in two
+                           for i, j in R.unit_inverses())
+        assert any(k == v and k not in (R.key(F.one()), R.key(F.element(-1)))
+                   for R in rings for k, v in R.unit_inverses().items())
+
+
 class TestCharacters:
     def test_trivial(self):
         I = IdealLattice.principal(Q.element(4))
@@ -203,6 +237,38 @@ class TestKloostermanSums:
             assert S.conjugate() == pytest.approx(S2, abs=1e-12)
 
 
+# r != r' in O' for each field: O' = Z over Q, (2w)^-1 O = <w/4, 1/2> over
+# Q(sqrt2), and (2w - 1)^-1 O = <(2w - 1)/5, (2 + w)/5> over Q(sqrt5)
+_R_PAIRS = [
+    (Q, Q.element(2), Q.element(5)),
+    (F2, F2.element(Fraction(1, 2), Fraction(1, 4)),
+     F2.element(1, Fraction(-3, 4))),
+    (F5, F5.element(Fraction(1, 5), Fraction(3, 5)),
+     F5.element(Fraction(2, 5), Fraction(1, 5))),
+]
+
+
+def _moduli(F, nmax=300):
+    ys = range(-6, 7) if F.d == 2 else [0]
+    return [c for c in (F.element(x, y) for x in range(-20, 21) for y in ys)
+            if not c.is_zero() and abs(c.norm()) <= nmax]
+
+
+class TestSymmetries:
+    """a -> -a conjugates each term, so S is real and S(-c) = S(c)."""
+
+    @pytest.mark.parametrize("F, r, rp", _R_PAIRS)
+    def test_imaginary_part_is_zero(self, F, r, rp):
+        for c in _moduli(F):
+            assert kloosterman_sum(F, None, r, rp, c).imag == 0.0
+
+    @pytest.mark.parametrize("F, r, rp", _R_PAIRS)
+    def test_negated_modulus(self, F, r, rp):
+        for c in _moduli(F):
+            S, S_neg = (kloosterman_sum(F, None, r, rp, g) for g in (c, c * -1))
+            assert abs(S - S_neg) <= 1e-12 * abs(c.norm())
+
+
 class TestBounds:
     def test_trivial_bound_values(self):
         assert trivial_bound(Q, Q.element(3)) == 3
@@ -298,3 +364,34 @@ class TestKSeries:
         res = ksum(Q, IdealLattice.ring_of_integers(Q), None, Q.element(1),
                    f, 10, 1.0, tau=tau)
         assert 0 < res.tail_estimate < math.inf
+
+    @pytest.mark.parametrize("F, level, r, box", [
+        (Q, 1, Q.element(3), 40.0),
+        (F2, 1, F2.element(Fraction(1, 2), Fraction(1, 4)), 9.0),
+        (F5, 1, F5.element(Fraction(1, 5), Fraction(3, 5)), 9.0),
+        (F5, 2, F5.one(), 12.0),
+    ])
+    def test_against_per_point_loop(self, F, level, r, box):
+        """ksum sums each +-c pair once; a loop over every point agrees,
+        with a weight that is not even, and the tail is the closed form
+        below bit for bit."""
+        tau, K_f = 0.3, 2.5
+
+        def f(t):  # |f| <= 2.5 prod_j min(|t_j|^{2 tau}, 1); sin is odd
+            return math.prod(min(abs(v) ** (2 * tau), 1.0) * (1.5 + math.sin(v))
+                             for v in t)
+
+        I = IdealLattice.principal(F.element(level))
+        chi = trivial_character(F, I)
+        res = ksum(F, I, chi, r, f, box, K_f, tau=tau)
+        r_emb = [abs(v) for v in r.embeddings()]
+        terms = [kloosterman_sum(F, chi, r, r, c) / float(abs(c.norm()))
+                 * f(tuple(4 * math.pi * rv / v
+                           for rv, v in zip(r_emb, c.embeddings())))
+                 for c in I.lattice_points_in_box([box] * F.d)]
+        assert abs(res.partial_sum - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+        assert res.terms_used == len(terms)
+        ints = [_tail_integrals(4 * math.pi * rv, box, tau) for rv in r_emb]
+        tail = sum(ta * math.prod(fu for k, (fu, _) in enumerate(ints) if k != j)
+                   for j, (_, ta) in enumerate(ints))
+        assert res.tail_estimate == 8.0 * K_f / I.covolume() * tail
