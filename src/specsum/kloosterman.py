@@ -165,6 +165,9 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     r_emb = [abs(v) for v in r.embeddings()]
     if any(v == 0 for v in r_emb):
         raise ValueError("r must be nonzero at every place")
+    # each c below lies in I: checking I stands for a check per modulus
+    if chi is not None and not all(map(chi.level.contains, I.basis_elements())):
+        raise ValueError("c must lie in the level ideal of chi")
     pts = I.lattice_points_in_box([box] * F.d)
     s, t, wv = F.s, F.t, F.omega_values
     total = 0.0 + 0.0j
@@ -175,7 +178,7 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
         x, y = c.x.numerator, c.y.numerator
         if (x, y) < (0, 0):  # -c is summed with c: S(r, r; -c) = S(r, r; c)
             continue
-        S = kloosterman_sum(F, chi, r, r, c, dual=dual)
+        S = kloosterman_sum(F, None, r, r, c, dual=dual)
         t_c = tuple(4 * math.pi * rv / (x + y * w) for rv, w in zip(r_emb, wv))
         n = x if F.d == 1 else x * x + s * x * y - t * y * y
         total += S / float(abs(n)) * (f(t_c) + f(tuple(-v for v in t_c)))

@@ -325,16 +325,21 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
 
     bbox: list of (lo, hi) per coordinate; membership: vectorized predicate
     on an (n, d) array; weight: vectorized function on the same array (1 if
-    None).  Both must act row by row.  Deterministic per seed; error is 3
-    times the standard error.
+    None), finite and >= 0.  Both must act row by row.  Deterministic per
+    seed; error is 3 times the standard error.  A box whose volume times
+    multiplicity a double cannot hold is refused before any draw.
 
     The samples are drawn _BLOCK rows at a time: consecutive blocks of
     gen.random((k, d)) are the doubles of one (n, d) draw in the same row
     order, each scaled to lo + (hi - lo) u as rng.uniform(lows, highs, size)
-    does.  Each block's weighted indicator is written into one array of n
-    doubles, the only full-size array, and the mean and the standard
-    deviation are numpy's reductions of that array: the same doubles and
-    the same sums as vals.mean() and vals.std(ddof=1).
+    does.  Each block's weighted indicator fills one reused buffer of
+    min(_BLOCK, n) doubles.  Its mean m_b and centred sum of squares M2_b,
+    numpy's reductions of the buffer, merge into the running (mean, M2) by
+    the update of Chan, Golub & LeVeque (Amer. Statist. 37, 1983): with
+    d = m_b - mean and share = k / (seen + k), mean += d share and M2 +=
+    M2_b + seen share d^2.  The first block has seen = 0 and share = 1, so
+    for n <= _BLOCK these are the doubles of vals.mean() and
+    vals.std(ddof=1) over one array of the n values.
     """
     if n_samples < 2:
         raise ValueError("Monte Carlo needs at least 2 samples")
@@ -344,20 +349,27 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
         if hi <= lo:
             raise ValueError("degenerate bounding box")
         vol *= hi - lo
+    scale = vol * multiplicity
+    if not math.isfinite(scale):
+        raise ValueError("Monte Carlo box volume beyond the range of a double")
     gen = np.random.default_rng(seed)
-    vals = np.empty(n_samples)
-    for start in range(0, n_samples, _BLOCK):
-        x = gen.random((min(_BLOCK, n_samples - start), len(bbox)))
+    buf = np.empty(min(_BLOCK, n_samples))
+    mean = m2 = 0.0
+    for seen in range(0, n_samples, _BLOCK):
+        x = gen.random((min(_BLOCK, n_samples - seen), len(bbox)))
         for col, (lo, hi) in zip(x.T, bbox):
             col *= hi - lo
             col += lo
-        inside = np.asarray(membership(x), dtype=bool)
-        np.multiply(np.where(inside, 1.0 if weight is None else weight(x), 0.0),
-                    vol * multiplicity, out=vals[start:start + len(x)])
-    mean = float(vals.mean())
-    # vals.std(ddof=1) in place: the deviations from the mean, squared and
-    # summed pairwise, over n - 1
-    vals -= mean
-    np.square(vals, out=vals)
-    stderr = math.sqrt(vals.sum() / (n_samples - 1)) / math.sqrt(n_samples)
+        k = len(x)
+        v = buf[:k]
+        # True w = w and False w = 0 for finite w >= 0: the np.where values
+        np.multiply(np.asarray(membership(x), dtype=bool),
+                    1.0 if weight is None else weight(x), out=v)
+        v *= scale
+        m_b = float(v.sum()) / k
+        v -= m_b
+        d, share = m_b - mean, k / (seen + k)
+        mean += d * share
+        m2 += float(np.square(v, out=v).sum()) + seen * share * d * d
+    stderr = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
     return MeasureResult(mean, 3 * stderr, "monte-carlo", n_samples)

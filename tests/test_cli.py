@@ -394,6 +394,12 @@ class TestBadInput:
          "of a double"),
         (["kloosterman", "--c", "10000000/3", "--r", "1"],
          "modulus norm 10000000/3 is above 1000000"),
+        (["region-volume", "--family", "simplex", "--n", "2", "--Y", "1e308",
+          "--method", "mc", "--samples", "100"],
+         "Monte Carlo box volume beyond the range of a double"),
+        (["region-volume", "--family", "sphere", "--m", "1e300,1e300", "--r",
+          "1e300", "--method", "mc", "--samples", "100"],
+         "Monte Carlo box volume beyond the range of a double"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
@@ -412,6 +418,21 @@ class TestBadInput:
                                "contour")
         assert_rejected(rc, out, err)
         assert err.count("\n") == 1 and "U tau^2" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "simplex", "--n", "2", "--Y", "1e308"],
+        ["--family", "sphere", "--m", "1e300,1e300", "--r", "1e300"],
+    ])
+    def test_monte_carlo_box_overflow_is_refused_before_any_draw(
+            self, capsys, argv):
+        # the box volume is inf: one message, and no numpy overflow or
+        # invalid-value warning, as no sample is drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "region-volume", *argv, "--method",
+                               "mc", "--samples", "100")
+        assert_rejected(rc, out, err)
+        assert err.count("\n") == 1 and "Monte Carlo box volume" in err
 
     def test_contour_weight_overflow_is_one_message(self, capsys):
         # U tau^2 + log sqrt(U/pi) = 708.6 passes _window's check, but

@@ -358,6 +358,28 @@ class TestKSeries:
             ksum(Q, IdealLattice.ring_of_integers(Q), None, Q.element(1),
                  lambda t: 1.0, 10, 1.0, tau=tau)
 
+    @pytest.mark.parametrize("F, I, level", [
+        (Q, (1,), (2,)),
+        (Q, (6,), (4,)),
+        (F5, (2, 0), (3, 0)),
+        (F5, (2, 0), (3, 1)),
+    ])
+    def test_rejects_level_not_containing_I(self, F, I, level):
+        # each modulus lies in I, so I must lie in the level of chi; the
+        # check is made once, before any sum
+        I = IdealLattice.principal(F.element(*I))
+        chi = trivial_character(F, IdealLattice.principal(F.element(*level)))
+        with pytest.raises(ValueError, match="level ideal"):
+            ksum(F, I, chi, F.one(), lambda t: 1.0, 9.0, 1.0)
+
+    @pytest.mark.parametrize("F, I, level", [(Q, 12, 4), (F5, 6, 2), (F5, 2, 2)])
+    def test_level_containing_I_is_the_sum_without_chi(self, F, I, level):
+        I = IdealLattice.principal(F.element(I))
+        chi = trivial_character(F, IdealLattice.principal(F.element(level)))
+        f = lambda t: math.prod(min(abs(v) ** 0.6, 1.0) for v in t)
+        assert ksum(F, I, chi, F.one(), f, 30.0, 1.0) == \
+            ksum(F, I, None, F.one(), f, 30.0, 1.0)
+
     @pytest.mark.parametrize("tau", [0.75, 1.0])
     def test_tau_above_half(self, tau):
         f = lambda t: min(abs(t[0]) ** (2 * tau), 1.0)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -321,8 +322,11 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("block", [1, 7, measures._BLOCK])
     @pytest.mark.parametrize("case", ["unweighted", "lambda", "nu"])
     def test_value_is_the_single_array_formula(self, block, case):
-        """(value, error) across blocks is the mean and 3 standard errors of
-        the weighted indicator written out over one full draw."""
+        """(value, error) is the mean and 3 standard errors of the weighted
+        indicator written out over one full draw.  In one block (n <= block)
+        it is numpy's vals.mean() and vals.std(ddof=1) bit for bit; merged
+        across blocks it is within 1e-13 of the exact moments of the same
+        doubles.  n = 7 * 428 + 1 leaves a last block of one row."""
         if case == "unweighted":
             bbox, mult, weight = [(-1.0, 2.0), (0.5, 3.0)], 1.0, None
 
@@ -333,29 +337,56 @@ class TestMonteCarlo:
                     else family("sphere", m=[3.0, 5.0], r=1.2).instance())
             bbox, member, weight, mult = (inst.bbox, inst.membership,
                                           inst.weight, inst.multiplicity)
-        n, seed = 3001, 11
-        with mock.patch.object(measures, "_BLOCK", block):
-            res = monte_carlo_measure(bbox, member, weight, n, seed, mult)
         lows, highs = (np.array(v) for v in zip(*bbox))
-        x = np.random.default_rng(seed).uniform(lows, highs, size=(n, 2))
         vol = math.prod(hi - lo for lo, hi in bbox)
-        w = 1.0 if weight is None else weight(x)
-        vals = np.where(member(x), w, 0.0) * (vol * mult)
-        assert (res.value, res.error) == (
-            float(vals.mean()), 3 * float(vals.std(ddof=1) / math.sqrt(n)))
-        assert res.detail == n
+        seed = 11
+        for n in (2, 7 * 428 + 1):
+            with mock.patch.object(measures, "_BLOCK", block):
+                res = monte_carlo_measure(bbox, member, weight, n, seed, mult)
+            x = np.random.default_rng(seed).uniform(lows, highs, size=(n, 2))
+            w = 1.0 if weight is None else weight(x)
+            vals = np.where(member(x), w, 0.0) * (vol * mult)
+            assert res.detail == n
+            if n <= block:
+                assert (res.value, res.error) == (
+                    float(vals.mean()),
+                    3 * float(vals.std(ddof=1) / math.sqrt(n)))
+                continue
+            exact = [Fraction(v) for v in vals.tolist()]
+            mean = sum(exact) / n
+            var = sum((v - mean) ** 2 for v in exact) / (n - 1)
+            error = 3 * math.sqrt(var / n)
+            assert abs(Fraction(res.value) - mean) <= 1e-13 * mean
+            assert abs(res.error - error) <= 1e-13 * error
 
-    def test_one_full_size_array(self):
-        """At 2 x 10^6 samples the only n-sized array is the n doubles of
-        the values (16 MB): no (n, d) draw, mask or copy of them."""
+    def test_memory_does_not_grow_with_samples(self):
+        """The samples are held one block at a time: the traced peak at
+        2 x 10^6 samples is under 5 MB (one array of the values would be
+        16 MB) and within 1 MB of the peak at 2 x 10^5."""
         inst = family("simplex", n=2).instance(4.5)
-        tracemalloc.start()
-        try:
-            inst.mc_nv1(2 * 10 ** 6, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 20e6
+        peaks = []
+        for n in (2 * 10 ** 5, 2 * 10 ** 6):
+            tracemalloc.start()
+            try:
+                inst.mc_nv1(n, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert large <= 5e6
+        assert abs(large - small) <= 1e6
+
+    @pytest.mark.parametrize("bbox, mult", [
+        ([(1.25, 1e308), (1.25, 1e308)], 1.0),
+        ([(0.0, 2e300), (0.0, 2e300)], 1.0),
+        ([(0.0, 1e300)], 1e10),
+    ])
+    def test_overflowing_box_is_refused_before_any_draw(self, bbox, mult):
+        def member(x):
+            raise AssertionError("no sample may be drawn")
+
+        with pytest.raises(ValueError, match="beyond the range of a double"):
+            monte_carlo_measure(bbox, member, None, 100, 0, mult)
 
 
 class TestDiscreteSeries:
