@@ -66,11 +66,9 @@ def _fraction(text: str) -> Fraction:
 
 def parse_element(F: QuadField, spec: str):
     parts = [_fraction(p) for p in str(spec).split(",")]
-    if len(parts) == 1:
-        return F.element(parts[0])
-    if len(parts) == 2 and F.d == 2:
-        return F.element(parts[0], parts[1])
-    raise ValueError(f"element spec {spec!r} has wrong arity for {F}")
+    if len(parts) > F.d:
+        raise ValueError(f"element spec {spec!r} has wrong arity for {F}")
+    return F.element(*parts)
 
 
 def parse_region(spec: str) -> ProductRegion:
@@ -100,11 +98,14 @@ def parse_region(spec: str) -> ProductRegion:
 
 def parse_grid(spec: str):
     """'lo:hi:n' -> n geometrically spaced points."""
-    lo, hi, n = spec.split(":")
-    n = int(n)
+    try:
+        lo, hi, n = spec.split(":")
+        lo, hi, n = float(lo), float(hi), int(n)
+    except ValueError:
+        raise ValueError(f"grid {spec!r} is not lo:hi:n") from None
     if n < 2:
         raise ValueError("grid needs at least 2 points")
-    return [float(v) for v in np.geomspace(float(lo), float(hi), n)]
+    return [float(v) for v in np.geomspace(lo, hi, n)]
 
 
 _PHI_KEYS = {"gaussian": {"q", "U", "tau", "a"}, "phi_p": {"p", "a", "tau"}}
@@ -192,7 +193,8 @@ def cmd_ksum(args) -> int:
     tau = args.tau
 
     def f(t):
-        return math.prod(min(abs(tj) ** (2 * tau), 1.0) for tj in t)
+        # min(|t|^{2 tau}, 1), with no power of a |t| above 1 to overflow
+        return math.prod(min(abs(tj), 1.0) ** (2 * tau) for tj in t)
 
     # |f(t)| <= prod_j min(|t_j|^{2 tau}, 1) holds with K_f = 1 exactly
     res = ksum(F, level, chi, r, f, box=args.box, K_f=1.0, tau=tau)

@@ -37,37 +37,27 @@ def trivial_character(F: QuadField, I: IdealLattice) -> CharacterModI:
 # the sums
 # --------------------------------------------------------------------------
 
-def _dual_numerators(r: FieldElement, rp: FieldElement):
-    """(e, ((g1, g2), (h1, h2))): the least common denominator e of the
-    coordinates of r and r', and the integer numerators of r = (g1 + g2 w)/e
-    and r' = (h1 + h2 w)/e.  It does not depend on the modulus, so a sum
-    over many moduli forms it once."""
-    e = math.lcm(r.x.denominator, r.y.denominator,
-                 rp.x.denominator, rp.y.denominator)
-    return e, tuple((g.x.numerator * (e // g.x.denominator),
-                     g.y.numerator * (e // g.y.denominator)) for g in (r, rp))
-
-
-def _phase_coefficients(F: QuadField, dual, c: FieldElement):
+def _phase_coefficients(F: QuadField, r: FieldElement, rp: FieldElement,
+                        c: FieldElement):
     """(p1, p2, p3, p4, den): Tr(r/c), Tr(r w/c), Tr(r'/c), Tr(r' w/c) as
-    integers over their least common denominator den > 0, for integral c
-    and dual = _dual_numerators(r, r').
+    integers over their least common denominator den > 0, for integral c.
 
-    All in Python integers: with g c~ = (u + v w)/e for g in (r, r'),
+    All in Python integers: r = (g1 + g2 w)/e and r' = (h1 + h2 w)/e over
+    e = e(r) e(r'), and with g c~ = u + v w for g in (g1 + g2 w, h1 + h2 w),
     g/c = (u + v w)/(e N(c)), where Tr(u + v w) = 2u + s v and
     Tr((u + v w) w) = 2t v + s(u + s v).  Over Q, w folds to 1 and
-    g/c = g1/(e c), so both traces are g1.
+    g/c = g1/(e c), so both traces are g1.  The reduced tuple is unique, so
+    any common denominator e gives the same one.
     """
-    e, gs = dual
-    cx, cy = c.x.numerator, c.y.numerator
+    e, cx, cy = r.e * rp.e, c.p, c.q
+    gs = ((r.p * rp.e, r.q * rp.e), (rp.p * r.e, rp.q * r.e))
+    D = e * F.norm_form(cx, cy)
     nums = []
     if F.d == 1:
-        D = e * cx
         for g1, _ in gs:
             nums += [g1, g1]
     else:
         s, t = F.s, F.t
-        D = e * (cx * cx + s * cx * cy - t * cy * cy)
         for g1, g2 in gs:
             # (g1 + g2 w)(cx + s cy - cy w) with w^2 = s w + t
             u = g1 * (cx + s * cy) - t * g2 * cy
@@ -80,16 +70,15 @@ def _phase_coefficients(F: QuadField, dual, c: FieldElement):
 
 
 def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
-                    c: FieldElement, *, dual=None) -> complex:
+                    c: FieldElement) -> complex:
     """S_chi(r, r'; c) with exact rational phases, as complex(S, 0.0).
 
     Only the trivial character is supported: chi is None or a
     trivial_character, whose level ideal c must lie in; it weighs every
     unit by 1, so S is the sum of the cosines of the phases, added by
-    math.fsum, which rounds once.  c must be nonzero.  The four phase coefficients are
-    formed from the integer numerators of r c~ and r' c~ over den(r, r')
-    N(c), with no rational arithmetic.  A caller summing over many moduli
-    passes dual = _dual_numerators(r, r') in; by default it is formed here.
+    math.fsum, which rounds once.  c must be nonzero.  The four phase
+    coefficients are formed from the integer numerators of r c~ and r' c~
+    over e(r) e(r') N(c), with no rational arithmetic.
     """
     if c.is_zero():
         raise ValueError("c must be nonzero")
@@ -103,8 +92,7 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
     # Tr(r a / c) + Tr(r' a~ / c) is linear in the keys (i, j) of a and
     # (i~, j~) of a~: k/den with k = i p1 + j p2 + i~ p3 + j~ p4 mod den,
     # p1..p4 = Tr(r/c), Tr(r w/c), Tr(r'/c), Tr(r' w/c) over den
-    p1, p2, p3, p4, den = _phase_coefficients(
-        F, dual or _dual_numerators(r, rp), c)
+    p1, p2, p3, p4, den = _phase_coefficients(F, r, rp, c)
     return complex(math.fsum(
         math.cos(2 * math.pi * ((i * p1 + j * p2 + it * p3 + jt * p4) % den / den))
         for (i, j), (it, jt) in R.unit_inverses().items()), 0.0)
@@ -160,6 +148,9 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     integral of prod g_j over {max_j |x_j| > T} divided by the covolume:
         tail <= 8 * K_f / covol * sum_j [tailint_j(T) * prod_{k != j} fullint_k].
     """
+    for name, v in (("box", box), ("tau", tau)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if tau <= 0.25:  # the tail integrand decays like |x|^{-1/2 - 2 tau}
         raise ValueError("tau must exceed 1/4 for the tail to converge")
     r_emb = [abs(v) for v in r.embeddings()]
@@ -169,20 +160,26 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     if chi is not None and not all(map(chi.level.contains, I.basis_elements())):
         raise ValueError("c must lie in the level ideal of chi")
     pts = I.lattice_points_in_box([box] * F.d)
-    s, t, wv = F.s, F.t, F.omega_values
+    # the tail before the sums, so that one beyond a double costs no sum
+    try:
+        ints = [_tail_integrals(4 * math.pi * rv, box, tau) for rv in r_emb]
+        tail = 8.0 * K_f / I.covolume() * sum(
+            ta * math.prod(fu for k, (fu, _) in enumerate(ints) if k != j)
+            for j, (_, ta) in enumerate(ints))
+    except OverflowError:  # a_j^{2 tau} beyond a double
+        tail = math.inf
+    if not math.isfinite(tail):
+        raise ValueError(f"tail estimate at tau={tau} beyond the range of a double")
+    wv = F.omega_values
     total = 0.0 + 0.0j
-    dual = _dual_numerators(r, r)
     for c in pts:
         # c is integral (kloosterman_sum refuses it otherwise): norm and
         # embeddings from its integer coordinates
-        x, y = c.x.numerator, c.y.numerator
+        x, y = c.p, c.q
         if (x, y) < (0, 0):  # -c is summed with c: S(r, r; -c) = S(r, r; c)
             continue
-        S = kloosterman_sum(F, None, r, r, c, dual=dual)
+        S = kloosterman_sum(F, None, r, r, c)
         t_c = tuple(4 * math.pi * rv / (x + y * w) for rv, w in zip(r_emb, wv))
-        n = x if F.d == 1 else x * x + s * x * y - t * y * y
+        n = F.norm_form(x, y)
         total += S / float(abs(n)) * (f(t_c) + f(tuple(-v for v in t_c)))
-    ints = [_tail_integrals(4 * math.pi * rv, box, tau) for rv in r_emb]
-    tail = sum(ta * math.prod(fu for k, (fu, _) in enumerate(ints) if k != j)
-               for j, (_, ta) in enumerate(ints))
-    return KSeriesResult(total, 8.0 * K_f / I.covolume() * tail, len(pts))
+    return KSeriesResult(total, tail, len(pts))

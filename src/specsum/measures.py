@@ -327,7 +327,8 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
     on an (n, d) array; weight: vectorized function on the same array (1 if
     None), finite and >= 0.  Both must act row by row.  Deterministic per
     seed; error is 3 times the standard error.  A box whose volume times
-    multiplicity a double cannot hold is refused before any draw.
+    multiplicity a double cannot hold is refused before any draw, and a
+    block whose mean it cannot hold when that block is drawn.
 
     The samples are drawn _BLOCK rows at a time: consecutive blocks of
     gen.random((k, d)) are the doubles of one (n, d) draw in the same row
@@ -362,14 +363,19 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
             col += lo
         k = len(x)
         v = buf[:k]
-        # True w = w and False w = 0 for finite w >= 0: the np.where values
-        np.multiply(np.asarray(membership(x), dtype=bool),
-                    1.0 if weight is None else weight(x), out=v)
-        v *= scale
-        m_b = float(v.sum()) / k
-        v -= m_b
+        inside = np.asarray(membership(x), dtype=bool)
+        # quiet: an inf or nan mean is refused, an inf M2 gives an inf error
+        with np.errstate(over="ignore", invalid="ignore"):
+            # True w = w and False w = 0 for finite w >= 0: the np.where values
+            np.multiply(inside, 1.0 if weight is None else weight(x), out=v)
+            v *= scale
+            m_b = float(v.sum()) / k
+            if not math.isfinite(m_b):
+                raise ValueError("Monte Carlo weight beyond the range of a double")
+            v -= m_b
+            m2_b = float(np.square(v, out=v).sum())
         d, share = m_b - mean, k / (seen + k)
         mean += d * share
-        m2 += float(np.square(v, out=v).sum()) + seen * share * d * d
+        m2 += m2_b + seen * share * d * d
     stderr = math.sqrt(m2 / (n_samples - 1)) / math.sqrt(n_samples)
     return MeasureResult(mean, 3 * stderr, "monte-carlo", n_samples)

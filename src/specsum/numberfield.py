@@ -1,10 +1,10 @@
 """Exact arithmetic in Q and real quadratic fields.
 
 Fields are Q (encoded by m=1) or Q(sqrt m) for squarefree m > 1.  Elements
-are stored with exact rational coordinates over the integral basis (1, w),
-where w = sqrt(m) for m = 2, 3 mod 4 and w = (1+sqrt(m))/2 for m = 1 mod 4.
-Floating point only appears in the embeddings, which is where the analysis
-layers plug in.
+are integers (p, q, e) for (p + q w)/e over the integral basis (1, w), where
+w = sqrt(m) for m = 2, 3 mod 4 and w = (1+sqrt(m))/2 for m = 1 mod 4, and
+lattices one integer HNF over a denominator.  Floating point only appears
+in the embeddings, which is where the analysis layers plug in.
 """
 
 from __future__ import annotations
@@ -71,89 +71,99 @@ class QuadField:
 
     # element constructors -------------------------------------------------
     def element(self, x, y=0) -> "FieldElement":
-        return FieldElement(self, Fraction(x), Fraction(y))
+        (p, a), (q, b) = Fraction(x).as_integer_ratio(), Fraction(y).as_integer_ratio()
+        return FieldElement(self, p * b, q * a, a * b)
 
     def one(self) -> "FieldElement":
-        return self.element(1)
+        return FieldElement(self, 1)
 
     def omega(self) -> "FieldElement":
-        return self.element(0, 1)
+        return FieldElement(self, 0, 1)
+
+    def norm_form(self, x: int, y: int) -> int:
+        """N(x + y w) = x^2 + s x y - t y^2; x over Q, where w folds to 1."""
+        return x if self.d == 1 else x * x + self.s * x * y - self.t * y * y
 
 
 @dataclass(frozen=True)
 class FieldElement:
+    """(p + q w)/e with e > 0, gcd(p, q, e) = 1 and q = 0 over Q: one tuple
+    per element, so equal elements compare and hash equal (Cohen, GTM 138)."""
     field: QuadField
-    x: Fraction
-    y: Fraction
+    p: int
+    q: int = 0
+    e: int = 1
 
     def __post_init__(self):
-        if self.field.d == 1 and self.y != 0:
-            # fold y*w = y*1 into the rational coordinate
-            object.__setattr__(self, "x", self.x + self.y)
-            object.__setattr__(self, "y", Fraction(0))
+        p, q, e = self.p, self.q, self.e
+        if self.field.d == 1:  # q w = q folds into p
+            p, q = p + q, 0
+        g = math.gcd(p, q, e) if e > 0 else -math.gcd(p, q, e)
+        if g != 1 or q != self.q:
+            for k, v in zip("pqe", (p // g, q // g, e // g)):
+                object.__setattr__(self, k, v)
+
+    # the rational coordinates over (1, w), as read-only views
+    x = property(lambda self: Fraction(self.p, self.e))
+    y = property(lambda self: Fraction(self.q, self.e))
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
             if other.field != self.field:
                 raise ValueError("mixed fields")
             return other
-        return FieldElement(self.field, Fraction(other), Fraction(0))
+        return self.field.element(other)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return FieldElement(self.field, self.x + o.x, self.y + o.y)
+        return FieldElement(self.field, self.p * o.e + o.p * self.e,
+                            self.q * o.e + o.q * self.e, self.e * o.e)
 
     __radd__ = __add__
 
     def __mul__(self, other):
         o = self._coerce(other)
         F = self.field
-        # (x1 + y1 w)(x2 + y2 w) with w^2 = s w + t
-        x = self.x * o.x + F.t * self.y * o.y
-        y = self.x * o.y + self.y * o.x + F.s * self.y * o.y
-        return FieldElement(F, x, y)
+        # (p1 + q1 w)(p2 + q2 w) with w^2 = s w + t
+        return FieldElement(F, self.p * o.p + F.t * self.q * o.q,
+                            self.p * o.q + self.q * o.p + F.s * self.q * o.q,
+                            self.e * o.e)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "FieldElement":
-        F = self.field
-        return FieldElement(F, self.x + F.s * self.y, -self.y)
+        return FieldElement(self.field, self.p + self.field.s * self.q,
+                            -self.q, self.e)
 
     def norm(self) -> Fraction:
-        if self.field.d == 1:
-            return self.x
         F = self.field
-        return self.x * self.x + F.s * self.x * self.y - F.t * self.y * self.y
+        return Fraction(F.norm_form(self.p, self.q), self.e ** F.d)
 
     def trace(self) -> Fraction:
-        if self.field.d == 1:
-            return self.x
-        return 2 * self.x + self.field.s * self.y
+        F = self.field
+        return Fraction(self.p if F.d == 1 else 2 * self.p + F.s * self.q, self.e)
 
     def inverse(self) -> "FieldElement":
-        n = self.norm()
+        """e conj(p + q w) / N(p + q w); e / p over Q."""
+        F, p, q, e = self.field, self.p, self.q, self.e
+        n = F.norm_form(p, q)
         if n == 0:
             raise ZeroDivisionError("zero element")
-        if self.field.d == 1:
-            return FieldElement(self.field, 1 / self.x, Fraction(0))
-        c = self.conjugate()
-        return FieldElement(self.field, c.x / n, c.y / n)
+        return FieldElement(F, e if F.d == 1 else e * (p + F.s * q), -e * q, n)
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return self.p == 0 and self.q == 0
 
     def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
+        return self.e == 1
 
     def embeddings(self):
-        """The d real embedding values."""
-        wv = self.field.omega_values
-        return tuple(float(self.x) + float(self.y) * w for w in wv)
+        """The d real embedding values p/e + (q/e) w_j."""
+        p, q, e = self.p, self.q, self.e
+        return tuple(p / e + q / e * w for w in self.field.omega_values)
 
     def __repr__(self):
-        if self.y == 0:
-            return str(self.x)
-        return f"{self.x}+{self.y}*w"
+        return str(self.x) if self.q == 0 else f"{self.x}+{self.y}*w"
 
 
 def make_field(m: int) -> QuadField:
@@ -182,21 +192,16 @@ def _hnf_2x2_int(a1, b1, a2, b2):
 
 def _principal_hnf(c: FieldElement):
     """The hnf (a, b, d, e) of the ideal (c), c != 0, reduced as in
-    IdealLattice: e is the common denominator of c's coordinates, and
-    gcd(a, b, d) = gcd(x, y) for e c = x + y w is prime to it.  The rows of
-    e c and e c w = t y + (x + s y) w go through _hnf_2x2_int, and the index
-    a d is checked against |N(e c)|."""
-    F = c.field
-    (x, xd), (y, yd) = c.x.as_integer_ratio(), c.y.as_integer_ratio()
-    e = math.lcm(xd, yd)
-    x, y = x * (e // xd), y * (e // yd)
-    if x == 0 and y == 0:
+    IdealLattice: c = (x + y w)/e, and gcd(a, b, d) = gcd(x, y) is prime to
+    e.  The rows of e c and e c w = t y + (x + s y) w go through
+    _hnf_2x2_int, and the index a d is checked against |N(e c)|."""
+    F, x, y, e = c.field, c.p, c.q, c.e
+    if c.is_zero():
         raise ValueError("zero generator")
     if F.d == 1:
         return abs(x), 0, 1, e
-    s, t = F.s, F.t
-    a, b, d = _hnf_2x2_int(x, y, t * y, x + s * y)
-    n = abs(x * x + s * x * y - t * y * y)
+    a, b, d = _hnf_2x2_int(x, y, F.t * y, x + F.s * y)
+    n = abs(F.norm_form(x, y))
     if a * d != n:
         raise RuntimeError(f"HNF of ({c!r}) has index {Fraction(a * d, e * e)}, "
                            f"not |N(c)| = {Fraction(n, e * e)}")
@@ -255,10 +260,10 @@ class IdealLattice:
         return tuple(self.field.element(*r) for r in self.rows)
 
     def contains(self, x: FieldElement) -> bool:
-        """x = u (a + b w)/e + v (d w)/e with u and v integers."""
+        """x = (p + q w)/f = u (a + b w)/e + v (d w)/e with u, v integers."""
         a, b, d, e = self.hnf
-        u = x.x * e / a
-        return u.denominator == 1 and ((x.y * e - u * b) / d).denominator == 1
+        u, r = divmod(x.p * e, x.e * a)
+        return r == 0 and (x.q * e - u * b * x.e) % (x.e * d) == 0
 
     def covolume(self) -> float:
         """Absolute determinant of the embedding matrix of the basis: for
@@ -293,13 +298,14 @@ class IdealLattice:
         out = []
         a, b, d, e = self.hnf
         if F.d == 1:
-            g = Fraction(a, e)
-            for k in range(1, math.floor(Fraction(bounds[0]) / g) + 1):
-                out.extend([F.element(k * g), F.element(-k * g)])
+            n, m = Fraction(bounds[0]).as_integer_ratio()  # k a/e <= n/m
+            for k in range(1, n * e // (m * a) + 1):
+                out.extend([FieldElement(F, k * a, 0, e),
+                            FieldElement(F, -k * a, 0, e)])
             return out
-        if e != 1:  # points from ints unless the lattice is fractional
-            a, b, d = Fraction(a, e), Fraction(b, e), Fraction(d, e)
-        e1, e2 = (g.embeddings() for g in self.basis_elements())
+        # embeddings of the basis (a + b w)/e and (d w)/e
+        e1 = tuple(a / e + b / e * w for w in F.omega_values)
+        e2 = tuple(d / e * w for w in F.omega_values)
         # loop bounds from Cramer: |u| <= (T1|e2_2| + T2|e2_1|)/|det| etc.
         det = abs(e1[0] * e2[1] - e1[1] * e2[0])
         umax = int(math.floor((bounds[0] * abs(e2[1]) + bounds[1] * abs(e2[0])) / det + 1e-9))
@@ -312,7 +318,7 @@ class IdealLattice:
                 s0 = u * e1[0] + v * e2[0]
                 s1 = u * e1[1] + v * e2[1]
                 if abs(s0) <= bounds[0] + tol and abs(s1) <= bounds[1] + tol:
-                    out.append(F.element(u * a, u * b + v * d))
+                    out.append(FieldElement(F, u * a, u * b + v * d, e))
         return out
 
 
@@ -360,7 +366,7 @@ class ResidueRing:
     def key(self, x: FieldElement):
         if not x.is_integral():
             raise ValueError("can only reduce integral elements")
-        return self.reduce_pair(int(x.x), int(x.y))
+        return self.reduce_pair(x.p, x.q)
 
     def _build(self):
         """{unit key: inverse key} in sorted key order.  i + j*w is a unit iff

@@ -145,6 +145,14 @@ class TestExamples:
         assert out["terms"] > 0
         assert out["error"] > 0
 
+    def test_ksum_weight_at_a_large_t_does_not_overflow(self, capsys):
+        # c = w^7 has |sigma_2(c)| = 0.034, so t_2 = 365 and t_2^{2 tau}
+        # is beyond a double at tau = 70, though the tail is not: the
+        # weight takes min(|t|, 1) before the power and answers
+        out = run_json(capsys, "ksum", "--field", "Q(sqrt5)", "--level", "1",
+                       "--r", "1", "--tau", "70", "--box", "30")
+        assert out["terms"] == 1610 and 0 < out["error"] < 1e-50
+
     def test_budget_rows(self, capsys):
         out = run_json(capsys, "budget", "--t-grid", "3e8:3e9:2")
         rows = out["rows"]
@@ -400,6 +408,23 @@ class TestBadInput:
         (["region-volume", "--family", "sphere", "--m", "1e300,1e300", "--r",
           "1e300", "--method", "mc", "--samples", "100"],
          "Monte Carlo box volume beyond the range of a double"),
+        (["ksum", "--field", "Q", "--level", "1", "--r", "1", "--tau", "400",
+          "--box", "20"], "tail estimate at tau=400.0 beyond the range"),
+        (["ksum", "--field", "Q", "--level", "1", "--r", "1", "--tau", "inf"],
+         "tau must be finite, got inf"),
+        (["ksum", "--field", "Q", "--level", "1", "--r", "1", "--tau", "nan"],
+         "tau must be finite, got nan"),
+        (["ksum", "--field", "Q", "--level", "1", "--r", "1", "--box", "inf"],
+         "box must be finite, got inf"),
+        (["ksum", "--field", "Q", "--level", "1", "--r", "1", "--box", "nan"],
+         "box must be finite, got nan"),
+        (["region-volume", "--family", "sphere", "--m", "1e160,1e160", "--r",
+          "1e150", "--method", "mc", "--samples", "100"],
+         "Monte Carlo weight beyond the range of a double"),
+        (["budget", "--field", "Q", "--t-grid", "1:2"],
+         "grid '1:2' is not lo:hi:n"),
+        (["budget", "--field", "Q", "--t-grid", "1:2:1e9"],
+         "grid '1:2:1e9' is not lo:hi:n"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)
@@ -433,6 +458,22 @@ class TestBadInput:
                                "mc", "--samples", "100")
         assert_rejected(rc, out, err)
         assert err.count("\n") == 1 and "Monte Carlo box volume" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        # the weight overflows: an inf or nan block mean
+        (["--m", "1e160,1e160", "--r", "1e150"], "Monte Carlo weight"),
+        # the weights are doubles, their centred squares are not
+        (["--m", "1e70,1e70", "--r", "1e69"], "range of a double"),
+    ])
+    def test_monte_carlo_weight_overflow_is_one_message(self, capsys, argv,
+                                                         message):
+        # one message, and no numpy overflow or invalid-value warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run(capsys, "region-volume", "--family", "sphere",
+                               *argv, "--method", "mc", "--samples", "100")
+        assert_rejected(rc, out, err)
+        assert err.count("\n") == 1 and message in err
 
     def test_contour_weight_overflow_is_one_message(self, capsys):
         # U tau^2 + log sqrt(U/pi) = 708.6 passes _window's check, but

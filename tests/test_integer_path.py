@@ -5,7 +5,9 @@ lookup.  Each is checked for equality with the Fraction formula it
 replaced, written out below, over Q, Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) and
 Q(sqrt 13), for signed generators (negative norms included) and for r, r'
 with denominators.  The ring lookup is checked to give one ring per ideal:
-for c, for the lattice of (c) and for every associate of c."""
+for c, for the lattice of (c) and for every associate of c.  The element
+format itself, integers (p, q, e) for (p + q w)/e, is checked against
+arithmetic on Fraction pairs (x, y)."""
 
 import math
 from fractions import Fraction
@@ -13,8 +15,9 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specsum.kloosterman import _dual_numerators, _phase_coefficients
+from specsum.kloosterman import _phase_coefficients
 from specsum.numberfield import (
+    FieldElement,
     IdealLattice,
     _principal_hnf,
     make_field,
@@ -117,7 +120,7 @@ class TestPhaseCoefficients:
     @example((F2, F2.element(0), F2.element(0), F2.element(3, -2)))
     def test_equal_to_fraction_traces(self, case):
         F, r, rp, c = case
-        assert _phase_coefficients(F, _dual_numerators(r, rp), c) == \
+        assert _phase_coefficients(F, r, rp, c) == \
             fraction_phase_coefficients(F, r, rp, c)
 
 
@@ -192,3 +195,133 @@ class TestResidueRingLookup:
         for _ in range(abs(k)):
             assoc = assoc * uk
         assert residue_ring(F, assoc) is residue_ring(F, c)
+
+
+# --------------------------------------------------------------------------
+# the element format: (p + q w)/e against Fraction pairs (x, y)
+# --------------------------------------------------------------------------
+
+def pair(F, x, y):
+    """The Fraction pair of x + y w, with y w = y folded into x over Q."""
+    return (x + y, Fraction(0)) if F.d == 1 else (x, y)
+
+
+def pair_mul(F, a, b):
+    (x1, y1), (x2, y2) = a, b
+    return pair(F, x1 * x2 + F.t * y1 * y2, x1 * y2 + y1 * x2 + F.s * y1 * y2)
+
+
+def pair_norm(F, a):
+    x, y = a
+    return x if F.d == 1 else x * x + F.s * x * y - F.t * y * y
+
+
+def pair_contains(L, a):
+    """x = u (a + b w)/e + v (d w)/e solved in Fractions (rows of L)."""
+    rows = L.rows
+    u = a[0] / rows[0][0]
+    if L.field.d == 1:
+        return u.denominator == 1
+    return (u.denominator == 1
+            and ((a[1] - u * rows[0][1]) / rows[1][1]).denominator == 1)
+
+
+def assert_format(z):
+    assert all(type(v) is int for v in (z.p, z.q, z.e))
+    assert z.e > 0 and math.gcd(z.p, z.q, z.e) == 1
+    assert z.field.d == 2 or z.q == 0
+
+
+@st.composite
+def element_pairs(draw, n=2):
+    """(F, [(x, y)...]): n rational coordinate pairs, drawn as given (y
+    nonzero over Q too, where F.element folds it)."""
+    F = draw(st.sampled_from(FIELDS))
+    return F, [(draw(rationals()), draw(rationals())) for _ in range(n)]
+
+
+class TestElementFormat:
+    @settings(max_examples=300)
+    @given(element_pairs())
+    @example((F2, [(Fraction(1, 4), Fraction(-3, 8)), (Fraction(5, 6), 1)]))
+    @example((Q, [(Fraction(7, 10), Fraction(1, 3)), (Fraction(-2), 0)]))
+    def test_arithmetic_matches_fraction_pairs(self, case):
+        F, ((x1, y1), (x2, y2)) = case
+        a, b = F.element(x1, y1), F.element(x2, y2)
+        pa, pb = pair(F, x1, y1), pair(F, x2, y2)
+        assert (a.x, a.y) == pa
+        assert ((a + b).x, (a + b).y) == pair(F, pa[0] + pb[0], pa[1] + pb[1])
+        assert ((a * b).x, (a * b).y) == pair_mul(F, pa, pb)
+        conj = a.conjugate()
+        assert (conj.x, conj.y) == pair(F, pa[0] + F.s * pa[1], -pa[1])
+        n = pair_norm(F, pa)
+        assert a.norm() == n
+        assert a.trace() == (pa[0] if F.d == 1 else 2 * pa[0] + F.s * pa[1])
+        if n == 0:
+            return
+        inv = a.inverse()
+        want = (1 / pa[0], Fraction(0)) if F.d == 1 else \
+            ((pa[0] + F.s * pa[1]) / n, -pa[1] / n)
+        assert (inv.x, inv.y) == want
+        assert a * inv == F.one()
+
+    @settings(max_examples=300)
+    @given(element_pairs(3), st.integers(-6, 6))
+    def test_format_invariant(self, case, k):
+        F, ((x1, y1), (x2, y2), (x3, y3)) = case
+        a, b, c = F.element(x1, y1), F.element(x2, y2), F.element(x3, y3)
+        made = [a, b, a + b, a * b, a * c + b * k, a.conjugate(), a + a * -1,
+                b * 0, F.one(), F.omega()]
+        made += [z.inverse() for z in made if not z.is_zero()]
+        for z in made:
+            assert_format(z)
+        assert (a + a * -1).is_zero() and (a + a * -1) == F.element(0)
+
+    @settings(max_examples=200)
+    @given(element_pairs(), st.integers(1, 9), st.sampled_from((1, -1)))
+    @example((Q, [(Fraction(1, 2), 0), (0, 0)]), 2, 1)
+    def test_equal_values_compare_and_hash_equal(self, case, k, sign):
+        F, ((x, y), _) = case
+        a = F.element(x, y)
+        # the same value from an unreduced integer triple of either sign,
+        # from strings such as '2/4', from a product with (k/3)(3/k), and
+        # over Q with part of x moved to y
+        others = [FieldElement(F, sign * k * a.p, sign * k * a.q, sign * k * a.e),
+                  F.element(f"{2 * x.numerator}/{2 * x.denominator}", str(y)),
+                  a * F.element(Fraction(k, 3)) * F.element(Fraction(3, k))]
+        if F.d == 1:
+            others.append(F.element(x - 1, y + 1))
+        for b in others:
+            assert b == a and hash(b) == hash(a)
+            assert (b.p, b.q, b.e) == (a.p, a.q, a.e)
+        assert F.element(Fraction(2, 4)) == F.element(Fraction(1, 2))
+        assert hash(F.element(Fraction(2, 4))) == hash(F.element(Fraction(1, 2)))
+
+    @settings(max_examples=200)
+    @given(element_pairs(1))
+    @example((F2, [(Fraction(-1, 2), Fraction(3, 4))]))
+    @example((F2, [(Fraction(0), Fraction(-2))]))
+    @example((Q, [(Fraction(5, 3), Fraction(1, 3))]))
+    def test_repr_is_the_fraction_pair_repr(self, case):
+        F, [(x, y)] = case
+        px, py = pair(F, x, y)
+        want = str(px) if py == 0 else f"{px}+{py}*w"
+        assert repr(F.element(x, y)) == want
+
+    @settings(max_examples=300)
+    @given(element_pairs(2))
+    @example((FIELDS[3], [(Fraction(1, 5), Fraction(2, 5)), (Fraction(1, 5), 0)]))
+    @example((F2, [(Fraction(1, 2), 0), (Fraction(1, 4), Fraction(1, 2))]))
+    def test_contains_matches_fraction_solve(self, case):
+        F, ((x, y), (gx, gy)) = case
+        g = F.element(gx, gy)
+        if g.is_zero():
+            g = F.one()
+        # a principal lattice with a denominator, O, and the trace dual O'
+        lattices = [IdealLattice.principal(g), IdealLattice.ring_of_integers(F)]
+        if F.d == 2:
+            lattices.append(IdealLattice.principal(F.element(-F.s, 2).inverse()))
+        a = F.element(x, y)
+        for L in lattices:
+            assert L.contains(a) == pair_contains(L, pair(F, x, y))
+            assert all(L.contains(z) for z in L.basis_elements())
