@@ -96,8 +96,11 @@ def parse_region(spec: str) -> ProductRegion:
     return ProductRegion(tuple(factors))
 
 
+MAX_GRID_POINTS = 10 ** 4  # each grid point is one JSON row of output
+
+
 def parse_grid(spec: str):
-    """'lo:hi:n' -> n geometrically spaced points."""
+    """'lo:hi:n' -> n geometrically spaced points, 2 <= n <= MAX_GRID_POINTS."""
     try:
         lo, hi, n = spec.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -105,6 +108,8 @@ def parse_grid(spec: str):
         raise ValueError(f"grid {spec!r} is not lo:hi:n") from None
     if n < 2:
         raise ValueError("grid needs at least 2 points")
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"grid of {n} points, above {MAX_GRID_POINTS}")
     return [float(v) for v in np.geomspace(lo, hi, n)]
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .numberfield import (
+    MAX_NORM,
     FieldElement,
     IdealLattice,
     QuadField,
@@ -159,6 +160,15 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     # each c below lies in I: checking I stands for a check per modulus
     if chi is not None and not all(map(chi.level.contains, I.basis_elements())):
         raise ValueError("c must lie in the level ideal of chi")
+    # the box holds m, the largest multiple of e_I (the least positive
+    # integer in I) up to box; a norm m^d above MAX_NORM could only end in
+    # the sum over m's refusal, so it comes before the box is enumerated
+    a, b, d, e = I.hnf
+    e_I = a * d // math.gcd(b, d)
+    e_I //= math.gcd(e_I, e)
+    m = max(math.floor(box / e_I), 0) * e_I
+    if m ** F.d > MAX_NORM:
+        residue_ring(F, m)  # raises its refusal of a norm above MAX_NORM
     pts = I.lattice_points_in_box([box] * F.d)
     # the tail before the sums, so that one beyond a double costs no sum
     try:

@@ -14,6 +14,7 @@ The lambda-coordinate is lambda = 1/4 - nu^2.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,21 +326,34 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
 
     bbox: list of (lo, hi) per coordinate; membership: vectorized predicate
     on an (n, d) array; weight: vectorized function on the same array (1 if
-    None), finite and >= 0.  Both must act row by row.  Deterministic per
+    None), finite and >= 0.  Both must act row by row, and may run on two
+    threads at once, on disjoint blocks, not in row order.  Deterministic per
     seed; error is 3 times the standard error.  A box whose volume times
     multiplicity a double cannot hold is refused before any draw, and a
-    block whose mean it cannot hold when that block is drawn.
+    block whose mean it cannot hold at the merge, at the first such block in
+    row order.
 
     The samples are drawn _BLOCK rows at a time: consecutive blocks of
     gen.random((k, d)) are the doubles of one (n, d) draw in the same row
     order, each scaled to lo + (hi - lo) u as rng.uniform(lows, highs, size)
-    does.  Each block's weighted indicator fills one reused buffer of
-    min(_BLOCK, n) doubles.  Its mean m_b and centred sum of squares M2_b,
-    numpy's reductions of the buffer, merge into the running (mean, M2) by
-    the update of Chan, Golub & LeVeque (Amer. Statist. 37, 1983): with
-    d = m_b - mean and share = k / (seen + k), mean += d share and M2 +=
-    M2_b + seen share d^2.  The first block has seen = 0 and share = 1, so
-    for n <= _BLOCK these are the doubles of vals.mean() and
+    does.  The B blocks fall into two shares: blocks [0, h), h = ceil(B/2),
+    run in the calling thread and blocks [h, B) in one helper thread, which
+    is joined before the merge (an exception in it is raised here); for
+    n <= _BLOCK there is one block and no thread.  Each share draws from its
+    own default_rng(seed), advanced past the d doubles of each row before its
+    first (PCG64 jumps ahead in O(log n) steps, and gen.random takes one
+    64-bit output per double), so every block holds the doubles of the one
+    draw whichever share fills it.  Each share reuses one draw buffer of
+    min(_BLOCK, n) rows and one buffer of as many values for the block's
+    weighted indicator, all made before either share runs, so that the peak
+    memory does not depend on how the shares overlap in time.  The block's
+    mean m_b and centred sum of squares M2_b, numpy's reductions of that
+    buffer, are stored, and the stored moments merge in block order into
+    (mean, M2) by the update of Chan, Golub & LeVeque (Amer. Statist. 37,
+    1983): with d = m_b - mean and share = k / (seen + k), mean += d share
+    and M2 += M2_b + seen share d^2.  So (value, error) are the same doubles
+    for any split of the blocks, and as the first block has seen = 0 and
+    share = 1, for n <= _BLOCK they are the doubles of vals.mean() and
     vals.std(ddof=1) over one array of the n values.
     """
     if n_samples < 2:
@@ -353,27 +367,62 @@ def monte_carlo_measure(bbox, membership, weight=None, n_samples: int = 10 ** 5,
     scale = vol * multiplicity
     if not math.isfinite(scale):
         raise ValueError("Monte Carlo box volume beyond the range of a double")
-    gen = np.random.default_rng(seed)
-    buf = np.empty(min(_BLOCK, n_samples))
+    starts = range(0, n_samples, _BLOCK)
+    moments = [None] * len(starts)  # (k, m_b, M2_b) of each block
+    half = -(-len(starts) // 2)
+    shares = 1 if half == len(starts) else 2
+    rows = min(_BLOCK, n_samples)
+    draws, bufs = np.empty((shares, rows, len(bbox))), np.empty((shares, rows))
+    stop = threading.Event()
+
+    def run(first, last, draw, buf):
+        gen = np.random.default_rng(seed)
+        gen.bit_generator.advance(starts[first] * len(bbox))
+        for b in range(first, last):
+            if stop.is_set():
+                return
+            k = min(_BLOCK, n_samples - starts[b])
+            x = gen.random(out=draw[:k])
+            for col, (lo, hi) in zip(x.T, bbox):
+                col *= hi - lo
+                col += lo
+            v = buf[:k]
+            inside = np.asarray(membership(x), dtype=bool)
+            # quiet: an inf or nan mean is refused, an inf M2 gives an inf error
+            with np.errstate(over="ignore", invalid="ignore"):
+                # True w = w and False w = 0 for finite w >= 0: the np.where values
+                np.multiply(inside, 1.0 if weight is None else weight(x), out=v)
+                v *= scale
+                m_b = float(v.sum()) / k
+                v -= m_b
+                moments[b] = k, m_b, float(np.square(v, out=v).sum())
+
+    if shares == 1:
+        run(0, half, draws[0], bufs[0])
+    else:
+        failed = []
+
+        def helper():
+            try:
+                run(half, len(starts), draws[1], bufs[1])
+            except BaseException as exc:  # raised in the caller after the join
+                failed.append(exc)
+
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            run(0, half, draws[0], bufs[0])
+        except BaseException:
+            stop.set()  # the caller's blocks come first in row order
+            raise
+        finally:
+            thread.join()
+        if failed:
+            raise failed[0]
     mean = m2 = 0.0
-    for seen in range(0, n_samples, _BLOCK):
-        x = gen.random((min(_BLOCK, n_samples - seen), len(bbox)))
-        for col, (lo, hi) in zip(x.T, bbox):
-            col *= hi - lo
-            col += lo
-        k = len(x)
-        v = buf[:k]
-        inside = np.asarray(membership(x), dtype=bool)
-        # quiet: an inf or nan mean is refused, an inf M2 gives an inf error
-        with np.errstate(over="ignore", invalid="ignore"):
-            # True w = w and False w = 0 for finite w >= 0: the np.where values
-            np.multiply(inside, 1.0 if weight is None else weight(x), out=v)
-            v *= scale
-            m_b = float(v.sum()) / k
-            if not math.isfinite(m_b):
-                raise ValueError("Monte Carlo weight beyond the range of a double")
-            v -= m_b
-            m2_b = float(np.square(v, out=v).sum())
+    for seen, (k, m_b, m2_b) in zip(starts, moments):
+        if not math.isfinite(m_b):
+            raise ValueError("Monte Carlo weight beyond the range of a double")
         d, share = m_b - mean, k / (seen + k)
         mean += d * share
         m2 += m2_b + seen * share * d * d

@@ -425,6 +425,12 @@ class TestBadInput:
          "grid '1:2' is not lo:hi:n"),
         (["budget", "--field", "Q", "--t-grid", "1:2:1e9"],
          "grid '1:2:1e9' is not lo:hi:n"),
+        (["ksum", "--field", "Q", "--level", "1", "--r", "1", "--box",
+          "1e300", "--tau", "0.3"], "is above 1000000, too large to tabulate"),
+        (["ksum", "--field", "Q(sqrt5)", "--level", "1", "--r", "1", "--box",
+          "1e6", "--tau", "0.3"], "is above 1000000, too large to tabulate"),
+        (["budget", "--field", "Q", "--t-grid", "1:2:1000000000"],
+         "grid of 1000000000 points, above 10000"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

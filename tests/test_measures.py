@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -303,7 +304,8 @@ class TestMonteCarlo:
     def test_draw_is_the_uniform_formula(self, boxes, n, seed, block):
         """The samples, over all blocks, are bit for bit the doubles
         rng.uniform(lows, highs, size) gives: lo + (hi - lo) u, u drawn in
-        row order."""
+        row order.  The blocks are compared as a multiset, since the two
+        shares call membership in no fixed order."""
         bbox = [(lo, lo + width) for lo, width in boxes]
         seen = []
 
@@ -317,7 +319,72 @@ class TestMonteCarlo:
         want = np.random.default_rng(seed).uniform(lows, highs,
                                                    size=(n, len(bbox)))
         assert len(seen) == -(-n // block)
-        assert np.concatenate(seen).tobytes() == want.tobytes()
+        assert sorted(b.tobytes() for b in seen) == sorted(
+            want[i:i + block].tobytes() for i in range(0, n, block))
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 14, 15, 21, 2997])
+    def test_split_is_the_sequential_merge(self, n):
+        """(value, error) are bit for bit a sequential merge of the blocks
+        in row order, whichever share computed each block: one block, an
+        odd block count, equal and unequal shares, a last block of one
+        row."""
+        inst = family("simplex", n=2).instance(4.5)
+        bbox, seed, block = inst.bbox, 11, 7
+        lows, highs = (np.array(v) for v in zip(*bbox))
+        scale = math.prod(hi - lo for lo, hi in bbox) * inst.multiplicity
+        with mock.patch.object(measures, "_BLOCK", block):
+            res = monte_carlo_measure(bbox, inst.membership, inst.weight, n,
+                                      seed, inst.multiplicity)
+        x = np.random.default_rng(seed).uniform(lows, highs, size=(n, 2))
+        mean = m2 = 0.0
+        for seen in range(0, n, block):
+            xb = x[seen:seen + block]
+            vals = np.where(inst.membership(xb), inst.weight(xb), 0.0) * scale
+            k = len(vals)
+            m_b = float(vals.sum()) / k
+            m2_b = float(np.square(vals - m_b).sum())
+            d, share = m_b - mean, k / (seen + k)
+            mean += d * share
+            m2 += m2_b + seen * share * d * d
+        error = 3 * (math.sqrt(m2 / (n - 1)) / math.sqrt(n))
+        assert (res.value, res.error) == (mean, error)
+
+    @staticmethod
+    def _blocks(n, seed, block=7):
+        """The row blocks of the draw of (0, 1)^2, as bytes."""
+        x = np.random.default_rng(seed).random((n, 2))
+        return [x[i:i + block].tobytes() for i in range(0, n, block)]
+
+    @pytest.mark.parametrize("bad", [1, 3])
+    def test_error_in_either_share_is_raised_and_no_thread_is_left(self, bad):
+        """Four blocks of 7: the caller's share is blocks 0, 1 and the
+        helper thread's blocks 2, 3."""
+        target = self._blocks(28, 5)[bad]
+
+        def member(x):
+            if x.tobytes() == target:
+                raise KeyError("bad block")
+            return x[:, 0] < 0.5
+
+        threads = threading.active_count()
+        with mock.patch.object(measures, "_BLOCK", 7), \
+                pytest.raises(KeyError, match="bad block"):
+            monte_carlo_measure([(0, 1), (0, 1)], member, None, 28, 5)
+        assert threading.active_count() == threads
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [0, 1, 2, 3])
+    def test_non_finite_weight_in_either_share_is_refused(self, bad):
+        target = self._blocks(28, 5)[bad]
+
+        def weight(x):
+            return np.full(len(x), np.inf if x.tobytes() == target else 1.0)
+
+        with mock.patch.object(measures, "_BLOCK", 7), \
+                pytest.raises(ValueError, match="Monte Carlo weight beyond "
+                                                "the range of a double"):
+            monte_carlo_measure([(0, 1), (0, 1)], lambda x: x[:, 0] < 2,
+                                weight, 28, 5)
 
     @pytest.mark.parametrize("block", [1, 7, measures._BLOCK])
     @pytest.mark.parametrize("case", ["unweighted", "lambda", "nu"])

@@ -6,7 +6,8 @@ the families table use the fixed rules of specsum.quadrature.  scipy is a
 test dependency only: the tests keep scipy.special.jv and
 scipy.integrate.quad as oracles.  mpmath is the tests' high-precision
 oracle, and testfunctions.local_comparison imports it on its complementary
-branch, which no command reaches."""
+branch, which no command reaches.  Nor does the Monte Carlo oracle load a
+worker-pool module: its second share of blocks runs in a plain thread."""
 
 import os
 import subprocess
@@ -76,3 +77,12 @@ def test_extended_fallback_loads_no_mpmath():
            "bt.bessel_j_err(-50.5, 8.0)\n"
            "assert calls == [0.6 + 40j, -50.5], calls")
     assert loaded("mpmath", ["specsum.besseltransform"], run) == []
+
+
+def test_two_share_monte_carlo_loads_no_pool_module():
+    # the helper thread is a threading.Thread: no concurrent.futures or
+    # multiprocessing import, which would raise each command's memory
+    run = ("from specsum.regions import family\n"
+           "family('simplex', n=2).instance(4.5).mc_nv1(2 * 10 ** 5)")
+    for package in ("concurrent", "multiprocessing"):
+        assert loaded(package, ["specsum.cli"], run) == [], package
