@@ -44,47 +44,6 @@ from .regions import (
 )
 
 
-# --------------------------------------------------------------------------
-# analysis parameters
-# --------------------------------------------------------------------------
-
-_GAMMA_DEFAULT = 0.45  # exponent split in the large-nu Bessel estimate
-
-
-@dataclass(frozen=True)
-class AnalysisParams:
-    """Smoothing/decay parameters.  Defaults follow the standard
-    construction with delta = 0.01: t0 = (1/2) tau^2 (1+delta),
-    rho = rho1 + (1-rho1) delta with rho1 = 3/2 - 0.45 - tau, A = 3 - 2 delta.
-    All fields are overridable; only the stated ranges are enforced."""
-
-    tau: float = 0.3
-    delta: float = 0.01
-    t0: float = None
-    rho: float = None
-    A: float = None
-
-    def __post_init__(self):
-        if self.t0 is None:
-            object.__setattr__(self, "t0",
-                               0.5 * self.tau ** 2 * (1 + self.delta))
-        if self.rho is None:
-            rho1 = 1.5 - _GAMMA_DEFAULT - self.tau
-            object.__setattr__(self, "rho", rho1 + (1 - rho1) * self.delta)
-        if self.A is None:
-            object.__setattr__(self, "A", 3 - 2 * self.delta)
-        if not 0.25 < self.tau < 0.5:
-            raise ValueError("tau must lie in (1/4, 1/2)")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.t0 <= 0:
-            raise ValueError("t0 must be positive")
-        if not 1 - self.tau < self.rho < 1:
-            raise ValueError("rho must lie in (1 - tau, 1)")
-        if self.A <= 2:
-            raise ValueError("A must exceed 2")
-
-
 def field_prefactor(F: QuadField) -> float:
     """2 sqrt|D_F| / (2 pi)^d, the constant in front of the main term."""
     return 2 * math.sqrt(abs(F.discriminant)) / (2 * math.pi) ** F.d
@@ -132,6 +91,15 @@ def choose_eps(m: float, U: float) -> float:
 # error budget
 # --------------------------------------------------------------------------
 
+# The decay parameters of the Kloosterman piece, fixed by the test
+# functions' strip half-width tau = 0.3 and delta = 0.01: rho = rho1 +
+# (1 - rho1) delta with rho1 = 3/2 - 0.45 - tau (0.45 the exponent split in
+# the large-nu Bessel estimate), and A = 3 - 2 delta, as the doubles those
+# expressions give.
+RHO = 0.7525
+A = 2.98
+
+
 @dataclass
 class ErrorBudget:
     main_term: float
@@ -163,16 +131,18 @@ def main_term(region, F: QuadField) -> float:
     return field_prefactor(F) * npl(region).value
 
 
-def error_budget(c_plus, c_minus, params: AnalysisParams, U: float,
-                 eps: float, F: QuadField) -> ErrorBudget:
+def error_budget(c_plus, c_minus, t0: float, U: float, eps: float,
+                 F: QuadField) -> ErrorBudget:
     """The four-piece error bound for the count over C = C+ x C-, plus the
-    main term.  With Q+ empty the whole budget collapses to nv_{-A}(C-)."""
+    main term, at the smoothing scale t0 and the decay parameters RHO and
+    A, which tau = 0.3 and delta = 0.01 fix (see their comment).  With Q+
+    empty the whole budget collapses to nv_{-A}(C-)."""
     combined = ProductRegion(
         tuple(getattr(c_plus, "factors", ())) +
         tuple(getattr(c_minus, "factors", ())))
     main = main_term(combined, F)
     if c_plus is None or c_plus.d == 0:
-        return ErrorBudget(main, _nv(-params.A, c_minus), 0.0, 0.0, 0.0,
+        return ErrorBudget(main, _nv(-A, c_minus), 0.0, 0.0, 0.0,
                            U, eps)
     n_plus = c_plus.d
     _, D = shell_growth_constant(n_plus)
@@ -184,8 +154,8 @@ def error_budget(c_plus, c_minus, params: AnalysisParams, U: float,
         raise ValueError(f"admissibility violated: eps={eps:.6g} outside "
                          f"[sqrt(D/U), 1/e] = [{lo:.6g}, {hi:.6g}]")
     nv1_c = _nv(1.0, c_plus) * _nv(1.0, c_minus)
-    kloosterman = math.exp(params.t0 * U * n_plus) \
-        * _nv(params.rho, c_plus) * _nv(-params.A, c_minus)
+    kloosterman = math.exp(t0 * U * n_plus) \
+        * _nv(RHO, c_plus) * _nv(-A, c_minus)
     smoothing = math.exp(-U * eps * eps) * nv1_c
     boundary = shells(c_plus, 2 * eps).nv1_ring * _nv(1.0, c_minus)
     plancherel_smoothing = nv1_c / math.sqrt(U)
@@ -209,9 +179,8 @@ def hypercube_budget_sweep(F: QuadField, t_grid, sigma: float = 40.0):
     HypercubeFamily refuses a t at which the double side (t + sigma) - t
     is off from sigma by more than 1e-3 of it.
     """
-    params = AnalysisParams(t0=0.005)
     fam = HypercubeFamily([lambda t: t] * F.d, sigma)
-    return [error_budget(fam.instance(t).product, None, params,
+    return [error_budget(fam.instance(t).product, None, 0.005,
                          600.0 + 15.0 * k, 0.082 - 0.0008 * k, F)
             for k, t in enumerate(t_grid)]
 
@@ -316,16 +285,15 @@ FAMILY_GRIDS = {
 }
 
 
-def family_asymptotic_table(name: str, F: QuadField, t_grid,
-                            points=None) -> dict:
+def family_asymptotic_table(name: str, F: QuadField, t_grid) -> dict:
     """Fitted (constant, exponent) of the main term along the grid, against
     the closed-form leading asymptotics.
 
     Rows: weyl1, weyl2, slant, sphere, sector, rectquad, holo; those in
     TWO_PLACE_ROWS need a quadratic field.  The sector row compares the
     reference measure V_1 (no field factor); holo is an exact algebraic
-    identity at the discrete point `points` (default (2, 3.5), one
-    coordinate per place), evaluated at the grid points.
+    identity at the discrete point (2, 3.5), one coordinate per place (2
+    over Q).
     """
     t_grid = list(t_grid)
     if len(t_grid) < 3:
@@ -361,9 +329,7 @@ def family_asymptotic_table(name: str, F: QuadField, t_grid,
     elif name == "holo":
         # singleton discrete spectrum: main term is exactly
         # 2 sqrt|D_F| / pi^d * prod p_j
-        ps = [2.0, 3.5][:d] if points is None else points
-        if len(ps) != d:
-            raise ValueError(f"holo needs one point per place, got {len(ps)}")
+        ps = [2.0, 3.5][:d]
         region = discrete_singleton(ps)
         value = main_term(region, F)
         target = 2 * sqD / math.pi ** d * math.prod(ps)

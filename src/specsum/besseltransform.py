@@ -9,8 +9,8 @@ ln Gamma is the module's own (_log_gamma): Stirling's series with eight
 terms and a remainder below 6e-16 (DLMF 5.11(ii)), after the recurrence
 to |z| >= 10 and the reflection for Re z < 1/2.  The series is summed in
 double precision and falls back to an extended-precision series when the
-declared double-precision error exceeds an absolute tolerance `atol`
-(1e-10 by default), whether the terms cancel or only the double leading
+declared double-precision error exceeds an absolute tolerance, 1e-10 for
+a point value, whether the terms cancel or only the double leading
 term's rounding times a large |J| misses it.  There everything is fixed
 point on Python integers (Brent & Zimmermann, Modern Computer Arithmetic,
 ch. 4): the leading term (_leading, to 4e-36 relative) by the same
@@ -64,7 +64,8 @@ class PrecisionError(ArithmeticError):
 _CANCELLATION_BUDGET = 1e13
 _X_CAP = 1e3
 _IM_CAP = 130.0
-_ATOL = 1e-10  # default absolute accuracy of a point value
+_RE_CAP = 1e4  # |Re mu| above it: |J| at x <= _X_CAP under- or overflows
+_ATOL = 1e-10  # absolute accuracy of a point value
 _SERIES_TOL = 1e-13  # stop summing once a term is this small relative to the sum
 _SERIES_BITS = 200  # least bits of each term of the extended-precision series
 
@@ -454,28 +455,37 @@ def _series_extended(mu: complex, x: float):
     return total, max_mag * 1e-34 + 1e-15 * abs(total)
 
 
-def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
+def bessel_j_err(mu: complex, x: float):
     """J_mu(x) by the ascending series, with a declared error bound.
 
     Returns (value, error).  Falls back to the extended-precision series
-    when the declared error of the double-precision sum exceeds `atol`, so
-    the error is at most `atol` (or, where |J| is too large for a double to
-    hold it to `atol`, about 1e-15 |J|, the value being J correctly rounded
-    but for 1e-27 |J|).  The declared error covers the
-    truncated tail, the rounding of the summation and of the recurrence,
-    and the relative rounding of the leading term (x/2)^mu / Gamma(mu+1),
-    which every later term inherits.  Raises PrecisionError when even the
-    doubled cancellation budget is exceeded, and rejects (ValueError)
-    arguments outside the supported window rather than extrapolating, and
-    orders whose leading term, J or error is beyond the range of a
-    double.
+    when the declared error of the double-precision sum exceeds
+    _ATOL = 1e-10, so the error is at most 1e-10 (or, where |J| is too
+    large for a double to hold it to 1e-10, about 1e-15 |J|, the value
+    being J correctly rounded but for 1e-27 |J|).  The declared error
+    covers the truncated tail, the rounding of the summation and of the
+    recurrence, and the relative rounding of the leading term
+    (x/2)^mu / Gamma(mu+1), which every later term inherits.  Raises
+    PrecisionError when even the doubled cancellation budget is exceeded.
+    Rejects (ValueError) rather than extrapolates: a mu or x that is not
+    finite, an order outside |Re mu| <= 10^4, |Im mu| <= 260, an x
+    outside [0, 1000], and orders whose leading term, J or error is
+    beyond the range of a double.
     """
     mu = complex(mu)
+    for name, v in (("order", mu), ("argument", x)):
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} {v} is not finite")
+    if abs(mu.real) > _RE_CAP:
+        raise ValueError(f"order real part {mu.real} beyond supported "
+                         f"window {_RE_CAP}")
+    if abs(mu.imag) > 2 * _IM_CAP:
+        raise ValueError("order imaginary part beyond supported window")
     if mu.imag == 0 and mu.real < 0 and mu.real == int(mu.real):
         # J_{-n} = (-1)^n J_n; avoids the leading run of zero terms from
         # reciprocal-gamma zeros swallowing the series
         n = int(-mu.real)
-        v, e = bessel_j_err(complex(n), x, atol=atol)
+        v, e = bessel_j_err(complex(n), x)
         return (-1) ** n * v, e
     if x <= 0:
         if x == 0:
@@ -483,8 +493,6 @@ def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
         raise ValueError("x must be nonnegative")
     if x > _X_CAP:
         raise ValueError(f"argument {x} beyond supported window {_X_CAP}")
-    if abs(mu.imag) > 2 * _IM_CAP:
-        raise ValueError("order imaginary part beyond supported window")
     half = x / 2.0
     h2 = half * half
     log_half = cmath.log(half)
@@ -516,7 +524,7 @@ def bessel_j_err(mu: complex, x: float, *, atol: float = _ATOL):
         term = term * -h2 / ((k + 1) * mk)
         k += 1
     err = _declared_error(mu, log_half, tail, max_mag, k + 1, abs_sum)
-    if err > atol:
+    if err > _ATOL:
         return _series_extended(mu, x)
     if abs(total) > 0 and max_mag / abs(total) > _CANCELLATION_BUDGET:
         raise PrecisionError(
@@ -604,9 +612,9 @@ def _bessel_j_nodes(mu, x: float, atol):
     return value, err
 
 
-def bessel_j(mu: complex, x: float, *, atol: float = _ATOL) -> complex:
-    """J_mu(x) to absolute accuracy `atol`; see bessel_j_err."""
-    return bessel_j_err(mu, x, atol=atol)[0]
+def bessel_j(mu: complex, x: float) -> complex:
+    """J_mu(x) to absolute accuracy 1e-10; see bessel_j_err."""
+    return bessel_j_err(mu, x)[0]
 
 
 # --------------------------------------------------------------------------
@@ -699,15 +707,16 @@ def _transform(phi: LocalTestFunction, parity: int, eta: int, t: float,
     nu = shift + ix, by the trapezoidal rule of _nodes, each J asked for
     atol = 1e-10 |cos(...)|.  At nu = 0 (parity 1 on the axis only),
     nu / cos(pi(nu - 1/2)) = nu / sin(pi nu) takes its limit 1/pi and J_0
-    the default atol.  The error is twice trapezoid's; the tail beyond H is
-    left to each formula.  Raises ValueError where the weight phi(nu) nu /
-    cos(...), formed left to right, leaves the range of a double.
+    _ATOL.  The error is twice trapezoid's; the tail beyond H is left to
+    each formula.  Raises ValueError for a t that is 0 or not finite, and
+    where the weight phi(nu) nu / cos(...), formed left to right, leaves
+    the range of a double.
     """
     check_parity(parity)
     if eta not in (1, -1):
         raise ValueError("eta must be 1 or -1")
-    if t == 0:
-        raise ValueError("t must be nonzero")
+    if t == 0 or not math.isfinite(t):
+        raise ValueError(f"t must be finite and nonzero, got {t}")
     t_abs = abs(t)
     x = _nodes(phi, parity, shift)
     nu = shift + 1j * x

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import sys
@@ -163,6 +164,16 @@ def measure_dict(res) -> dict:
     return {"value": res.value, "error": res.error, "method": res.method}
 
 
+@contextlib.contextmanager
+def _within_double():
+    """Reject an OverflowError, a power of a huge side, radius, point or
+    exponent, as a result beyond the range of a double."""
+    try:
+        yield
+    except OverflowError:
+        raise ValueError(_BEYOND_DOUBLE) from None
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
@@ -225,7 +236,8 @@ def cmd_measure(args) -> int:
         _require(args, "region")
         region = parse_region(args.region)
         # argparse admits no other kind
-        res = npl(region) if args.kind == "npl" else nv_b(args.b, region)
+        with _within_double():
+            res = npl(region) if args.kind == "npl" else nv_b(args.b, region)
     emit(measure_dict(res))
     return 0
 
@@ -258,7 +270,7 @@ def cmd_region_volume(args) -> int:
             kw[flag.removesuffix("_list")] = value
     fam = family(args.family, **kw)
     t = args.Y if args.family == "simplex" else args.t
-    try:
+    with _within_double():
         if args.method == "closed":
             res = fam.closed_form_nv1(t)
         elif args.method == "quadrature":
@@ -268,8 +280,6 @@ def cmd_region_volume(args) -> int:
             res = fam.quadrature_nv1(t)
         else:  # mc; argparse admits no other method
             res = fam.instance(t).mc_nv1(args.samples, seed=args.seed)
-    except OverflowError:  # a power of a huge side or radius
-        raise ValueError(_BEYOND_DOUBLE) from None
     emit(measure_dict(res))
     return 0
 

@@ -22,16 +22,11 @@ from .numberfield import (
 )
 
 
-class CharacterModI:
-    """The trivial character of (O/I)^*, the only one supported."""
-
-    def __init__(self, I: IdealLattice):
-        self.level = I
-
-
-def trivial_character(F: QuadField, I: IdealLattice) -> CharacterModI:
-    residue_ring(F, I)  # rejects a non-integral level or one above MAX_NORM
-    return CharacterModI(I)
+def trivial_character(F: QuadField, I: IdealLattice) -> IdealLattice:
+    """The trivial character mod I, the only one supported, as its level I;
+    residue_ring rejects a non-integral I or one above MAX_NORM."""
+    residue_ring(F, I)
+    return I
 
 
 # --------------------------------------------------------------------------
@@ -75,15 +70,15 @@ def kloosterman_sum(F: QuadField, chi, r: FieldElement, rp: FieldElement,
     """S_chi(r, r'; c) with exact rational phases, as complex(S, 0.0).
 
     Only the trivial character is supported: chi is None or a
-    trivial_character, whose level ideal c must lie in; it weighs every
-    unit by 1, so S is the sum of the cosines of the phases, added by
+    trivial_character, the level ideal that c must lie in; it weighs
+    every unit by 1, so S is the sum of the cosines of the phases, added by
     math.fsum, which rounds once.  c must be nonzero.  The four phase
     coefficients are formed from the integer numerators of r c~ and r' c~
     over e(r) e(r') N(c), with no rational arithmetic.
     """
     if c.is_zero():
         raise ValueError("c must be nonzero")
-    if chi is not None and not chi.level.contains(c):
+    if chi is not None and not chi.contains(c):
         raise ValueError("c must lie in the level ideal of chi")
     R = residue_ring(F, c)
     if R.size == 1:
@@ -133,7 +128,8 @@ def _tail_integrals(a_j: float, T: float, tau: float):
 def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
          box: float, K_f: float, tau: float = 0.3) -> KSeriesResult:
     """Partial sum of sum_{c in I, c != 0} |N(c)|^{-1} S_chi(r,r;c) f(4 pi |r| / c)
-    over the box max_j |sigma_j(c)| <= box, with a tail estimate.
+    over the box max_j |sigma_j(c)| <= box, with a tail estimate; chi is
+    None or a trivial_character, the level ideal that I must lie in.
 
     The box is symmetric and S(r, r; -c) = S(r, r; c), so only the c with
     coordinates (x, y) > (0, 0) as tuples are summed, each with
@@ -158,7 +154,7 @@ def ksum(F: QuadField, I: IdealLattice, chi, r: FieldElement, f,
     if any(v == 0 for v in r_emb):
         raise ValueError("r must be nonzero at every place")
     # each c below lies in I: checking I stands for a check per modulus
-    if chi is not None and not all(map(chi.level.contains, I.basis_elements())):
+    if chi is not None and not all(map(chi.contains, I.basis_elements())):
         raise ValueError("c must lie in the level ideal of chi")
     # the box holds m, the largest multiple of e_I (the least positive
     # integer in I) up to box; a norm m^d above MAX_NORM could only end in

@@ -253,6 +253,9 @@ def nv_1(region) -> MeasureResult:
 # measures in the lambda coordinate
 # --------------------------------------------------------------------------
 
+MAX_DISCRETE_TERMS = 10 ** 6  # discrete-series points pl_lambda walks at most
+
+
 def pl_lambda(parity: int, lam_lo: float, lam_hi: float) -> MeasureResult:
     """Plancherel measure pl_parity of [lam_lo, lam_hi].
 
@@ -263,11 +266,19 @@ def pl_lambda(parity: int, lam_lo: float, lam_hi: float) -> MeasureResult:
     Its error adds to the formula's rounding the shift from the rounded
     endpoints: u is off by under 2^-52 u, and |d rest/du| < 1/2.  Discrete
     part: weights (b-1) at lambda = (b/2)(1-b/2) for the discrete series of
-    the parity, restricted to the interval.
+    the parity, restricted to the interval.  They are walked one b at a
+    time, about sqrt(-lam_lo) of them, so a lam_lo that needs more than
+    MAX_DISCRETE_TERMS is rejected before the walk.
     """
     check_parity(parity)
     if not (math.isfinite(lam_lo) and math.isfinite(lam_hi)):
         raise ValueError("interval must be bounded")
+    # lambda_b = s (1 - s), s = b/2, is at least lam_lo for s up to
+    # (1 + sqrt(1 - 4 lam_lo)) / 2, which exceeds M exactly where
+    # lam_lo < -M (M - 1)
+    if lam_lo < -MAX_DISCRETE_TERMS * (MAX_DISCRETE_TERMS - 1):
+        raise ValueError(f"an interval from {lam_lo:g} holds more than "
+                         f"{MAX_DISCRETE_TERMS} discrete-series points")
     total = 0.0
     err = 0.0
     lo = max(lam_lo, 0.25)

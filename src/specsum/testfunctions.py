@@ -17,28 +17,23 @@ import numpy as np
 from .measures import check_parity, nu_theta, plancherel_density
 
 
-# the constructions' tags: holomorphic, with evaluators that take arrays
+# the constructions' tags: holomorphic
 CONSTRUCTIONS = ("gaussian", "phi_p")
 
 
 @dataclass
 class LocalTestFunction:
-    evaluator: object
+    evaluator: object  # takes a complex numpy array, elementwise
     tau: float
     a: float
     provenance: str  # a construction's tag; any other tag has no contour form
     params: dict = field(default_factory=dict)
 
     def __call__(self, nu):
-        """phi at a complex number, or elementwise at a numpy array: one
-        call of a construction's evaluator, any other's once per entry."""
-        if self.provenance in CONSTRUCTIONS:
-            values = self.evaluator(np.asarray(nu, complex))
-            return values if np.ndim(nu) else complex(values)
-        if np.ndim(nu):
-            return np.array([self.evaluator(v)
-                             for v in np.asarray(nu, complex).tolist()], complex)
-        return self.evaluator(complex(nu))
+        """phi at a complex number, or elementwise at a numpy array, by one
+        call of the evaluator."""
+        values = self.evaluator(np.asarray(nu, complex))
+        return values if np.ndim(nu) else complex(values)
 
     def __post_init__(self):
         if not (0.25 < self.tau < 0.5):

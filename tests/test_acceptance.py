@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from specsum.asymptotics import (
-    AnalysisParams,
     choose_U,
     choose_eps,
     count,
@@ -135,8 +134,7 @@ class TestCriterion3ConstantTable:
         for name, grid in grids.items():
             row = family_asymptotic_table(name, F5, grid)
             assert row["rel_deviation"] < 0.03, row
-        holo = family_asymptotic_table("holo", F5, [1, 2, 3],
-                                       points=[2.0, 3.5])
+        holo = family_asymptotic_table("holo", F5, [1, 2, 3])
         assert holo["rel_deviation"] < 1e-12
         assert time.time() - start < 120.0
 
@@ -196,12 +194,12 @@ class TestCriterion7ParameterSelection:
             eps = choose_eps(m, U)
             assert U * eps * eps == pytest.approx(
                 0.5 * math.log(abs(math.log(m))), abs=1e-12)
-        p = AnalysisParams()
+        t0 = 0.5 * 0.3 ** 2 * 1.01
         C = imaginary_box([(50, 60)])
         with pytest.raises(ValueError, match="U"):
-            error_budget(C, None, p, 1.0, 0.2, F1)
+            error_budget(C, None, t0, 1.0, 0.2, F1)
         with pytest.raises(ValueError, match="eps"):
-            error_budget(C, None, p, 100.0, 0.5, F1)
+            error_budget(C, None, t0, 100.0, 0.5, F1)
         grid = [10 ** (8.5 + k) for k in range(5)]
         budgets = hypercube_budget_sweep(F5, grid)
         ratios = np.array([[pc / b.main_term for pc in b.pieces]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from specsum import asymptotics
 from specsum.asymptotics import (
-    AnalysisParams,
     ErrorBudget,
     MAX_SYNTH_POINTS,
     PreAsymptoticError,
@@ -39,22 +38,19 @@ FQ = make_field(1)
 F2 = make_field(2)
 
 
+# the standard construction's smoothing scale (1/2) tau^2 (1 + delta)
+T0 = 0.5 * 0.3 ** 2 * 1.01
+
+
 class TestAnalysisParams:
     def test_defaults(self):
-        p = AnalysisParams()
-        assert p.tau == 0.3
-        assert p.t0 == pytest.approx(0.5 * 0.09 * 1.01)
-        assert p.rho == pytest.approx(0.75 + 0.25 * 0.01)
-        assert p.A == pytest.approx(2.98)
-        assert 1 - p.tau < p.rho < 1
-
-    @pytest.mark.parametrize("kw", [
-        {"tau": 0.2}, {"tau": 0.5}, {"tau": 0.25}, {"delta": 0.0},
-        {"t0": -1.0}, {"rho": 0.5}, {"rho": 1.0}, {"A": 2.0},
-    ])
-    def test_rejections(self, kw):
-        with pytest.raises(ValueError):
-            AnalysisParams(**kw)
+        # the fixed decay parameters are the standard construction's at
+        # tau = 0.3, delta = 0.01, to the last bit
+        tau, delta = 0.3, 0.01
+        rho1 = 1.5 - 0.45 - tau
+        assert asymptotics.RHO == rho1 + (1 - rho1) * delta == 0.7525
+        assert asymptotics.A == 3 - 2 * delta == 2.98
+        assert 1 - tau < asymptotics.RHO < 1
 
 
 class TestParameterChoice:
@@ -87,16 +83,15 @@ class TestParameterChoice:
         # a U below the floor D e^2 is error_budget's to reject
         U = choose_U(math.exp(-2), 0.5, 1)
         with pytest.raises(ValueError, match="admissibility violated: U"):
-            error_budget(imaginary_box([(50, 60)]), None, AnalysisParams(),
-                         U, 0.2, FQ)
+            error_budget(imaginary_box([(50, 60)]), None, T0, U, 0.2, FQ)
 
 
 class TestErrorBudget:
     def test_q_plus_empty_singleton(self):
-        p = AnalysisParams()
         Cm = discrete_singleton([2.5, 4.5], parities=[0, 0])
-        b = error_budget(None, Cm, p, 100.0, 0.2, F5)
-        assert b.kloosterman_piece == pytest.approx((2.5 * 4.5) ** (-p.A))
+        b = error_budget(None, Cm, T0, 100.0, 0.2, F5)
+        assert b.kloosterman_piece == pytest.approx(
+            (2.5 * 4.5) ** (-asymptotics.A))
         assert b.smoothing_piece == 0.0
         # main term matches the exact discrete identity
         assert b.main_term == pytest.approx(
@@ -105,22 +100,20 @@ class TestErrorBudget:
 
     def test_eps_lower_bound_identity(self):
         # e^{-U eps^2} at eps = sqrt(D/U) equals 1/R exactly
-        p = AnalysisParams()
         C = imaginary_box([(50, 60)])
         R, D = shell_growth_constant(1)
         U = 30 * D
         eps = math.sqrt(D / U)
-        b = error_budget(C, None, p, U, eps, FQ)
+        b = error_budget(C, None, T0, U, eps, FQ)
         nv1 = ((60 ** 2 - 50 ** 2) / 2)
         assert b.smoothing_piece == pytest.approx(nv1 / R, rel=1e-10)
 
     def test_admissibility_named(self):
-        p = AnalysisParams()
         C = imaginary_box([(50, 60)])
         with pytest.raises(ValueError, match="U"):
-            error_budget(C, None, p, 1.0, 0.2, FQ)
+            error_budget(C, None, T0, 1.0, 0.2, FQ)
         with pytest.raises(ValueError, match="eps"):
-            error_budget(C, None, p, 100.0, 0.5, FQ)
+            error_budget(C, None, T0, 100.0, 0.5, FQ)
 
     def test_hypercube_sweep_pieces_small_and_decreasing(self):
         budgets = hypercube_budget_sweep(
@@ -163,8 +156,7 @@ class TestMainTerm:
         assert field_prefactor(FQ) == pytest.approx(1 / math.pi)
 
     def test_holo_identity_exact(self):
-        row = family_asymptotic_table("holo", F5, [1, 2, 3],
-                                      points=[2.0, 3.5])
+        row = family_asymptotic_table("holo", F5, [1, 2, 3])
         assert row["rel_deviation"] < 1e-12
 
     def test_weyl1_fit(self):
@@ -180,10 +172,8 @@ class TestMainTerm:
     def test_one_place_field(self):
         # over Q the holo point has one coordinate, and the two-place rows
         # are rejected rather than fitted against a one-place target
-        row = family_asymptotic_table("holo", FQ, [1, 2, 3], points=[2.0])
+        row = family_asymptotic_table("holo", FQ, [1, 2, 3])
         assert row["rel_deviation"] < 1e-12
-        with pytest.raises(ValueError, match="one point per place"):
-            family_asymptotic_table("holo", FQ, [1, 2, 3], points=[2.0, 3.5])
         for name in ("slant", "sphere", "sector", "rectquad"):
             with pytest.raises(ValueError, match="needs a quadratic field"):
                 family_asymptotic_table(name, FQ, [1, 2, 3])

@@ -431,6 +431,31 @@ class TestBadInput:
           "1e6", "--tau", "0.3"], "is above 1000000, too large to tabulate"),
         (["budget", "--field", "Q", "--t-grid", "1:2:1000000000"],
          "grid of 1000000000 points, above 10000"),
+        # a power of a huge b, side or point overflows
+        (["measure", "--kind", "nv", "--b", "700", "--region", "i[1,3]"],
+         "result beyond the range of a double"),
+        (["measure", "--kind", "nv", "--b", "1e308", "--region", "i[1,2]"],
+         "result beyond the range of a double"),
+        (["measure", "--kind", "nv", "--b", "2", "--region", "i[1,1e200]"],
+         "result beyond the range of a double"),
+        (["measure", "--kind", "nv", "--b", "1e308", "--region", "d[3]:1"],
+         "result beyond the range of a double"),
+        (["bessel", "--order", "nan", "--x", "1"],
+         "order (nan+0j) is not finite"),
+        (["bessel", "--order", "inf", "--x", "1"],
+         "order (inf+0j) is not finite"),
+        (["bessel", "--order=-inf", "--x", "1"],
+         "order (-inf+0j) is not finite"),
+        (["bessel", "--order", "1", "--x", "nan"],
+         "argument nan is not finite"),
+        (["bessel", "--phi", "gaussian:q=10i,U=25", "--t", "nan"],
+         "t must be finite and nonzero, got nan"),
+        (["bessel", "--order=1e308", "--x", "2"],
+         "order real part 1e+308 beyond supported window 10000.0"),
+        (["bessel", "--order=-1e308", "--x", "2"],
+         "order real part -1e+308 beyond supported window 10000.0"),
+        (["measure", "--kind", "pl", "--lo=-1e308", "--hi", "2"],
+         "holds more than 1000000 discrete-series points"),
     ])
     def test_out_of_range_input_is_exit_two(self, capsys, argv, message):
         rc, out, err = run(capsys, *argv)

@@ -143,7 +143,7 @@ class TestCharacters:
     def test_trivial(self):
         I = IdealLattice.principal(Q.element(4))
         chi = trivial_character(Q, I)
-        assert chi.level is I
+        assert chi is I
         # the units 1 and 3 mod 4, each weighed by 1: e(2/4) + e(6/4)
         S = kloosterman_sum(Q, chi, Q.element(1), Q.element(1), Q.element(4))
         assert S == pytest.approx(-2, abs=1e-12)
