@@ -1,23 +1,23 @@
 """Bessel functions of complex order and Bessel transforms of test functions.
 
-bessel_j uses the ascending power series only (DLMF 10.2.2), with a
-cancellation budget that fails loudly instead of returning silently wrong
-values; this covers the small-to-moderate arguments the Kloosterman series
-produces.  Its leading term (x/2)^mu / Gamma(mu+1) is one exp of
-mu log(x/2) - ln Gamma(mu+1), so neither factor can overflow on its own;
-ln Gamma is the module's own (_log_gamma): Stirling's series with eight
-terms and a remainder below 6e-16 (DLMF 5.11(ii)), after the recurrence
-to |z| >= 10 and the reflection for Re z < 1/2.  The series is summed in
-double precision and falls back to an extended-precision series when the
-declared double-precision error exceeds an absolute tolerance, 1e-10 for
-a point value, whether the terms cancel or only the double leading
-term's rounding times a large |J| misses it.  There everything is fixed
-point on Python integers (Brent & Zimmermann, Modern Computer Arithmetic,
-ch. 4): the leading term (_leading, to 4e-36 relative) by the same
-recurrence, reflection and Stirling's series, with twenty terms at
-|w| >= 24, and its ratios to that term summed exactly; their product is
-rounded once, so the value is J correctly rounded.  The module imports
-neither scipy nor mpmath.
+A point value J_mu(x) comes from one of two methods in double precision,
+each with a derived error bound, and is promised to 1e-10 max(1, |J|):
+absolute where |J| <= 1, relative beyond, where the leading term's rounding
+alone may exceed 1e-10.
+  - The ascending series (DLMF 10.2.2), whose leading term
+    (x/2)^mu / Gamma(mu+1) is one exp of mu log(x/2) - ln Gamma(mu+1), so
+    neither factor can overflow on its own.  ln Gamma is the module's own
+    (_log_gamma): Stirling's series with eight terms and a remainder below
+    6e-16 (DLMF 5.11(ii)), after the recurrence to |z| >= 10 and the
+    reflection for Re z < 1/2.  It serves small and moderate x, and large
+    |Im mu| at any x.
+  - Miller's backward recurrence (_miller), normalised by Neumann's sum,
+    where the series cancels (x beyond about 15 for small |mu|).  Its
+    bound covers the sum's rounding and cancellation, the truncation at
+    its start index, and the leading term's rounding.
+Where neither meets the promise (|Im mu| above about 5 with x above about
+2 |Im mu| + 50, where Neumann's sum cancels too), the input is refused with
+ValueError.  The module imports neither scipy nor mpmath.
 
 Both transforms are one rule on the line Re nu = shift (_transform):
 shift 0 is the spectral axis (plus the discrete-series sum) and shift tau
@@ -34,13 +34,13 @@ as one numpy array (_bessel_j_nodes).  The declared error is
 (the nodes' Bessel errors e, times the factor c the integrand multiplies J
 by) + the tail beyond H, which each formula bounds its own way.  Point
 values (bessel_j_err, and the discrete sum) stay on the scalar series: for
-one order the array machinery costs about 16 times as much.
+one order the array machinery costs about 16 times as much.  Nodes whose
+series misses its tolerance go to the scalar recurrence one by one.
 
 |J_{2 nu}(t)| grows like e^{pi |Im nu|} and the integrand divides that
 growth out again by cos(pi(nu - parity/2)); each node asks for
 atol = 1e-10 times that divisor, so the error J adds to the integrand is
-about 1e-10 times the factor J is multiplied by there, and the series stays
-in double precision wherever it can deliver that.
+about 1e-10 times the factor J is multiplied by there.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -56,32 +55,21 @@ from .measures import MeasureResult, check_parity
 from .quadrature import trapezoid
 from .testfunctions import CONSTRUCTIONS, LocalTestFunction
 
-
-class PrecisionError(ArithmeticError):
-    """Requested evaluation exceeds the floating-point cancellation budget."""
-
-
-_CANCELLATION_BUDGET = 1e13
 _X_CAP = 1e3
 _IM_CAP = 130.0
 _RE_CAP = 1e4  # |Re mu| above it: |J| at x <= _X_CAP under- or overflows
-_ATOL = 1e-10  # absolute accuracy of a point value
+_ATOL = 1e-10  # absolute accuracy of a point value, relative where |J| > 1
 _SERIES_TOL = 1e-13  # stop summing once a term is this small relative to the sum
-_SERIES_BITS = 200  # least bits of each term of the extended-precision series
+_STEP_ULPS = 2.0 ** -52  # rounding declared per step of the recurrence
+_BIG, _SMALL = 2.0 ** 300, 2.0 ** -300  # the recurrence rescales beyond them
+_SERIES = "ascending series"
 
 
 # ln Gamma by Stirling's series (DLMF 5.11.1): the coefficients
-# B_2k / (2k (2k - 1)) of w^(1 - 2k), k = 1, ..., 20, exactly; the double
-# series takes the first eight, the fixed-point one all twenty
-_STIRLING = tuple(Fraction(n, d) for n, d in (
-    (1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188), (-691, 360360),
-    (1, 156), (-3617, 122400), (43867, 244188), (-174611, 125400),
-    (77683, 5796), (-236364091, 1506960), (657931, 300),
-    (-3392780147, 93960), (1723168255201, 2492028),
-    (-7709321041217, 505920), (151628697551, 396),
-    (-26315271553053477373, 2418179400), (154210205991661, 444),
-    (-261082718496449122051, 21106800)))
-_B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8 = map(float, _STIRLING[:8])
+# B_2k / (2k (2k - 1)) of w^(1 - 2k), k = 1, ..., 8, correctly rounded
+_B1, _B2, _B3, _B4, _B5, _B6, _B7, _B8 = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+    -3617 / 122400)
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 _LOG_PI = math.log(math.pi)
 _SHIFT = 10  # |z| below which z is shifted to z + _SHIFT first
@@ -173,7 +161,8 @@ def _log_gamma_nodes(z):
 
 def _lead_rel(mu, log_half):
     """Relative error declared for the leading term (x/2)^mu / Gamma(mu+1),
-    which the double series forms as exp(mu log(x/2) - _log_gamma(mu + 1)).
+    which the series and the recurrence form as
+    exp(mu log(x/2) - _log_gamma(mu + 1)).
     The argument of that exp carries about |mu log(x/2)| ulps from its first
     part and a few ulps of |ln Gamma(mu + 1)|, about |mu log mu|, from the
     second; Stirling's remainder adds below 6e-16.  Against 40-digit mpmath
@@ -184,293 +173,25 @@ def _lead_rel(mu, log_half):
     return 1e-16 * (40 * (1 + abs(mu + 1)) + 5 * abs(mu * log_half))
 
 
-# --------------------------------------------------------------------------
-# the extended series' leading term, in fixed point on Python integers
-# --------------------------------------------------------------------------
-
-_BITS = 136  # fraction bits of the fixed-point leading term
-_SQUARINGS = 10  # _exp divides its reduced argument by 2^10
-_W_MIN = 24  # Stirling's series at |w| >= 24, after the recurrence
-# ln 2, pi and ln(2 pi)/2 rounded to _CONST_BITS fraction bits
-_CONST_BITS = 192
-_LN2_192 = 0xb17217f7d1cf79abc9e3b39803f2f6af40f343267298b62e
-_PI_192 = 0x3243f6a8885a308d313198a2e03707344a4093822299f31d0
-_HALF_LOG_2PI_192 = 0xeb3f8e4325f5a53494bc900144192023cfb08f8d13458b4e
-_HALF_LOG_2PI_FIX = _HALF_LOG_2PI_192 >> (_CONST_BITS - _BITS)
-_LOG_PI_FIX = (2 * _HALF_LOG_2PI_192 - _LN2_192) >> (_CONST_BITS - _BITS)
-_STIRLING_FIX = tuple(round(c * 2 ** _BITS) for c in _STIRLING)
-
-
-def _scale(v: int, c: int) -> int:
-    """v / 2^c, rounded down where c > 0."""
-    return v >> c if c >= 0 else v << -c
-
-
-def _cmul(ar: int, ai: int, br: int, bi: int):
-    """(ar + i ai)(br + i bi), exactly."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _exp(ar: int, ai: int, bits: int):
-    """e^a for a = (ar + i ai) / 2^bits, as (er, ei, e) with
-    e^a = (er + i ei) 2^e and |er + i ei| within a factor 2^(1/2) of
-    2^(bits + 10).
-
-    a is reduced by n ln 2 and m 2 pi (the constants at 192 bits, so the
-    reduction errs by below 2^-180 for |a| < 2^12), the rest divided by
-    2^10 and summed by Taylor's series until a term is below
-    2^-(bits + 10), and the sum squared 10 times, all at bits + 10
-    fraction bits.  Each step floors once there, and the squarings
-    multiply the sum's relative error by 2^10, so e^a is within about
-    2^(6 - bits) of itself, relative.
-    """
-    one = 1 << bits
-    n, m = round(ar / one / math.log(2)), round(ai / one / math.tau)
-    c = _CONST_BITS - bits
-    r, th = ar - _scale(n * _LN2_192, c), ai - _scale(m * _PI_192, c - 1)
-    p = bits + _SQUARINGS  # (r + i th) / 2^p is the reduced a / 2^10
-    er, ei = (1 << p) + r, th
-    tr, ti, k = r, th, 2
-    while not (-2 < tr < 2 and -2 < ti < 2):
-        tr, ti = ((tr * r - ti * th) >> p) // k, ((tr * th + ti * r) >> p) // k
-        er += tr
-        ei += ti
-        k += 1
-    for _ in range(_SQUARINGS):
-        er, ei = ((er + ei) * (er - ei)) >> p, (er * ei) >> (p - 1)
-    return er, ei, n - p
-
-
-def _log(wr: int, wi: int, bits: int):
-    """The principal log w of w = (wr + i wi) / 2^bits != 0, at bits
-    fraction bits: the double estimate l = cmath.log(w) corrected by
-    log(1 + eps) = eps - eps^2/2, eps = w e^-l - 1.  |eps| is a few ulps
-    of |l|, below 2^-45 for |w| < 2^12, so eps^3 is below 2^-135."""
-    one = 1 << bits
-    est = cmath.log(complex(wr / one, wi / one))
-    lr, li = int(math.ldexp(est.real, bits)), int(math.ldexp(est.imag, bits))
-    er, ei, e = _exp(-lr, -li, bits)
-    sr, si = _cmul(wr, wi, er, ei)
-    sr, si = _scale(sr, -e) - one, _scale(si, -e)  # eps
-    return (lr + sr - ((sr * sr - si * si) >> (bits + 1)),
-            li + si - ((sr * si) >> bits))
-
-
-def _log_gamma_fix(wr: int, wi: int):
-    """ln Gamma(w), up to a multiple of 2 pi i, for w = (wr + i wi) / 2^136
-    with Re w >= 1/2 and |w| >= _W_MIN, at 136 fraction bits, by
-    Stirling's series (DLMF 5.11.1):
-
-        (w - 1/2) log w - w + ln(2 pi)/2
-            + sum_{k <= 20} B_2k / (2k (2k - 1) w^(2k - 1)).
-
-    The remainder is at most sec^42(ph(w)/2) <= 2^21 times the first
-    neglected term, B_42 / (42 * 41 w^41) (DLMF 5.11(ii)): below 3e-36 at
-    |w| = 24 on the imaginary axis.  The products round by a few units of
-    2^-136 times |w| < 2^10, below 2^-120 in all.
-    """
-    F = _BITS
-    lr, li = _log(wr, wi, F)
-    norm = wr * wr + wi * wi
-    rr, ri = (wr << 2 * F) // norm, (-wi << 2 * F) // norm  # 1/w
-    qr, qi = (rr * rr - ri * ri) >> F, (rr * ri) >> (F - 1)  # 1/w^2
-    sr, si = _STIRLING_FIX[-1], 0
-    for c in reversed(_STIRLING_FIX[:-1]):
-        sr, si = ((sr * qr - si * qi) >> F) + c, (sr * qi + si * qr) >> F
-    sr, si = _cmul(sr, si, rr, ri)
-    hr, hi = _cmul(wr - (1 << (F - 1)), wi, lr, li)  # (w - 1/2) log w
-    return ((hr + sr) >> F) - wr + _HALF_LOG_2PI_FIX, ((hi + si) >> F) - wi
-
-
-def _sin_pi(tr: int, ti: int, d: int):
-    """sin(pi t) for t = (tr + i ti) / 2^d != 0 with |Re t| <= 1/2, as
-    (ar, ai, gr, gi, e): sin(pi t) = e^a (gr + i gi) 2^e, a at 136
-    fraction bits, from
-
-        sin(pi t) = sigma e^(-i sigma pi t) (e^u - 1) / (2i),
-        u = 2 i sigma pi t,
-
-    sigma the sign of Im t (+1 at 0), so that |e^u| <= 1: a is
-    -i sigma pi t, and e^u - 1 is formed at log2(1/|t|) more fraction
-    bits than a, which its cancellation costs, so it is within about
-    2^-130 of itself, relative."""
-    sigma = 1 if ti >= 0 else -1
-    fs = _BITS + max(0, -math.frexp(abs(complex(tr / (1 << d),
-                                                ti / (1 << d))))[1])
-    c = d + _CONST_BITS - fs
-    spi = sigma * _PI_192
-    xr, xi = _scale(spi * tr, c), _scale(spi * ti, c)  # sigma pi t
-    er, ei, e = _exp(-2 * xi, 2 * xr, fs)  # e^u, u = 2i (xr + i xi)
-    gr, gi = _scale(er, -e - fs) - (1 << fs), _scale(ei, -e - fs)
-    c = fs - _BITS
-    return _scale(xi, c), -_scale(xr, c), sigma * gi, -sigma * gr, -fs - 1
-
-
-def _leading(p: int, q: int, d: int, x: float):
-    """The leading term L = (x/2)^mu / Gamma(mu+1) for mu = (p + iq) / 2^d
-    and x > 0, as (a, b, e, den) with L = (a + ib) 2^e / den: a, b and den
-    integers, den > 0.  L is within 4e-36 of itself, relative.
-
-    z = mu + 1 is formed exactly.  Where Re z >= 1/2, the recurrence
-    Gamma(w) = Gamma(z) prod_{k < s} (z + k) (DLMF 5.5.1), w = z + s, with
-    s the least shift to Re w >= _W_MIN where |z| < _W_MIN, gives
-
-        L = e^A prod_{k < s} (z + k),  A = mu log(x/2) - ln Gamma(w),
-
-    the product exact.  Where Re z < 1/2, the reflection
-    1/Gamma(z) = (-1)^n sin(pi t) Gamma(1 - z) / pi (DLMF 5.5.3), with n
-    the integer nearest Re z and t = z - n exact, gives L from Gamma(1 - z)
-    by the same recurrence, the product now dividing, and sin(pi t) from
-    _sin_pi, whose exponent joins A.  log(x/2) is the double estimate
-    corrected as in _log, and e^A is one _exp; so A errs by below 2^-120
-    and Stirling's remainder, and e^A by about 2^-130 more.  A real order
-    has a real L: the imaginary part, rounding only, is dropped.
-    """
-    F = _BITS
-    one = 1 << d
-    zr, zi = p + one, q  # z = mu + 1 = (zr + i zi) / 2^d
-    m, k = math.frexp(x / 2)
-    lx = _log(int(math.ldexp(m, F)), 0, F)[0] \
-        + ((k * _LN2_192) >> (_CONST_BITS - F))  # log(x/2)
-    ar, ai = (_scale(p, d - F) * lx) >> F, (_scale(q, d - F) * lx) >> F
-    reflect = 2 * zr < one
-    gr, gi, e = 1, 0, 0  # the factor of L besides e^A and the product
-    if reflect:
-        n = (zr + (one >> 1)) >> d
-        sr, si, gr, gi, e = _sin_pi(zr - (n << d), zi, d)
-        if n % 2:
-            gr, gi = -gr, -gi
-        ar, ai = ar + sr - _LOG_PI_FIX, ai + si
-        zr, zi = one - zr, -zi
-    s = 0
-    if zr * zr + zi * zi < (_W_MIN * one) ** 2:
-        s = -((zr - _W_MIN * one) >> d)  # ceil(_W_MIN - Re z)
-    pr, pi = 1, 0  # prod_{k < s} (z + k), times 2^(d s)
-    for j in range(s):
-        pr, pi = _cmul(pr, pi, zr + j * one, zi)
-    lr, li = _log_gamma_fix(_scale(zr + s * one, d - F), _scale(zi, d - F))
-    if reflect:
-        er, ei, ee = _exp(ar + lr, ai + li, F)
-        pi, e, den = -pi, e + d * s, pr * pr + pi * pi
-    else:
-        er, ei, ee = _exp(ar - lr, ai - li, F)
-        e, den = e - d * s, 1
-    a, b = _cmul(*_cmul(er, ei, gr, gi), pr, pi)
-    return a, b if q else 0, e + ee, den
-
-
-def _dyadic(mu: complex):
-    """(p, q, d) with mu = (p + iq) / 2^d exactly."""
-    p, pden = mu.real.as_integer_ratio()
-    q, qden = mu.imag.as_integer_ratio()
-    den = max(pden, qden)  # both powers of two
-    return p * (den // pden), q * (den // qden), den.bit_length() - 1
-
-
-def _quotient(num: int, e: int, den: int) -> float:
-    """num 2^e / den, correctly rounded to a double (int / int is).
-    Raises ValueError beyond the range of a double."""
-    try:
-        return (num << e) / den if e >= 0 else num / (den << -e)
-    except OverflowError:
-        raise ValueError("J or its error beyond the range of a double") \
-            from None
-
-
-def _series_extended(mu: complex, x: float):
-    """The same ascending series to about 30 digits, for the cancellation
-    regime x beyond roughly 15 and for the large |J| whose double leading
-    term's rounding alone misses atol: the leading term
-    L = (x/2)^mu / Gamma(mu+1) comes from _leading, and the ratios to it
-    are summed exactly in fixed point on Python integers (the method of
-    mpmath's hypsum; Brent & Zimmermann, Modern Computer Arithmetic,
-    ch. 4).
-
-    Each ratio s_k = term_k / L is held as (a + ib) / 2^scale, s_0 = 1, and
-    s_{k+1} = -s_k h^2 / ((k+1)(mu+k+1)) is formed exactly from mu and
-    h^2 = x^2/4 as rationals (a double is one), with one floor division per
-    component.  The sum S stops at the first k > x whose next ratio is below
-    1e-30 |S|.  It raises PrecisionError after 2,000 terms, and where
-    max_mag / |total| exceeds the doubled cancellation budget, max_mag being
-    the largest |term|.  The declared error is max_mag 1e-34 + 1e-15 |total|.
-
-    Why that error covers it: before each division the numerators are
-    shifted left, and scale raised with them, until the quotient keeps at
-    least _SERIES_BITS bits, so each step rounds s_{k+1} by at most
-    2^(2 - _SERIES_BITS) relative to itself.  Later ratios are exact, so
-    they carry that rounding forward unchanged in relative size, and after
-    at most 2,000 steps each s_k is within 2,000 * 2^(2 - _SERIES_BITS),
-    about 5e-57, of its exact value relative to itself.  The sum of at most
-    2,000 terms is then within 1e-53 max_mag of exact: inside max_mag 1e-34.
-    Past k > x the ratios shrink at least geometrically, so the terms left
-    out add about 1e-30 |total|.  L is within 4e-36 of itself, relative,
-    and L S is formed exactly on integers and rounded once to a double per
-    part (int / int rounds correctly), as is max_mag.  So the result is J
-    correctly rounded but for max_mag 1e-53 + 1e-30 |total|, at most
-    1e-27 |total| at the doubled budget, and that rounding, half an ulp per
-    part, is inside 1e-15 |total|.  A J or max_mag beyond the range of a
-    double raises ValueError.
-    """
-    # mu = (p + iq) / den and h^2 = num / (den hden) exactly, so that
-    # s_{k+1} = -s_k num (p_k - iq) / ((k+1)(p_k^2 + q^2) hden) with
-    # p_k = p + (k+1) den
-    p, q, exp2 = _dyadic(mu)
-    den = 1 << exp2
-    xnum, xden = x.as_integer_ratio()
-    num, hden = xnum * xnum * den, 4 * xden * xden
-    tol = 10 ** 60  # |s_{k+1}| < 1e-30 |S|, squared
-    scale = _SERIES_BITS
-    a, b = 1 << scale, 0  # s_k
-    sa = sb = 0  # s_0 + ... + s_k
-    mag2, peak = a * a, 0  # |s_k|^2, max |s_j|^2 over j < k
-    for k in range(2000):
-        sa += a
-        sb += b
-        peak = max(peak, mag2)
-        pk = p + (k + 1) * den
-        d = (k + 1) * (pk * pk + q * q) * hden
-        ra, rb = -(a * pk + b * q) * num, (a * q - b * pk) * num
-        shift = _SERIES_BITS + d.bit_length() \
-            - max(ra.bit_length(), rb.bit_length())
-        if shift > 0:
-            ra, rb, sa, sb = ra << shift, rb << shift, sa << shift, \
-                sb << shift
-            peak <<= 2 * shift
-            scale += shift
-        a, b = ra // d, rb // d
-        mag2 = a * a + b * b
-        if k > x and tol * mag2 < sa * sa + sb * sb:
-            break
-    else:
-        raise PrecisionError("extended-precision series did not converge")
-    # max_mag / |total| = sqrt(peak) / |S|, the leading term cancelling
-    if peak > int(_CANCELLATION_BUDGET ** 2) ** 2 * (sa * sa + sb * sb) \
-            and (sa or sb):
-        raise PrecisionError("cancellation exceeds doubled budget")
-    lr, li, e, lden = _leading(p, q, exp2, x)
-    e -= scale
-    total = complex(_quotient(lr * sa - li * sb, e, lden),
-                    _quotient(lr * sb + li * sa, e, lden))
-    max_mag = _quotient(math.isqrt((lr * lr + li * li) * peak), e, lden)
-    return total, max_mag * 1e-34 + 1e-15 * abs(total)
-
-
 def bessel_j_err(mu: complex, x: float):
-    """J_mu(x) by the ascending series, with a declared error bound.
+    """(value, error) of J_mu(x); see bessel_j_point."""
+    return bessel_j_point(mu, x)[:2]
 
-    Returns (value, error).  Falls back to the extended-precision series
-    when the declared error of the double-precision sum exceeds
-    _ATOL = 1e-10, so the error is at most 1e-10 (or, where |J| is too
-    large for a double to hold it to 1e-10, about 1e-15 |J|, the value
-    being J correctly rounded but for 1e-27 |J|).  The declared error
-    covers the truncated tail, the rounding of the summation and of the
-    recurrence, and the relative rounding of the leading term
-    (x/2)^mu / Gamma(mu+1), which every later term inherits.  Raises
-    PrecisionError when even the doubled cancellation budget is exceeded.
-    Rejects (ValueError) rather than extrapolates: a mu or x that is not
-    finite, an order outside |Re mu| <= 10^4, |Im mu| <= 260, an x
-    outside [0, 1000], and orders whose leading term, J or error is
-    beyond the range of a double.
+
+def bessel_j_point(mu: complex, x: float):
+    """J_mu(x), with a declared error bound and the method that served it.
+
+    Returns (value, error, method), the error at most 1e-10 max(1, |J|): absolute
+    where |J| <= 1 and relative beyond, where a double's leading term
+    (_lead_rel) may alone miss 1e-10.  The ascending series in double
+    precision answers where its declared error meets that; elsewhere Miller's
+    backward recurrence does (_miller), and where neither can, the input is
+    refused (ValueError), as is a mu or x that is not finite, an order
+    outside |Re mu| <= 10^4, |Im mu| <= 260, an x outside [0, 1000], and an
+    order whose leading term, J or error is beyond the range of a double.
+    The series' error covers the truncated tail, the rounding of the
+    summation and of the term recurrence, and the relative rounding of the
+    leading term (x/2)^mu / Gamma(mu+1), which every later term inherits.
     """
     mu = complex(mu)
     for name, v in (("order", mu), ("argument", x)):
@@ -485,11 +206,11 @@ def bessel_j_err(mu: complex, x: float):
         # J_{-n} = (-1)^n J_n; avoids the leading run of zero terms from
         # reciprocal-gamma zeros swallowing the series
         n = int(-mu.real)
-        v, e = bessel_j_err(complex(n), x)
-        return (-1) ** n * v, e
+        v, e, method = bessel_j_point(complex(n), x)
+        return (-1) ** n * v, e, method
     if x <= 0:
         if x == 0:
-            return (1.0 + 0.0j, 0.0) if mu == 0 else (0.0j, 0.0)
+            return (1.0 + 0.0j if mu == 0 else 0.0j), 0.0, _SERIES
         raise ValueError("x must be nonnegative")
     if x > _X_CAP:
         raise ValueError(f"argument {x} beyond supported window {_X_CAP}")
@@ -504,8 +225,8 @@ def bessel_j_err(mu: complex, x: float):
     if lead.real > _LOG_MAX:
         raise ValueError(_BEYOND_DOUBLE)
     term = cmath.exp(lead)
-    k = 0
-    while True:
+    err = math.inf  # unless the series converges within 502 terms
+    for k in range(502):
         y = term - comp
         t_new = total + y
         comp = (t_new - total) - y
@@ -517,19 +238,13 @@ def bessel_j_err(mu: complex, x: float):
         mk = mu + (k + 1)
         ratio = h2 / ((k + 1) * abs(mk))
         if mag < _SERIES_TOL * max(abs(total), 1e-300) and ratio < 0.5:
-            tail = mag * ratio / (1 - ratio)
+            err = _declared_error(mu, log_half, mag * ratio / (1 - ratio),
+                                  max_mag, k + 1, abs_sum)
             break
-        if k > 500:
-            raise PrecisionError("series did not converge within 500 terms")
         term = term * -h2 / ((k + 1) * mk)
-        k += 1
-    err = _declared_error(mu, log_half, tail, max_mag, k + 1, abs_sum)
-    if err > _ATOL:
-        return _series_extended(mu, x)
-    if abs(total) > 0 and max_mag / abs(total) > _CANCELLATION_BUDGET:
-        raise PrecisionError(
-            f"cancellation {max_mag / abs(total):.1e} exceeds budget at x={x}")
-    return total, err
+    if err <= _ATOL * max(1.0, abs(total)) < math.inf:
+        return total, err, _SERIES
+    return (*_miller(mu, x, _ATOL), "backward recurrence")
 
 
 def _declared_error(mu, log_half, tail, max_mag, terms, abs_sum):
@@ -541,15 +256,130 @@ def _declared_error(mu, log_half, tail, max_mag, terms, abs_sum):
     return tail + max_mag * 1e-16 * terms + _lead_rel(mu, log_half) * abs_sum
 
 
+def _miller(mu: complex, x: float, atol: float):
+    """J_mu(x) and its declared error by Miller's backward recurrence (DLMF
+    3.6(iii); Gil, Segura & Temme, Numerical Methods for Special Functions,
+    SIAM 2007, ch. 4), for 0 < x <= 1000 and a mu off the negative integers.
+    Raises ValueError where that error exceeds max(atol, 1e-10 |J|) or J
+    leaves the range of a double.
+
+    With nu = mu + m, m the least integer >= 0 with Re nu >= 0, and an even
+    N > max(x, |nu|) + x, f_k runs down from f_{N+1} = 0, f_N = 1 by
+
+        f_{k-1} = a_k f_k - f_{k+1},  a_k = 2 (nu + k) / x  (DLMF 10.6.1),
+
+    to k = -m, so f_k ~ J_{nu+k}(x): J is the recurrence's minimal solution,
+    which the downward direction favours.  Neumann's sum (DLMF 10.23.15)
+
+        (x/2)^nu / Gamma(nu+1) = sum_j c_j J_{nu+2j},  c_0 = 1,
+        c_j = (nu + 2j) d_j,  d_j = (nu+1)_{j-1} / j!,
+
+    normalises them: J_mu = f_{-m} L / S with L the leading term, from
+    _log_gamma, and S = sum_j c_j f_{2j}.  d_j runs down too, by
+    d_{j-1} = d_j j / (nu + j - 1), so nothing divides by nu, and
+    (nu + 2j) f_{2j} is (x/2) a_{2j} f_{2j}, a product the recurrence forms.
+    Normalising at mu itself fails where Re mu < 0 (at mu = -50.5, x = 60
+    every digit is lost), so below nu the recurrence only carries on.  f, d
+    and the sums are rescaled by powers of two, so nothing over- or
+    underflows.
+
+    The declared error is |J| times _lead_rel, plus |L / S| times
+      - rounding: 2^-52 per step (n = N + m + 4 steps, with the final
+        products) of f_{-m}'s neighbourhood, |f_{-m}| + 2 |a_{1-m} f_{1-m}|,
+        which bounds the operands of its last step, and of the normalising
+        sum's terms, sum_j |c_j f_{2j}| times |f_{-m} / S|;
+      - truncation: the exact sequence with f_N = 1 is F = f + R h, where
+        R = J_{nu+N+1} / J_{nu+N} and h solves the same recurrence from
+        h_{N+1} = 1, h_N = 0, which runs alongside f.  So the computed J
+        is off by exactly (L / S) R (f_{-m} v - h_{-m}) / (1 + R v),
+        v = S(h) / S(f).  Every |a_k| beyond N is at least
+        alpha = 2 (N + 1 - |nu|) / x > 2, so |R| <= r, the root below 1 of
+        r^2 - alpha r + 1 (the continued fraction R_k = 1 / (a_k - R_{k+1})),
+        and the term is bounded by r (|f_{-m} v - h_{-m}| plus its rounding)
+        / (1 - r |v|).
+    Against mpmath at 40 digits the true error stays below a tenth of this.
+    """
+    m = max(0, math.ceil(-mu.real))
+    nu = mu + m
+    N = 2 * math.ceil((max(x, abs(nu)) + x) / 2) + 20
+    c = 2.0 / x
+    c2, nuc = 2 * c, nu * c
+    f, f1, h, h1 = 1 + 0j, 0j, 0j, 1 + 0j  # f_k, f_{k+1}, and h's
+    d, s, sh, s_abs = 1 + 0j, 0j, 0j, 0.0  # d_j; sums of d_j a_{2j} f_{2j}
+    top = abs(nuc + N * c)  # the top term's |d a_N f_N|, rescaled with s
+    for j in range(N // 2, 0, -1):  # two steps, from k = 2j to 2j - 2
+        a = nuc + j * c2
+        p, q = a * f, a * h
+        t = d * p
+        s += t
+        sh += d * q
+        s_abs += abs(t)
+        a -= c
+        f, f1 = a * (p - f1) - f, p - f1
+        h, h1 = a * (q - h1) - h, q - h1
+        if j > 1:
+            d = d * j / (nu + (j - 1))
+            if abs(d) < _SMALL:
+                d, s, sh, s_abs, top = (
+                    v * _BIG for v in (d, s, sh, s_abs, top))
+        if abs(f) > _BIG:
+            f, f1, h, h1, s, sh, s_abs, top = (
+                v * _SMALL for v in (f, f1, h, h1, s, sh, s_abs, top))
+    half = 0.5 * x
+    S, Sh = d * f + half * s, d * h + half * sh
+    S_abs, top = abs(d * f) + half * s_abs, half * top
+    for k in range(0, -m, -1):  # on down to mu
+        a = nuc + k * c
+        f, f1, h, h1 = a * f - f1, f, a * h - h1, h
+        if abs(f) > _BIG:
+            f, f1, h, h1, S, Sh, S_abs, top = (
+                v * _SMALL for v in (f, f1, h, h1, S, Sh, S_abs, top))
+    log_half = math.log(half)
+    lead = nu * log_half - _log_gamma(nu + 1)
+    if lead.real > _LOG_MAX:
+        raise ValueError(_BEYOND_DOUBLE)
+    size = abs(S)
+    if not size:
+        raise ValueError(_refusal(mu, x, "completely"))
+    scale = cmath.exp(lead) * d / S
+    value = f * scale
+    eps = (N + m + 4) * _STEP_ULPS  # steps, with the final products
+    alpha = (N + 1 - abs(nu)) * c
+    r = 1 / (alpha / 2 + math.sqrt(alpha * alpha / 4 - 1))
+    # |c_{j+1} / c_j| for j >= N/2, times r^2 >= |F_{2j+2} / F_{2j}|
+    q = r * r * (1 + 2 / (N - abs(nu))) * (abs(nu) + N / 2) / (N / 2 + 1)
+    tail = top * q / (1 - q) / size if q < 1 else math.inf
+    v = Sh / S
+    fv = f * v
+    off = tail + eps * S_abs / size  # S's relative error but for R S(h)
+    room = 1 - r * abs(v) - off
+    bound = (eps * (abs(f) + 2 * abs((nuc + (1 - m) * c) * f1)
+                    + r * (abs(fv) + abs(h)))
+             + r * abs(fv - h) + abs(f) * off) / room if room > 0 else math.inf
+    err = abs(scale) * bound + abs(value) * _lead_rel(nu, log_half)
+    if not (cmath.isfinite(value) and math.isfinite(err)):
+        raise ValueError("J or its error beyond the range of a double")
+    if err > max(atol, _ATOL * abs(value)):
+        raise ValueError(_refusal(mu, x, f"{S_abs / size:.1e}-fold, and it "
+                                         f"declares {err:.1e}"))
+    return value, err
+
+
+def _refusal(mu, x, cancels):
+    return (f"J_{mu}({x}) is beyond what double precision serves here: the "
+            f"series and the backward recurrence both miss the tolerance "
+            f"(the recurrence's normalising sum cancels {cancels})")
+
+
 def _bessel_j_nodes(mu, x: float, atol):
     """J_mu(x) at an array of orders mu and one x > 0, with declared errors:
     bessel_j_err's double-precision series run over all orders at once.
     Each order stops by the scalar stopping rule and is declared the same
-    error; each whose error exceeds its own entry of `atol` is recomputed by
-    the extended-precision series.  Raises the PrecisionErrors of
-    bessel_j_err.  Unlike bessel_j_err it checks only x against _X_CAP: it
-    assumes x > 0, no negative integer order and |Im mu| <= 2 _IM_CAP, as
-    the transforms guarantee.
+    error; each whose error exceeds its own entry of `atol` (and
+    1e-10 |J|) is recomputed by _miller, whose ValueError it raises.
+    Unlike bessel_j_err it checks only x against _X_CAP: it assumes x > 0,
+    no negative integer order and |Im mu| <= 2 _IM_CAP, as the transforms
+    guarantee.
 
     The transforms call it with every node of their rule at once.  Point
     values keep the scalar bessel_j_err: on one order that stays in double
@@ -562,7 +392,7 @@ def _bessel_j_nodes(mu, x: float, atol):
     h2 = half * half
     log_half = math.log(half)
     n = len(mu)
-    value, err, peak = np.zeros(n, complex), np.zeros(n), np.zeros(n)
+    value, err = np.zeros(n, complex), np.full(n, math.inf)
     live = np.arange(n)  # the orders still summing, and their state
     m = mu
     lead = m * log_half - _log_gamma_nodes(m + 1)
@@ -571,8 +401,7 @@ def _bessel_j_nodes(mu, x: float, atol):
     term = np.exp(lead)
     total, comp = np.zeros(n, complex), np.zeros(n, complex)
     max_mag, abs_sum = np.zeros(n), np.zeros(n)
-    k = 0
-    while True:
+    for k in range(502):  # orders still summing after that keep err = inf
         y = term - comp
         t_new = total + y
         comp = (t_new - total) - y
@@ -586,7 +415,7 @@ def _bessel_j_nodes(mu, x: float, atol):
             & (ratio < 0.5)
         if done.any():
             i = live[done]
-            value[i], peak[i] = total[done], max_mag[done]
+            value[i] = total[done]
             err[i] = _declared_error(
                 m[done], log_half, mag[done] * ratio[done] / (1 - ratio[done]),
                 max_mag[done], k + 1, abs_sum[done])
@@ -596,24 +425,15 @@ def _bessel_j_nodes(mu, x: float, atol):
                                   abs_sum))
             if not len(live):
                 break
-        if k > 500:
-            raise PrecisionError("series did not converge within 500 terms")
         term = term * -h2 / ((k + 1) * mk)
-        k += 1
-    extended = err > atol
-    for i in np.flatnonzero(extended):
-        value[i], err[i] = _series_extended(complex(mu[i]), x)
-    size = np.abs(value)
-    over = ~extended & (peak > _CANCELLATION_BUDGET * size) & (size > 0)
-    if over.any():
-        i = np.flatnonzero(over)[0]
-        raise PrecisionError(f"cancellation {peak[i] / size[i]:.1e} exceeds "
-                             f"budget at x={x}")
+    missed = ~(err <= np.maximum(atol, _ATOL * np.abs(value)))
+    for i in np.flatnonzero(missed | ~np.isfinite(value)):
+        value[i], err[i] = _miller(complex(mu[i]), x, atol[i])
     return value, err
 
 
 def bessel_j(mu: complex, x: float) -> complex:
-    """J_mu(x) to absolute accuracy 1e-10; see bessel_j_err."""
+    """J_mu(x) to 1e-10 max(1, |J|); see bessel_j_point."""
     return bessel_j_err(mu, x)[0]
 
 

@@ -2,7 +2,7 @@
 dispatch into the library modules.
 
 Every numeric output carries {value, error, method}.  Exit codes: 0 on
-success, 1 on numeric-precision failure, 2 on input rejection (a
+success, 1 when `check` finds a failing check, 2 on input rejection (a
 ValueError); any other exception is a bug and keeps its traceback.
 """
 
@@ -29,12 +29,7 @@ from .asymptotics import (
     main_term,
     synth_spectrum,
 )
-from .besseltransform import (
-    PrecisionError,
-    bessel_j_err,
-    transform_axis,
-    transform_contour,
-)
+from .besseltransform import bessel_j_point, transform_axis, transform_contour
 from .kloosterman import kloosterman_sum, ksum, trivial_bound, trivial_character
 from .measures import (LAMBDA_STAR_DEFAULT, V_b_lambda_factor, npl, nu_theta,
                        nv_b, pl_lambda)
@@ -65,6 +60,19 @@ def _fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _finite(text: str, what: str, parse=float) -> float:
+    """parse(text) as a float, refused (ValueError) where it is NaN,
+    infinite or beyond the range of a double: the check of a number that
+    a flag's own type does not parse."""
+    try:
+        v = float(parse(text))
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"{what} {text} is not a finite double")
+    return v
+
+
 def parse_element(F: QuadField, spec: str):
     parts = [_fraction(p) for p in str(spec).split(",")]
     if len(parts) > F.d:
@@ -85,7 +93,7 @@ def parse_region(spec: str) -> ProductRegion:
         if len(tok) < 4 or tok[1] != "[" or not tok.endswith("]"):
             raise ValueError(f"bad region factor {tok!r}")
         kind, body = tok[0], tok[2:-1]
-        vals = [float(_fraction(v)) for v in body.split(",")]
+        vals = [_finite(v, "region bound", _fraction) for v in body.split(",")]
         if kind == "i" and len(vals) == 2:
             factors.append(PlaceFactor(parity=parity, im=((vals[0], vals[1]),)))
         elif kind == "r" and len(vals) == 2:
@@ -206,6 +214,7 @@ def cmd_ksum(args) -> int:
     level = IdealLattice.principal(parse_element(F, args.level))
     chi = trivial_character(F, level)
     r = parse_element(F, args.r)
+    _finite(args.r, "--r", lambda _: max(map(abs, r.embeddings())))
     tau = args.tau
 
     def f(t):
@@ -265,7 +274,10 @@ def cmd_region_volume(args) -> int:
     for flag in flags:
         value = getattr(args, flag)
         if flag in _LIST_FLAGS:
-            value = [_LIST_FLAGS[flag](v) for v in value.split(",")]
+            kind = _LIST_FLAGS[flag]
+            name = f"--{flag.replace('_', '-')} entry"
+            value = [kind(v) if kind is int else _finite(v, name)
+                     for v in value.split(",")]
         if flag not in ("t", "Y"):
             kw[flag.removesuffix("_list")] = value
     fam = family(args.family, **kw)
@@ -287,8 +299,8 @@ def cmd_region_volume(args) -> int:
 def cmd_bessel(args) -> int:
     if args.order is not None:
         _require(args, "x")
-        v, e = bessel_j_err(complex(args.order), args.x)
-        emit({"value": v, "error": e, "method": "ascending series"})
+        v, e, method = bessel_j_point(complex(args.order), args.x)
+        emit({"value": v, "error": e, "method": method})
         return 0
     _require(args, "phi", "t")
     phi = parse_phi(args.phi)
@@ -518,9 +530,6 @@ def dispatch(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except PrecisionError as exc:
-        print(f"precision failure: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"input rejected: {exc}", file=sys.stderr)
         return 2

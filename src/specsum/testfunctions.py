@@ -66,8 +66,8 @@ def gaussian_phi(q_abs: float, U: float, tau: float = 0.3,
     """
     if q_abs < 1:
         raise ValueError("gaussian test function requires |q| >= 1")
-    if U < 1:
-        raise ValueError("U must be at least 1")
+    if not 1 <= U < math.inf:
+        raise ValueError(f"U must be finite and at least 1, got {U}")
     q = 1j * q_abs
     pref = math.sqrt(U / math.pi)
 

@@ -246,10 +246,15 @@ class TestExitCodes:
                        "--chi", "legendre")
         assert rc == 2
 
-    def test_precision_failure_is_exit_one(self, capsys):
-        rc, _, err = run(capsys, "bessel", "--order", "0", "--x", "200")
-        assert rc == 1
-        assert "precision" in err
+    def test_bessel_no_path_serves_is_exit_two(self, capsys):
+        # J_0(200) cancels in the series but the recurrence answers; at
+        # order 40i the recurrence's normalising sum cancels too
+        rc, out, _ = run(capsys, "bessel", "--order", "0", "--x", "200")
+        assert rc == 0
+        assert json.loads(out)["method"] == "backward recurrence"
+        rc, out, err = run(capsys, "bessel", "--order", "40j", "--x", "100")
+        assert_rejected(rc, out, err)
+        assert "beyond what double precision serves" in err
 
     def test_modulus_norm_above_limit(self, capsys):
         # rejected before any residue ring is built (or a unit tabulated)

@@ -1,7 +1,7 @@
 """No module of specsum loads scipy or mpmath, so no command pays for
 their import.  The Kloosterman, measure and test-function layers are
-closed forms, the Bessel layer has its own log-gamma and computes its
-extended-precision fallback on Python integers, and the region volumes and
+closed forms, the Bessel layer has its own log-gamma and its own
+backward-recurrence fallback in doubles, and the region volumes and
 the families table use the fixed rules of specsum.quadrature.  scipy is a
 test dependency only: the tests keep scipy.special.jv and
 scipy.integrate.quad as oracles.  mpmath is the tests' high-precision
@@ -67,15 +67,16 @@ def test_cli_and_worker_import_no_mpmath():
     assert loaded("mpmath", WORKER) == []
 
 
-def test_extended_fallback_loads_no_mpmath():
-    # both points take the extended-precision series (the second through
-    # the reflection); the assertion runs in the fresh interpreter
+def test_recurrence_fallback_loads_no_mpmath():
+    # both points take the backward recurrence (the second down from
+    # Re nu >= 0); the assertion runs in the fresh interpreter
     run = ("import specsum.besseltransform as bt\n"
-           "calls, inner = [], bt._series_extended\n"
-           "bt._series_extended = lambda mu, x: calls.append(mu) or inner(mu, x)\n"
-           "bt.bessel_j_err(0.6 + 40j, 20.0)\n"
-           "bt.bessel_j_err(-50.5, 8.0)\n"
-           "assert calls == [0.6 + 40j, -50.5], calls")
+           "calls, inner = [], bt._miller\n"
+           "bt._miller = lambda mu, x, atol: calls.append(mu) or "
+           "inner(mu, x, atol)\n"
+           "bt.bessel_j_err(0.6 + 4j, 60.0)\n"
+           "bt.bessel_j_err(-50.5, 60.0)\n"
+           "assert calls == [0.6 + 4j, -50.5], calls")
     assert loaded("mpmath", ["specsum.besseltransform"], run) == []
 
 

@@ -48,6 +48,12 @@ class TestGaussian:
         with pytest.raises(ValueError):
             gaussian_phi(2.0, 0.5)
 
+    @pytest.mark.parametrize("U", [math.inf, math.nan])
+    def test_rejects_non_finite_U(self, U):
+        # the rule's step 0.15 / sqrt(U) would be 0 at U = inf
+        with pytest.raises(ValueError, match="U must be finite"):
+            gaussian_phi(2.0, U)
+
 
 class TestPhiP:
     def test_at_zero(self):
