@@ -504,9 +504,10 @@ def fallback_calls(monkeypatch):
     return _record_calls(monkeypatch)
 
 
-def _row(mu, x, v, e):
+def _row(mu, x, v, e, calls):
     return {"order": [repr(mu.real), repr(mu.imag)], "x": repr(x),
-            "value": [repr(v.real), repr(v.imag)], "error": repr(e)}
+            "value": [repr(v.real), repr(v.imag)], "error": repr(e),
+            "method": "recurrence" if calls else "series"}
 
 
 # read at collection; the file is absent only while it is being generated
@@ -514,29 +515,33 @@ ROWS = json.loads(FALLBACK.read_text()) if FALLBACK.exists() else []
 
 
 class TestRecurrenceRows:
-    """The backward recurrence, replayed on the points of
-    tests/data/bessel_fallback.json, which holds every candidate above that
-    reaches it, with the value and error it gave when the file was written.
+    """bessel_j_err replayed on the points of tests/data/bessel_fallback.json,
+    which holds every candidate above with the value and error it gave when
+    the file was written and the path that served it (the backward
+    recurrence, or the series where that meets its tolerance).
     Regenerate (only on a deliberate change of output) with
 
         PYTHONPATH=src python tests/test_besseltransform.py
     """
 
     def test_rows_cover_the_ranges(self):
+        assert len(ROWS) == len(fallback_candidates())
+        recurrence = [r for r in ROWS if r["method"] == "recurrence"]
         orders = {complex(float(r["order"][0]), float(r["order"][1]))
-                  for r in ROWS}
-        assert len(ROWS) >= 30
+                  for r in recurrence}
+        assert len(recurrence) >= 30
         assert {-1.5, -3.7 + 0.2j, -5.5} <= orders
         assert any(float(r["order"][1]) and float(r["x"]) > 500
-                   for r in ROWS)
+                   for r in recurrence)
 
     @pytest.mark.parametrize("row", ROWS, ids=lambda r: f"{r['order']}@{r['x']}")
     def test_row(self, row, fallback_calls):
         mu = complex(float(row["order"][0]), float(row["order"][1]))
         x = float(row["x"])
         v, e = bessel_j_err(mu, x)
-        assert fallback_calls == [(mu, x)]
-        assert _row(mu, x, v, e) == row
+        assert fallback_calls == ([(mu, x)] if row["method"] == "recurrence"
+                                  else [])
+        assert _row(mu, x, v, e, fallback_calls) == row
         with mpmath.workdps(60):
             ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
             assert float(abs(mpmath.mpc(v) - ref)) <= e
@@ -674,18 +679,16 @@ if __name__ == "__main__":
         for mu, x in fallback_candidates():
             calls.clear()
             v, e = bessel_j_err(mu, x)
-            if calls:
-                rows.append(_row(mu, x, v, e))
+            rows.append(_row(mu, x, v, e, calls))
     old = {(tuple(r["order"]), r["x"]): r for r in ROWS}
     for row in rows:
         key = (tuple(row["order"]), row["x"])
         if key in old:
-            report(f"J_{complex(*map(float, row['order']))}({row['x']})",
-                   decoded(old.pop(key)), decoded(row))
+            was = old.pop(key)
+            path = was.get("method", "recurrence")
+            path = "" if path == row["method"] else f", {path} -> {row['method']}"
+            report(f"J_{complex(*map(float, row['order']))}({row['x']}){path}",
+                   decoded(was), decoded(row))
         else:
             print(f"new row: {row}")
-    for (order, x), row in old.items():  # rows the recurrence no longer takes
-        mu = complex(*map(float, order))
-        report(f"J_{mu}({x}), dropped", decoded(row),
-               decoded(_row(mu, float(x), *bessel_j_err(mu, float(x)))))
     FALLBACK.write_text(json.dumps(rows, indent=1) + "\n")
