@@ -1,9 +1,11 @@
 """Bessel functions of complex order and Bessel transforms of test functions.
 
 A point value J_mu(x) comes from one of two methods in double precision,
-each with a derived error bound, and is promised to 1e-10 max(1, |J|):
-absolute where |J| <= 1, relative beyond, where the leading term's rounding
-alone may exceed 1e-10.
+each with a derived error bound, which is promised to be at most
+1e-10 max(1, |J|): absolute where |J| <= 1, relative beyond.  Where
+|J| > 1 the value itself is good to about the leading term's rounding
+(_lead_rel, at most 2.4e-12 for |mu| <= 262 and x >= 1e-4); the
+declared bound is worst case and may be larger.
   - The ascending series (DLMF 10.2.2), whose leading term
     (x/2)^mu / Gamma(mu+1) is one exp of mu log(x/2) - ln Gamma(mu+1), so
     neither factor can overflow on its own.  ln Gamma is the module's own
@@ -11,13 +13,15 @@ alone may exceed 1e-10.
     6e-16 (DLMF 5.11(ii)), after the recurrence to |z| >= 10 and the
     reflection for Re z < 1/2.  It serves small and moderate x, and large
     |Im mu| at any x.
-  - Miller's backward recurrence (_miller), normalised by Neumann's sum,
-    where the series cancels (x beyond about 15 for small |mu|).  Its
-    bound covers the sum's rounding and cancellation, the truncation at
-    its start index, and the leading term's rounding.
-Where neither meets the promise (|Im mu| above about 5 with x above about
-2 |Im mu| + 50, where Neumann's sum cancels too), the input is refused with
-ValueError.  The module imports neither scipy nor mpmath.
+  - Miller's backward recurrence (_miller) where the series cancels (x
+    beyond about 15 for small |mu|), normalised by Neumann's sum, or where
+    that cancels too (|Im mu| above about 3 at large x) by the series at a
+    higher order (_miller_series).  Its bound covers the normalisation's
+    rounding and cancellation, the truncation at its start index, and the
+    leading term's rounding.
+Where neither meets the promise (|Im mu| above about 3 with x above about
+350, where the second normalisation would take too many steps), the input
+is refused with ValueError.  The module imports neither scipy nor mpmath.
 
 Both transforms are one rule on the line Re nu = shift (_transform):
 shift 0 is the spectral axis (plus the discrete-series sum) and shift tau
@@ -181,14 +185,16 @@ def bessel_j_err(mu: complex, x: float):
 def bessel_j_point(mu: complex, x: float):
     """J_mu(x), with a declared error bound and the method that served it.
 
-    Returns (value, error, method), the error at most 1e-10 max(1, |J|): absolute
-    where |J| <= 1 and relative beyond, where a double's leading term
-    (_lead_rel) may alone miss 1e-10.  The ascending series in double
-    precision answers where its declared error meets that; elsewhere Miller's
-    backward recurrence does (_miller), and where neither can, the input is
-    refused (ValueError), as is a mu or x that is not finite, an order
-    outside |Re mu| <= 10^4, |Im mu| <= 260, an x outside [0, 1000], and an
-    order whose leading term, J or error is beyond the range of a double.
+    Returns (value, error, method), the error at most 1e-10 max(1, |J|):
+    absolute where |J| <= 1 and relative beyond, where a double's leading
+    term alone rounds by _lead_rel |J| (at most 2.4e-12 |J| for
+    |mu| <= 262 and x >= 1e-4), about the accuracy the value reaches
+    there.  The ascending series in double precision answers where its
+    declared error meets that; elsewhere Miller's backward recurrence does
+    (_miller), and where neither can, the input is refused (ValueError),
+    as is a mu or x that is not finite, an order outside |Re mu| <= 10^4,
+    |Im mu| <= 260, an x outside [0, 1000], and an order whose leading
+    term, J or error is beyond the range of a double.
     The series' error covers the truncated tail, the rounding of the
     summation and of the term recurrence, and the relative rounding of the
     leading term (x/2)^mu / Gamma(mu+1), which every later term inherits.
@@ -215,17 +221,25 @@ def bessel_j_point(mu: complex, x: float):
     if x > _X_CAP:
         raise ValueError(f"argument {x} beyond supported window {_X_CAP}")
     half = x / 2.0
-    h2 = half * half
     log_half = cmath.log(half)
-    total = 0.0j
-    comp = 0.0j  # Kahan compensation
-    max_mag = 0.0
-    abs_sum = 0.0
     lead = mu * log_half - _log_gamma(mu + 1)  # log of the leading term
     if lead.real > _LOG_MAX:
         raise ValueError(_BEYOND_DOUBLE)
-    term = cmath.exp(lead)
-    err = math.inf  # unless the series converges within 502 terms
+    total, *rest = _series(cmath.exp(lead), mu, half * half)
+    err = _declared_error(mu, log_half, *rest)
+    if err <= _ATOL * max(1.0, abs(total)) < math.inf:
+        return total, err, _SERIES
+    return (*_miller(mu, x, _ATOL), "backward recurrence")
+
+
+def _series(term, mu, h2):
+    """The ascending series at the order mu from its leading term `term`,
+    h2 = (x/2)^2, summed with Kahan's compensation until a term is below
+    _SERIES_TOL of the sum and the ratios below 1/2: (sum, tail, largest
+    |term|, terms, sum |term|), the tail bounded by the geometric series of
+    the last ratio, or inf where 502 terms do not reach that."""
+    total = comp = 0j
+    max_mag = abs_sum = 0.0
     for k in range(502):
         y = term - comp
         t_new = total + y
@@ -238,13 +252,9 @@ def bessel_j_point(mu: complex, x: float):
         mk = mu + (k + 1)
         ratio = h2 / ((k + 1) * abs(mk))
         if mag < _SERIES_TOL * max(abs(total), 1e-300) and ratio < 0.5:
-            err = _declared_error(mu, log_half, mag * ratio / (1 - ratio),
-                                  max_mag, k + 1, abs_sum)
-            break
+            return total, mag * ratio / (1 - ratio), max_mag, k + 1, abs_sum
         term = term * -h2 / ((k + 1) * mk)
-    if err <= _ATOL * max(1.0, abs(total)) < math.inf:
-        return total, err, _SERIES
-    return (*_miller(mu, x, _ATOL), "backward recurrence")
+    return total, math.inf, max_mag, 502, abs_sum
 
 
 def _declared_error(mu, log_half, tail, max_mag, terms, abs_sum):
@@ -260,8 +270,9 @@ def _miller(mu: complex, x: float, atol: float):
     """J_mu(x) and its declared error by Miller's backward recurrence (DLMF
     3.6(iii); Gil, Segura & Temme, Numerical Methods for Special Functions,
     SIAM 2007, ch. 4), for 0 < x <= 1000 and a mu off the negative integers.
-    Raises ValueError where that error exceeds max(atol, 1e-10 |J|) or J
-    leaves the range of a double.
+    Where that error exceeds max(atol, 1e-10 |J|), or J is not finite, it
+    returns _miller_series, which normalises the same recurrence by the
+    series at a higher order, or raises ValueError.
 
     With nu = mu + m, m the least integer >= 0 with Re nu >= 0, and an even
     N > max(x, |nu|) + x, f_k runs down from f_{N+1} = 0, f_N = 1 by
@@ -297,7 +308,7 @@ def _miller(mu: complex, x: float, atol: float):
         r^2 - alpha r + 1 (the continued fraction R_k = 1 / (a_k - R_{k+1})),
         and the term is bounded by r (|f_{-m} v - h_{-m}| plus its rounding)
         / (1 - r |v|).
-    Against mpmath at 40 digits the true error stays below a tenth of this.
+    Against mpmath at 40 digits the true error stays below 0.4 of this.
     """
     m = max(0, math.ceil(-mu.real))
     nu = mu + m
@@ -340,7 +351,7 @@ def _miller(mu: complex, x: float, atol: float):
         raise ValueError(_BEYOND_DOUBLE)
     size = abs(S)
     if not size:
-        raise ValueError(_refusal(mu, x, "completely"))
+        return _miller_series(mu, x, atol, "completely")
     scale = cmath.exp(lead) * d / S
     value = f * scale
     eps = (N + m + 4) * _STEP_ULPS  # steps, with the final products
@@ -357,18 +368,107 @@ def _miller(mu: complex, x: float, atol: float):
                     + r * (abs(fv) + abs(h)))
              + r * abs(fv - h) + abs(f) * off) / room if room > 0 else math.inf
     err = abs(scale) * bound + abs(value) * _lead_rel(nu, log_half)
-    if not (cmath.isfinite(value) and math.isfinite(err)):
-        raise ValueError("J or its error beyond the range of a double")
-    if err > max(atol, _ATOL * abs(value)):
-        raise ValueError(_refusal(mu, x, f"{S_abs / size:.1e}-fold, and it "
-                                         f"declares {err:.1e}"))
+    if not (cmath.isfinite(value) and err <= max(atol, _ATOL * abs(value))):
+        return _miller_series(mu, x, atol, f"{S_abs / size:.1e}-fold, and "
+                                           f"it declares {err:.1e}")
     return value, err
 
 
-def _refusal(mu, x, cancels):
+_MAX_RUN = 2 ** 14  # steps of the series-normalised recurrence at most
+_LN2 = math.log(2.0)
+_TINY = 2.0 ** -1074  # a subnormal J's rounding
+
+
+def _miller_series(mu: complex, x: float, atol: float, cancels: str):
+    """_miller's recurrence normalised instead by the ascending series at
+    the order nu + K, K the least even integer >= x^2/8, whose ratios of
+    consecutive terms are at most 2/k, so it cannot cancel much.  Its
+    leading term is L P, L that of nu and P = prod_{k<=K} (x/2)/(nu+k), so
+    J_mu = L P S f_{-m} / f_K with S the series over its leading term; f
+    and P are rescaled by powers of two, their exponents kept apart.
+    Raises ValueError where the error exceeds max(atol, 1e-10 |J|), where
+    the run would take more than _MAX_RUN steps (x above about 350), and
+    where J leaves the range of a double; `cancels` says how Neumann's sum
+    failed.
+
+    The declared error is |J| s / (1 - s), which bounds the product of the
+    factors (1 + s_i) beyond first order, s the sum of
+      - _lead_rel for L, and S's error as the series declares it;
+      - 2^-52 times 5 per factor of P (the roundings of w = nu + k, |w|^2,
+        (x/2) / |w|^2 and its product by the conjugate of w) and 4 for the
+        final products;
+      - 2^-52 per step of the neighbourhoods of f_{-m} and f_K, as in
+        _miller;
+      - truncation: with F = f + R h as in _miller, F_{-m} / F_K is
+        f_{-m} / f_K times 1 + R (v_{-m} - v_K) / (1 + R v_K), v = h / f,
+        so off by at most r (|v_{-m} - v_K| plus its rounding)
+        / (1 - r |v_K|).
+    """
+    m = max(0, math.ceil(-mu.real))
+    nu = mu + m
+    half = 0.5 * x
+    K = 2 * math.ceil(half * half / 4)
+    N = K + 2 * math.ceil((max(x, abs(nu)) + x) / 2) + 20
+    if N > _MAX_RUN:
+        raise ValueError(_refusal(mu, x, cancels, f"normalising by the series "
+                                  f"instead would take {N} steps"))
+    c = 2.0 / x
+    nuc = nu * c
+    f, f1, h, h1 = 1 + 0j, 0j, 0j, 1 + 0j  # f_k, f_{k+1}, and h's
+    shifts = 0  # rescalings of f since f_K
+    for k in range(N, -m, -1):  # from f_k, f_{k+1} to f_{k-1}
+        a = nuc + k * c
+        f, f1, h, h1 = a * f - f1, f, a * h - h1, h
+        if k == K + 1:
+            fK, hK, near_K, shifts = f, h, abs(f) + 2 * abs(a * f1), 0
+        if abs(f) > _BIG:
+            f, f1, h, h1 = (v * _SMALL for v in (f, f1, h, h1))
+            shifts += 1
+    P = 1 + 0j
+    for k in range(1, K + 1):
+        w = nu + k
+        t = half / (w.real * w.real + w.imag * w.imag)
+        P *= complex(w.real * t, -w.imag * t)
+        if abs(P) < _SMALL:
+            P *= _BIG
+            shifts -= 1
+    S, tail, max_mag, terms, _ = _series(1 + 0j, nu + K, half * half)
+    log_half = math.log(half)
+    lead = nu * log_half - _log_gamma(nu + 1)
+    z = P * S * (f / fK)
+    if not (z and -_LOG_MAX < lead.real < _LOG_MAX):
+        raise ValueError(_refusal(mu, x, cancels, "the series normalisation "
+                                  "underflows"))
+    e2 = math.frexp(abs(z))[1]
+    z = complex(math.ldexp(z.real, -e2), math.ldexp(z.imag, -e2))
+    e2 += 300 * shifts
+    if lead.real + (e2 + 1) * _LN2 > _LOG_MAX:
+        raise ValueError("J or its error beyond the range of a double")
+    value = cmath.exp(lead) * z
+    value = complex(math.ldexp(value.real, e2), math.ldexp(value.imag, e2))
+    eps_m, eps_K = (N + m + 4) * _STEP_ULPS, (N - K + 2) * _STEP_ULPS
+    alpha = (N + 1 - abs(nu)) * c
+    r = 1 / (alpha / 2 + math.sqrt(alpha * alpha / 4 - 1))
+    v_m, v_K = h / f, hK / fK
+    room = 1 - r * abs(v_K)
+    s = (_lead_rel(nu, log_half) + (5 * K + 4) * _STEP_ULPS
+         + (tail + max_mag * 1e-16 * terms) / abs(S)
+         + eps_m * (1 + 2 * abs((nuc + (1 - m) * c) * f1 / f))
+         + eps_K * near_K / abs(fK))
+    s += r * (abs(v_m - v_K) + eps_m * abs(v_m) + eps_K * abs(v_K)) / room \
+        if room > 0 else math.inf
+    err = abs(value) * s / (1 - s) + _TINY if s < 1 else math.inf
+    if not err <= max(atol, _ATOL * abs(value)):
+        raise ValueError(_refusal(mu, x, cancels, f"normalised by the series "
+                                  f"at order nu + {K} it declares {err:.1e}"))
+    return value, err
+
+
+def _refusal(mu, x, cancels, instead):
     return (f"J_{mu}({x}) is beyond what double precision serves here: the "
             f"series and the backward recurrence both miss the tolerance "
-            f"(the recurrence's normalising sum cancels {cancels})")
+            f"(the recurrence's normalising sum cancels {cancels}; "
+            f"{instead})")
 
 
 def _bessel_j_nodes(mu, x: float, atol):
@@ -379,12 +479,8 @@ def _bessel_j_nodes(mu, x: float, atol):
     1e-10 |J|) is recomputed by _miller, whose ValueError it raises.
     Unlike bessel_j_err it checks only x against _X_CAP: it assumes x > 0,
     no negative integer order and |Im mu| <= 2 _IM_CAP, as the transforms
-    guarantee.
-
-    The transforms call it with every node of their rule at once.  Point
-    values keep the scalar bessel_j_err: on one order that stays in double
-    precision the array machinery costs 120-290 us against the scalar
-    series' 7-19 us.
+    guarantee.  The transforms call it with every node of their rule at
+    once; point values keep the scalar series (see the module docstring).
     """
     if x > _X_CAP:
         raise ValueError(f"argument {x} beyond supported window {_X_CAP}")

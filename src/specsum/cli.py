@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -214,7 +215,9 @@ def cmd_ksum(args) -> int:
     level = IdealLattice.principal(parse_element(F, args.level))
     chi = trivial_character(F, level)
     r = parse_element(F, args.r)
-    _finite(args.r, "--r", lambda _: max(map(abs, r.embeddings())))
+    # ksum evaluates r's embeddings as doubles
+    _finite(args.r, "--r", lambda spec: max(
+        map(abs, parse_element(F, spec).embeddings())))
     tau = args.tau
 
     def f(t):
@@ -262,9 +265,10 @@ _FAMILY_FLAGS = {
     "hypercube": ("a_list", "sigma"),
     "singleton": ("points", "parities"),
 }
-# comma-separated flags -> the type of their entries
-_LIST_FLAGS = {"m": float, "a_list": float, "b_list": float,
-               "points": float, "parities": int}
+# comma-separated flags -> the parser of their entries
+_LIST_FLAGS = {flag: partial(_finite, what=f"--{flag.replace('_', '-')} entry")
+               for flag in ("m", "a_list", "b_list", "points")}
+_LIST_FLAGS["parities"] = int
 
 
 def cmd_region_volume(args) -> int:
@@ -274,10 +278,7 @@ def cmd_region_volume(args) -> int:
     for flag in flags:
         value = getattr(args, flag)
         if flag in _LIST_FLAGS:
-            kind = _LIST_FLAGS[flag]
-            name = f"--{flag.replace('_', '-')} entry"
-            value = [kind(v) if kind is int else _finite(v, name)
-                     for v in value.split(",")]
+            value = [_LIST_FLAGS[flag](v) for v in value.split(",")]
         if flag not in ("t", "Y"):
             kw[flag.removesuffix("_list")] = value
     fam = family(args.family, **kw)

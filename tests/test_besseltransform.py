@@ -21,6 +21,22 @@ from specsum.besseltransform import (
 from specsum.measures import MeasureResult
 from specsum.testfunctions import LocalTestFunction, gaussian_phi, phi_p
 
+# The relative error the double paths reach where |J| > 1: the leading
+# term's rounding (_lead_rel, at most 2.4e-12 for |mu| <= 262 and
+# x >= 1e-4), and in the sweeps below 7e-13.  The declared error may be up
+# to 1e-10 |J|, since its rounding terms are worst-case bounds.
+REACHED = 3e-12
+
+
+def check_true_error(mu, x, v, e, dps=60):
+    """|v - J_mu(x)| against mpmath at dps digits is within the declared
+    error e and within 1e-10 + REACHED |J|."""
+    with mpmath.workdps(dps):
+        ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
+        true = float(abs(mpmath.mpc(v) - ref))
+        assert true <= e, (mu, x)
+        assert true <= 1e-10 + REACHED * float(abs(ref)), (mu, x)
+
 
 class TestBesselJ:
     def test_reference_values(self):
@@ -44,10 +60,11 @@ class TestBesselJ:
     def test_against_mpmath_imaginary_orders(self):
         for y in (0.5, 2.0, 10.0):
             for x in (0.3, 1.0, 8.0):
-                # |J| reaches 4e12: the promise is 1e-10 max(1, |J|)
+                # |J| reaches 4e12, where a double's leading term alone
+                # rounds by _lead_rel |J|, about 1e-13 |J| here
                 ref = complex(mpmath.besselj(2j * y, x))
-                assert bessel_j(2j * y, x) == pytest.approx(ref, rel=1e-10,
-                                                            abs=1e-10)
+                assert bessel_j(2j * y, x) == pytest.approx(
+                    ref, rel=REACHED, abs=1e-10)
 
     def test_continuity_in_order(self):
         for mu0 in (3.0, 0.0, 2j):
@@ -77,8 +94,9 @@ class TestBesselJ:
         # ("array") at their atol, which is scaled by the cosh(pi y) that
         # divides J out again, and which must also agree with the scalar
         # series.  Where |J| is huge no double method reaches atol (the
-        # leading term's rounding alone is _lead_rel |J|), so the declared
-        # error may reach 1e-10 |J| there.
+        # leading term's rounding alone is _lead_rel |J|): the declared
+        # error may reach 1e-10 |J| there, and the true error stays within
+        # REACHED |J|.
         orders = [0.6 + 2j * y for y in (0, 0.1, 0.5, 2, 5, 6.62, 10, 20,
                                          40, 65)]
         orders += [complex(n) for n in range(21)]
@@ -98,6 +116,7 @@ class TestBesselJ:
                     ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
                     true = float(abs(mpmath.mpc(v) - ref))
                 assert true <= e <= max(atol, 1e-10 * abs(v)), (mu, x)
+                assert true <= atol + REACHED * float(abs(ref)), (mu, x)
                 if case == "array":
                     sv, se = bessel_j_err(mu, x)
                     assert abs(v - sv) <= e + se, (mu, x)
@@ -122,12 +141,31 @@ class TestBesselJ:
             bessel_j_err(-170.5, 1.9204487796839393)
         assert fallback_calls == [(-170.5, 1.9204487796839393)]
 
-    def test_refuses_where_no_path_serves(self, fallback_calls):
-        # the recurrence's normalising sum cancels about 1e8-fold at 40i,
-        # x = 100: neither path meets the tolerance, so the input is refused
+    @pytest.mark.parametrize("mu, x", [(0.3 + 5j, 360.0), (40j, 500.0),
+                                       (0.6 + 200j, 1000.0)])
+    def test_refuses_where_no_path_serves(self, mu, x, fallback_calls):
+        # Neumann's sum cancels beyond the tolerance, and normalising by the
+        # series at nu + K would take more than _MAX_RUN steps (x above
+        # about 350): the input is refused
         with pytest.raises(ValueError, match="beyond what double precision"):
-            bessel_j(40j, 100.0)
-        assert fallback_calls == [(40j, 100.0)]
+            bessel_j(mu, x)
+        assert fallback_calls == [(mu, x)]
+
+    @pytest.mark.parametrize("mu, x", [(0.6 + 20j, 89.0), (0.6 + 60j, 130.0),
+                                       (0.6 + 200j, 225.0), (40j, 100.0),
+                                       (0.3 + 5j, 340.0)])
+    def test_series_normalisation_serves(self, mu, x, monkeypatch):
+        # where Neumann's sum cancels beyond the tolerance: the first three
+        # are the ends of the window the fixed-point series served, the last
+        # is next to the refusal above
+        calls = []
+        inner = besseltransform._miller_series
+        monkeypatch.setattr(besseltransform, "_miller_series",
+                            lambda *a: calls.append(a) or inner(*a))
+        v, e = bessel_j_err(mu, x)
+        assert len(calls) == 1
+        assert e <= 1e-10 * max(1.0, abs(v))
+        check_true_error(mu, x, v, e, dps=40)
 
 
 def _lead_points(seed=20):
@@ -525,12 +563,15 @@ class TestRecurrenceRows:
     """
 
     def test_rows_cover_the_ranges(self):
-        assert len(ROWS) == len(fallback_candidates())
-        recurrence = [r for r in ROWS if r["method"] == "recurrence"]
+        assert len(ROWS) == len(fallback_candidates()) >= 50
         orders = {complex(float(r["order"][0]), float(r["order"][1]))
-                  for r in recurrence}
+                  for r in ROWS}
+        assert any(mu.imag > 50 for mu in orders)
+        recurrence = [r for r in ROWS if r["method"] == "recurrence"]
         assert len(recurrence) >= 30
-        assert {-1.5, -3.7 + 0.2j, -5.5} <= orders
+        assert {-1.5, -3.7 + 0.2j, -5.5} <= {
+            complex(float(r["order"][0]), float(r["order"][1]))
+            for r in recurrence}
         assert any(float(r["order"][1]) and float(r["x"]) > 500
                    for r in recurrence)
 
@@ -542,9 +583,7 @@ class TestRecurrenceRows:
         assert fallback_calls == ([(mu, x)] if row["method"] == "recurrence"
                                   else [])
         assert _row(mu, x, v, e, fallback_calls) == row
-        with mpmath.workdps(60):
-            ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
-            assert float(abs(mpmath.mpc(v) - ref)) <= e
+        check_true_error(mu, x, v, e)
 
 
 def sweep_points(seed=23):
@@ -575,9 +614,7 @@ class TestSweep:
         for mu, x in pts:
             fallback_calls.clear()
             v, e = bessel_j_err(mu, x)
-            with mpmath.workdps(60):
-                ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
-                assert float(abs(mpmath.mpc(v) - ref)) <= e, (mu, x)
+            check_true_error(mu, x, v, e)
             recurrence += bool(fallback_calls)
         assert recurrence > 1000 and len(pts) - recurrence > 500
 
@@ -591,9 +628,8 @@ class TestSweep:
         assert round(gap.imag / (2 * math.pi)) == -2
         v, e = bessel_j_err(mu, x)
         assert fallback_calls == []
-        with mpmath.workdps(60):
-            ref = mpmath.besselj(mpmath.mpc(mu), x)
-            assert float(abs(mpmath.mpc(v) - ref)) <= e <= 1e-10 * abs(v)
+        assert e <= 1e-10 * abs(v)
+        check_true_error(mu, x, v, e)
 
 
 def wide_points(seed=37):
@@ -611,7 +647,7 @@ def wide_points(seed=37):
 
 class TestWideSweep:
     """Each point of wide_points either answers with an error that covers
-    mpmath.besselj at 60 digits, or is refused (ValueError, exit 2): never
+    mpmath.besselj at 60 digits (check_true_error), or is refused (ValueError, exit 2): never
     PrecisionError or a wrong bar."""
 
     def test_answers_are_covered_or_refused(self, fallback_calls):
@@ -626,10 +662,41 @@ class TestWideSweep:
             answered += 1
             recurrence += bool(fallback_calls)
             assert e <= 1e-10 * max(1.0, abs(v)), (mu, x)
-            with mpmath.workdps(60):
-                ref = mpmath.besselj(mpmath.mpc(mu), mpmath.mpf(x))
-                assert float(abs(mpmath.mpc(v) - ref)) <= e, (mu, x)
+            check_true_error(mu, x, v, e)
         assert answered > 150 and refused > 10 and recurrence > 40
+
+
+def band_points(seed=41):
+    """Seeded (mu, x) where Neumann's sum cancels: |Im mu| from 5 to 260,
+    Re mu from -40 to 30, x log-uniform in [20, 350]."""
+    rng = random.Random(seed)
+    return [(complex(rng.uniform(-40.0, 30.0),
+                     rng.choice((-1, 1)) * rng.uniform(5.0, 260.0)),
+             10 ** rng.uniform(math.log10(20), math.log10(350)))
+            for _ in range(150)]
+
+
+class TestSeriesNormalisation:
+    """The recurrence normalised by the series at a higher order
+    (_miller_series), on band_points: each answers within
+    1e-10 max(1, |J|) and check_true_error, or is refused."""
+
+    def test_band_is_served(self, monkeypatch):
+        calls = []
+        inner = besseltransform._miller_series
+        monkeypatch.setattr(besseltransform, "_miller_series",
+                            lambda *a: calls.append(a) or inner(*a))
+        served = 0
+        for mu, x in band_points():
+            calls.clear()
+            try:
+                v, e = bessel_j_err(mu, x)
+            except ValueError:
+                continue
+            served += bool(calls)
+            assert e <= 1e-10 * max(1.0, abs(v)), (mu, x)
+            check_true_error(mu, x, v, e, dps=40)
+        assert served >= 80
 
 
 class TestArrayPhi:

@@ -247,12 +247,14 @@ class TestExitCodes:
         assert rc == 2
 
     def test_bessel_no_path_serves_is_exit_two(self, capsys):
-        # J_0(200) cancels in the series but the recurrence answers; at
-        # order 40i the recurrence's normalising sum cancels too
-        rc, out, _ = run(capsys, "bessel", "--order", "0", "--x", "200")
-        assert rc == 0
-        assert json.loads(out)["method"] == "backward recurrence"
-        rc, out, err = run(capsys, "bessel", "--order", "40j", "--x", "100")
+        # J_0(200) cancels in the series but the recurrence answers, and so
+        # does J_40i(100), normalised by the series at a higher order; at
+        # x = 500 that would take too many steps
+        for order, x in (("0", "200"), ("40j", "100")):
+            rc, out, _ = run(capsys, "bessel", "--order", order, "--x", x)
+            assert rc == 0
+            assert json.loads(out)["method"] == "backward recurrence"
+        rc, out, err = run(capsys, "bessel", "--order", "40j", "--x", "500")
         assert_rejected(rc, out, err)
         assert "beyond what double precision serves" in err
 
